@@ -229,11 +229,11 @@ def cmd_det_scan(config: RunConfig) -> int:
         raise ValidationError("scan step must be positive")
     n_steps = int(round((config.scan_max - config.lam_min) / config.step))
     grid = [config.lam_min + k * config.step for k in range(n_steps + 1)]
+    dets_s = shifrin.char_det(problem, np.array(grid)).tolist()
+    dets_t = transition.boundary_det(problem, np.array(grid)).tolist()
     rows = []
     prev_sign = 0.0
-    for lam in grid:
-        det_s = shifrin.char_det(problem, lam)
-        det_t = transition.boundary_det(problem, lam)
+    for lam, det_s, det_t in zip(grid, dets_s, dets_t):
         sign = math.copysign(1.0, det_s) if det_s != 0.0 else 0.0
         changed = int(prev_sign != 0.0 and sign != 0.0 and sign != prev_sign)
         rows.append([lam, det_s, det_t, changed])

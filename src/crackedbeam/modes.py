@@ -43,13 +43,34 @@ def _basis_rows(lam: float, t: np.ndarray, order: int) -> tuple[np.ndarray, ...]
     return trig[0], trig[1], hyp[0], hyp[1]
 
 
-def local_state_matrix(lam: float, xi: float) -> np.ndarray:
-    """Matrix sending local coefficients (A,B,C,D) to (w, w', w'', w''') at xi."""
-    rows = []
-    for order in range(4):
-        fs = _basis_rows(lam, np.asarray(lam * xi), order)
-        rows.append([lam**order * float(f) for f in fs])
-    return np.array(rows)
+def _powers(lam: np.ndarray) -> np.ndarray:
+    """lam**0 .. lam**3 for every entry, as Python floats compute them; shape (..., 4)."""
+    flat = [[x**k for k in range(4)] for x in lam.ravel().tolist()]
+    return np.array(flat).reshape(lam.shape + (4,))
+
+
+def _as_matrices(rows) -> np.ndarray:
+    """Nested 4x4 tuples of equal-shape arrays as one C-ordered array (..., 4, 4)."""
+    return np.ascontiguousarray(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
+
+
+def local_state_matrix(lam, xi: float) -> np.ndarray:
+    """Matrix sending local coefficients (A,B,C,D) to (w, w', w'', w''') at xi.
+
+    ``lam`` may also be an array of wavenumbers; the result then holds one
+    4x4 matrix per entry along its leading axes.
+    """
+    lam = np.asarray(lam, dtype=float)
+    t = lam * xi
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    sinh_t, cosh_t = np.sinh(t), np.cosh(t)
+    rows = (
+        (sin_t, cos_t, sinh_t, cosh_t),
+        (cos_t, -sin_t, cosh_t, sinh_t),
+        (-sin_t, -cos_t, sinh_t, cosh_t),
+        (-cos_t, sin_t, cosh_t, sinh_t),
+    )
+    return _powers(lam)[..., :, None] * _as_matrices(rows)
 
 
 def coefficients_from_state(lam: float, state: np.ndarray) -> np.ndarray:
@@ -66,17 +87,18 @@ def coefficients_from_state(lam: float, state: np.ndarray) -> np.ndarray:
     return np.array([a, b, c, d])
 
 
-def inverse_state_matrix(lam: float) -> np.ndarray:
-    """Explicit inverse of ``local_state_matrix(lam, 0)``."""
-    il, il3 = 0.5 / lam, 0.5 / lam**3
-    il2 = 0.5 / lam**2
-    return np.array(
-        [
-            [0.0, il, 0.0, -il3],
-            [0.5, 0.0, -il2, 0.0],
-            [0.0, il, 0.0, il3],
-            [0.5, 0.0, il2, 0.0],
-        ]
+def inverse_state_matrix(lam) -> np.ndarray:
+    """Explicit inverse of ``local_state_matrix(lam, 0)``, also for an array ``lam``."""
+    powers = _powers(np.asarray(lam, dtype=float))
+    il, il2, il3 = (0.5 / powers[..., k] for k in (1, 2, 3))
+    zero, half = np.zeros_like(il), np.full_like(il, 0.5)
+    return _as_matrices(
+        (
+            (zero, il, zero, -il3),
+            (half, zero, -il2, zero),
+            (zero, il, zero, il3),
+            (half, zero, il2, zero),
+        )
     )
 
 

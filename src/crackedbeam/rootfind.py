@@ -5,11 +5,20 @@ a fixed-step scan followed by bisection is reliable as long as the step is
 well below the eigenvalue spacing (which is near 1 for hinged beams).  A
 near-zero local minimum of |f| without a sign change is flagged instead of
 silently skipped, since it hints at a double root straddled by the grid.
+
+The function being scanned takes a 1-D array of wavenumbers and returns the
+array of its values, so that a determinant can be assembled for many
+wavenumbers in one pass.  The scan evaluates the grid in chunks and then
+walks the values in grid order; bisection refines every bracket in lockstep,
+one call per halving.  Both give exactly the roots a point-by-point scan
+would, since each bracket sees the same midpoints and the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_STEP = 0.01
 # Bisect until the bracket collapses at floating-point resolution; residuals
@@ -21,6 +30,15 @@ BISECT_TOL = 0.0
 # A gridpoint counts as a double-root suspect when |f| dips below this
 # fraction of the largest |f| seen so far without changing sign.
 SUSPECT_RATIO = 1e-8
+
+# Grid points evaluated per call during the scan.  Larger chunks cost little
+# per point but waste more evaluations past the last requested root.
+_SCAN_CHUNK = 128
+
+# Matrix entries one batched determinant call may hold in a stack (256 KiB of
+# doubles); with many cracks this caps the wavenumbers per stack, and with it
+# the peak memory of a solve.
+_STACK_ENTRIES = 2**15
 
 
 class RootCountError(RuntimeError):
@@ -45,26 +63,77 @@ class ScanDiagnostic:
     value: float
 
 
-def bisect(f, a: float, b: float, fa: float, fb: float, tol: float = BISECT_TOL) -> float:
-    """Bisection on a bracketing interval; returns the midpoint at tolerance."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise ValueError(f"no sign change on [{a}, {b}]")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break  # interval at floating-point resolution
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
+def bisect(f, a, b, fa, fb, tol: float = BISECT_TOL):
+    """Bisect every bracket [a_k, b_k] in lockstep; returns the midpoints at tolerance.
+
+    ``a``, ``b``, ``fa`` and ``fb`` are scalars or equal-length 1-D arrays.
+    Each halving evaluates ``f`` once, on the midpoints of the brackets still
+    open; a bracket closes when it reaches ``tol``, when its midpoint no
+    longer lies strictly inside, or when ``f`` vanishes there.  Every bracket
+    follows the same midpoint sequence as it would alone.
+    """
+    scalar = np.ndim(a) == 0
+    a, b, fa, fb = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (a, b, fa, fb))
+    out = [0.0] * len(a)
+    live = []
+    for k in range(len(a)):
+        if fa[k] == 0.0:
+            out[k] = a[k]
+        elif fb[k] == 0.0:
+            out[k] = b[k]
+        elif (fa[k] > 0.0) == (fb[k] > 0.0):
+            raise ValueError(f"no sign change on [{a[k]}, {b[k]}]")
         else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
+            live.append(k)
+    while live:
+        todo, mids = [], []
+        for k in live:
+            mid = 0.5 * (a[k] + b[k])
+            if b[k] - a[k] > tol and a[k] < mid < b[k]:
+                todo.append(k)
+                mids.append(mid)
+            else:
+                out[k] = mid
+        if not todo:
+            break
+        live = []
+        for k, mid, fm in zip(todo, mids, np.asarray(f(np.array(mids)), dtype=float).tolist()):
+            if fm == 0.0:
+                out[k] = mid
+                continue
+            if (fm > 0.0) == (fa[k] > 0.0):
+                a[k], fa[k] = mid, fm
+            else:
+                b[k] = mid
+            live.append(k)
+    return out[0] if scalar else np.array(out)
+
+
+def blockwise(fn, lams, entries_per_lam: int):
+    """Evaluate ``fn`` on the wavenumbers ``lams``, a bounded slice at a time.
+
+    ``fn`` maps a 1-D array of wavenumbers to the 1-D array of its values and
+    builds ``entries_per_lam`` stack entries for each; slices are sized to
+    keep that within ``_STACK_ENTRIES``.  A scalar ``lams`` gives a float,
+    an array gives an array of its shape; a nonpositive wavenumber raises
+    ValueError.
+    """
+    arr = np.asarray(lams, dtype=float)
+    if (arr <= 0.0).any():
+        raise ValueError("wavenumber must be positive")
+    flat = arr.reshape(-1)
+    out = np.empty(flat.size)
+    block = max(1, _STACK_ENTRIES // entries_per_lam)
+    for start in range(0, flat.size, block):
+        out[start : start + block] = fn(flat[start : start + block])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _grid_values(f, lo: float, step: float, n_points: int):
+    """Yield ``(lo + k*step, f(lo + k*step))`` for k < n_points, evaluated in chunks."""
+    for start in range(0, n_points, _SCAN_CHUNK):
+        lams = lo + np.arange(start, min(start + _SCAN_CHUNK, n_points)) * step
+        yield from zip(lams.tolist(), np.asarray(f(lams), dtype=float).tolist())
 
 
 def find_roots(
@@ -76,9 +145,10 @@ def find_roots(
 ) -> tuple[list[float], list[ScanDiagnostic]]:
     """First ``count`` positive roots of ``f`` below ``lam_max``.
 
-    Scans a uniform grid from ``lam_min`` (default: one step) and bisects
-    every bracket.  Raises :class:`RootCountError` when the range runs out
-    first; the exception carries the roots that were found.
+    ``f`` maps a 1-D array of wavenumbers to the array of its values.  Scans
+    a uniform grid from ``lam_min`` (default: one step) and bisects every
+    bracket.  Raises :class:`RootCountError` when the range runs out first;
+    the exception carries the roots that were found.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -88,11 +158,14 @@ def find_roots(
     if lo <= 0.0:
         raise ValueError("scan must start at a positive wavenumber")
 
+    # Exact zeros go straight into ``roots``; a bracket holds the place of
+    # its root until the lockstep bisection below fills it in.
     roots: list[float] = []
+    brackets: list[tuple[int, float, float, float, float]] = []
     diagnostics: list[ScanDiagnostic] = []
     n_steps = max(0, int(round((lam_max - lo) / step)))
-    prev_lam = lo
-    prev_val = f(lo)
+    grid = _grid_values(f, lo, step, n_steps + 1)
+    prev_lam, prev_val = next(grid)
     # Track the two previous |f| values to spot dips without a sign change.
     hist = [abs(prev_val)]
     scale = abs(prev_val)
@@ -100,16 +173,15 @@ def find_roots(
     if prev_val == 0.0:
         roots.append(prev_lam)
 
-    for k in range(1, n_steps + 1):
+    for lam, val in grid:
         if len(roots) >= count:
             break
-        lam = lo + k * step
-        val = f(lam)
         scale = max(scale, abs(val))
         if val == 0.0:
             roots.append(lam)
         elif prev_val != 0.0 and (val > 0.0) != (prev_val > 0.0):
-            roots.append(bisect(f, prev_lam, lam, prev_val, val))
+            brackets.append((len(roots), prev_lam, lam, prev_val, val))
+            roots.append(lam)
         elif (
             len(hist) >= 2
             and hist[-1] < hist[-2]
@@ -123,6 +195,23 @@ def find_roots(
             hist.pop(0)
         prev_lam, prev_val = lam, val
 
+    if brackets:
+        slots, *ends = zip(*brackets)
+        for slot, root in zip(slots, bisect(f, *ends).tolist()):
+            roots[slot] = root
     if len(roots) < count:
         raise RootCountError(count, roots, lam_max)
     return roots[:count], diagnostics
+
+
+def first_roots(det, problem, count: int, lam_max: float | None = None, step: float = DEFAULT_STEP):
+    """First ``count`` roots of ``det(problem, lams)`` with their scan diagnostics.
+
+    The scan ceiling defaults to ``count + m + 5`` for a problem with m
+    cracks.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if lam_max is None:
+        lam_max = count + problem.m + 5
+    return find_roots(lambda lams: det(problem, lams), count, lam_max, step=step)

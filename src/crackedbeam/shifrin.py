@@ -19,8 +19,13 @@ equivalent representation
 where z_i has exactly a unit slope jump at x_i and continuous value, moment
 and shear, so Delta_i keeps its meaning J[phi'](x_i).  Boundary rows use the
 combinations (lam^2 phi +- phi'')/(2 lam^2), which separate the decaying and
-oscillatory parts; every matrix entry then grows at worst like the spacing
-between adjacent cracks instead of the full span.  The classical (A, B, C, D)
+oscillatory parts, so the four smooth-part columns stay bounded.  The jump
+responses still grow: the ladder entry of crack row j holds
+sinh(lam (x_j - x_i)) for every earlier crack i, and the right-support row
+holds sinh(lam (pi - x_i)), so entries grow with the distance from a crack
+to any later crack or to the right support, not with the spacing of
+adjacent cracks.  Row equilibration keeps the determinant representable
+all the same.  The classical (A, B, C, D)
 coefficients of cos, sin, cosh, sinh and the convolution kernel remain
 available (`classical_coefficients`, `kernel_M`); the two parametrizations
 differ by an explicit homogeneous recombination and describe the same mode.
@@ -28,6 +33,7 @@ differ by an explicit homogeneous recombination and describe the same mode.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -308,79 +314,112 @@ class SystemMatrix:
         return self.matrix.shape[0] - 4
 
 
-def assemble_system(problem: BeamProblem, lam: float) -> SystemMatrix:
-    """Build U(lam): crack law rows plus four hinged boundary rows.
+@functools.lru_cache(maxsize=64)
+def _ladder(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (j, i), i < j, of the jump-response ladder in the Delta block.
+
+    Cached because building them costs about as much as the rest of a small
+    assembly; the arrays are read-only since every caller shares them.
+    """
+    rows, cols = np.tril_indices(m, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _system_stack(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
+    """U(lam) for every wavenumber of the 1-D array ``lams``: shape (n, m+4, m+4).
 
     Crack row j states ``Delta_j = theta_j * phi''(x_j)`` with phi'' expanded
     into the unknowns; the jump-response ladder is lower triangular in the
     Delta block with an exact unit diagonal since z_j''(x_j+) = 0.  Hinged
     supports demand phi = phi'' = 0 at both ends, imposed as the +- index
     combinations so that no row carries the full-span hyperbolic growth.
-    """
-    if lam <= 0.0:
-        raise ValueError("wavenumber must be positive")
-    m = problem.m
-    size = m + 4
-    mat = np.zeros((size, size))
-    xs = np.asarray(problem.positions)
-    decay = math.exp(-lam * math.pi)
 
+    Scalars per wavenumber go through ``math`` and Python powers, so every
+    entry is bit-identical to the one a single-wavenumber assembly makes.
+    """
+    m = problem.m
+    mat = np.zeros((lams.size, m + 4, m + 4))
+    xs = np.asarray(problem.positions)
+    theta = np.asarray(problem.flexibilities)
+    decay, lam2, cos_pi, sin_pi = np.array(
+        [
+            (math.exp(-lam * math.pi), lam**2, math.cos(lam * math.pi), math.sin(lam * math.pi))
+            for lam in lams.tolist()
+        ]
+    ).reshape(-1, 4).T
+    lam = lams[:, None]
+
+    # Unit diagonal in the Delta block, and theta_j z_i''(x_j) below it.
+    mat[:, :m, :m] = np.eye(m)
+    rows, cols = _ladder(m)
+    td = lam * (xs[rows] - xs[cols])
+    mat[:, rows, cols] = -theta[rows] * (lam * 0.5 * (np.sinh(td) - np.sin(td)))
     t = lam * xs
-    cs, sn = np.cos(t), np.sin(t)
-    e_left = np.exp(-t)  # e**(-lam x_j)
-    e_right = np.exp(-lam * math.pi + t)  # e**(-lam (pi - x_j))
-    for j in range(m):
-        theta = problem.flexibilities[j]
-        for i in range(j):
-            mat[j, i] = -theta * _jump_response(lam, np.asarray(xs[j] - xs[i]), 2)
-        mat[j, j] = 1.0
-        mat[j, m + 0] = theta * lam**2 * cs[j]
-        mat[j, m + 1] = theta * lam**2 * sn[j]
-        mat[j, m + 2] = -theta * lam**2 * e_left[j]
-        mat[j, m + 3] = -theta * lam**2 * e_right[j]
+    theta_lam2 = theta * lam2[:, None]
+    mat[:, :m, m + 0] = theta_lam2 * np.cos(t)
+    mat[:, :m, m + 1] = theta_lam2 * np.sin(t)
+    mat[:, :m, m + 2] = -theta_lam2 * np.exp(-t)  # e**(-lam x_j)
+    mat[:, :m, m + 3] = -theta_lam2 * np.exp(-lam * math.pi + t)  # e**(-lam (pi - x_j))
 
     # Left support: (lam^2 phi + phi'')/(2 lam^2) kills the oscillatory part,
     # (lam^2 phi - phi'')/(2 lam^2) kills the decaying part; jump responses
     # are inactive at x = 0.
-    mat[m, m + 2] = 1.0
-    mat[m, m + 3] = decay
-    mat[m + 1, m + 0] = 1.0
+    mat[:, m, m + 2] = 1.0
+    mat[:, m, m + 3] = decay
+    mat[:, m + 1, m + 0] = 1.0
 
     # Right support, same combinations; z_i contributes its sinh (resp. sin)
     # component only.
-    gaps = math.pi - xs
-    tg = lam * gaps
-    mat[m + 2, :m] = np.sinh(tg) / (2.0 * lam)
-    mat[m + 2, m + 2] = decay
-    mat[m + 2, m + 3] = 1.0
-    mat[m + 3, :m] = np.sin(tg) / (2.0 * lam)
-    mat[m + 3, m + 0] = math.cos(lam * math.pi)
-    mat[m + 3, m + 1] = math.sin(lam * math.pi)
-    return SystemMatrix(lam=lam, matrix=mat)
+    tg = lam * (math.pi - xs)
+    mat[:, m + 2, :m] = np.sinh(tg) / (2.0 * lam)
+    mat[:, m + 2, m + 2] = decay
+    mat[:, m + 2, m + 3] = 1.0
+    mat[:, m + 3, :m] = np.sin(tg) / (2.0 * lam)
+    mat[:, m + 3, m + 0] = cos_pi
+    mat[:, m + 3, m + 1] = sin_pi
+    return mat
+
+
+def assemble_system(problem: BeamProblem, lam: float) -> SystemMatrix:
+    """Build U(lam): crack law rows plus four hinged boundary rows."""
+    if lam <= 0.0:
+        raise ValueError("wavenumber must be positive")
+    return SystemMatrix(lam=lam, matrix=_system_stack(problem, np.array([lam], dtype=float))[0])
 
 
 def _equilibrated(mat: np.ndarray) -> np.ndarray:
-    """Rows divided by their max-abs entry; degenerate rows left alone."""
-    scale = np.max(np.abs(mat), axis=1)
+    """Rows divided by their max-abs entry; degenerate rows left alone.
+
+    Works on one matrix or on a stack of them (rows along the second-to-last
+    axis).
+    """
+    scale = np.max(np.abs(mat), axis=-1)
     dead = scale < 1e-300
-    if np.any(dead):
+    if dead.any():
         warnings.warn(
-            f"system rows {np.flatnonzero(dead).tolist()} vanish to working precision",
+            f"system rows {np.flatnonzero(dead.reshape(-1, dead.shape[-1]).any(axis=0)).tolist()} "
+            "vanish to working precision",
             RuntimeWarning,
             stacklevel=3,
         )
         scale = np.where(dead, 1.0, scale)
-    return mat / scale[:, None]
+    return mat / scale[..., None]
 
 
-def char_det(problem: BeamProblem, lam: float) -> float:
+def char_det(problem: BeamProblem, lams):
     """Row-equilibrated determinant of U(lam); zero exactly at eigenvalues.
 
-    Equilibration keeps the magnitude representable despite hyperbolic
-    growth and preserves the sign, which is all bracketing needs.
+    ``lams`` is one wavenumber (the result is a float) or an array of them
+    (the result has its shape).  Equilibration keeps the magnitude
+    representable despite hyperbolic growth and preserves the sign, which is
+    all bracketing needs.
     """
-    system = assemble_system(problem, lam)
-    return float(np.linalg.det(_equilibrated(system.matrix)))
+    return rootfind.blockwise(
+        lambda block: np.linalg.det(_equilibrated(_system_stack(problem, block))),
+        lams,
+        (problem.m + 4) ** 2,
+    )
 
 
 def find_eigenvalues(
@@ -390,45 +429,7 @@ def find_eigenvalues(
     step: float = rootfind.DEFAULT_STEP,
 ) -> list[float]:
     """First ``count`` eigenvalue wavenumbers, by scan plus bisection."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if lam_max is None:
-        lam_max = count + problem.m + 5
-    roots, _ = rootfind.find_roots(lambda lam: char_det(problem, lam), count, lam_max, step=step)
-    return roots
-
-
-def _nullspace_by_elimination(mat: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with full pivoting; back-solve the free column.
-
-    Fallback for the (rare) case the SVD fails to converge.  The matrix is
-    numerically rank-deficient by construction, so the last pivot is
-    negligible and its column is the free direction.
-    """
-    a = mat.copy()
-    n = a.shape[0]
-    col_order = list(range(n))
-    for k in range(n - 1):
-        sub = np.abs(a[k:, k:])
-        r, c = np.unravel_index(np.argmax(sub), sub.shape)
-        r += k
-        c += k
-        a[[k, r]] = a[[r, k]]
-        a[:, [k, c]] = a[:, [c, k]]
-        col_order[k], col_order[c] = col_order[c], col_order[k]
-        piv = a[k, k]
-        if piv == 0.0:
-            continue
-        factors = a[k + 1 :, k] / piv
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-    x = np.zeros(n)
-    x[n - 1] = 1.0
-    for k in range(n - 2, -1, -1):
-        piv = a[k, k]
-        x[k] = 0.0 if piv == 0.0 else -np.dot(a[k, k + 1 :], x[k + 1 :]) / piv
-    out = np.zeros(n)
-    out[col_order] = x
-    return out / np.linalg.norm(out)
+    return rootfind.first_roots(char_det, problem, count, lam_max, step)[0]
 
 
 def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
@@ -443,17 +444,14 @@ def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
     mat = _equilibrated(assemble_system(problem, lam).matrix)
     col_scale = np.max(np.abs(mat), axis=0)
     col_scale = np.where(col_scale > 0.0, col_scale, 1.0)
-    try:
-        _, sing, vt = np.linalg.svd(mat / col_scale)
-        vec = vt[-1] / col_scale
-        if len(sing) >= 2 and sing[-2] <= DEGENERACY_RATIO * sing[0]:
-            warnings.warn(
-                f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    except np.linalg.LinAlgError:
-        vec = _nullspace_by_elimination(mat)
+    _, sing, vt = np.linalg.svd(mat / col_scale)
+    vec = vt[-1] / col_scale
+    if len(sing) >= 2 and sing[-2] <= DEGENERACY_RATIO * sing[0]:
+        warnings.warn(
+            f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     vec = vec / np.linalg.norm(vec)
     m = problem.m
     form = ShifrinForm(
@@ -494,12 +492,6 @@ def compute_spectrum(
     step: float = rootfind.DEFAULT_STEP,
 ) -> Spectrum:
     """Full pipeline: scan, bisect, solve, and normalize ``count`` modes."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if lam_max is None:
-        lam_max = count + problem.m + 5
-    roots, diagnostics = rootfind.find_roots(
-        lambda lam: char_det(problem, lam), count, lam_max, step=step
-    )
+    roots, diagnostics = rootfind.first_roots(char_det, problem, count, lam_max, step)
     pairs = tuple(build_eigenfunction(problem, solve_nullspace(problem, lam)) for lam in roots)
     return Spectrum(problem=problem, pairs=pairs, solver="shifrin", diagnostics=tuple(diagnostics))

@@ -28,6 +28,20 @@ from .modes import (
 from .quadrature import QuadratureRule
 
 
+def _interval_maps(problem: BeamProblem, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transition matrices and end rows for every wavenumber of ``lams``.
+
+    Returns the (n, m, 4, 4) stack of transition matrices across cracks
+    1..m and the (n, 2, 4) rows mapping final-interval coefficients to
+    (w(pi), w''(pi)).
+    """
+    states = local_state_matrix(lams[:, None], np.diff(problem.breakpoints))
+    jumps = np.tile(np.eye(4), (problem.m, 1, 1))
+    jumps[:, 1, 2] = problem.flexibilities
+    factors = inverse_state_matrix(lams)[:, None] @ jumps @ states[:, :-1]
+    return factors, states[:, -1, [0, 2]]
+
+
 def transition_matrix(problem: BeamProblem, i: int, lam: float) -> np.ndarray:
     """Map coefficients on interval i to coefficients on interval i+1.
 
@@ -39,41 +53,43 @@ def transition_matrix(problem: BeamProblem, i: int, lam: float) -> np.ndarray:
         raise IndexError(f"crack index {i} out of range 1..{problem.m}")
     if lam <= 0.0:
         raise ValueError("wavenumber must be positive")
-    bp = problem.breakpoints
-    length = bp[i] - bp[i - 1]
-    end_state = local_state_matrix(lam, length)
-    jump = np.eye(4)
-    jump[1, 2] = problem.flexibilities[i - 1]
-    return inverse_state_matrix(lam) @ jump @ end_state
+    return _interval_maps(problem, np.array([lam], dtype=float))[0][0, i - 1]
 
 
-def _end_rows(problem: BeamProblem, lam: float) -> np.ndarray:
-    """Rows mapping final-interval coefficients to (w(pi), w''(pi))."""
-    bp = problem.breakpoints
-    state = local_state_matrix(lam, bp[-1] - bp[-2])
-    return state[[0, 2]]
+def _max_abs(stack: np.ndarray) -> np.ndarray:
+    """Max-abs entry of each matrix in a stack, shaped to divide it."""
+    return np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
 
 
-def boundary_det(problem: BeamProblem, lam: float) -> float:
-    """Determinant of the reduced 2x2 end-condition system.
+def _reduced_system(factors: np.ndarray, end_rows: np.ndarray) -> np.ndarray:
+    """Row-equilibrated 2x2 end-condition systems from ``_interval_maps``.
 
     A hinged start forces the local coefficient vector to (A1, 0, C1, 0), so
-    only two columns of the propagated end rows matter.  Every chain factor
-    is divided by its max-abs entry (a positive scalar, so zeros and signs
-    survive) to keep growth like cosh in check, and the final 2x2 is
-    row-equilibrated for the same reason.
+    only two columns of the end rows, propagated back to the first interval,
+    matter.  Every chain factor is divided by its max-abs entry (a positive
+    scalar, so zeros and signs survive) to keep growth like cosh in check.
     """
-    if lam <= 0.0:
-        raise ValueError("wavenumber must be positive")
-    chain = _end_rows(problem, lam)
-    chain = chain / np.max(np.abs(chain))
-    for i in range(problem.m, 0, -1):
-        factor = transition_matrix(problem, i, lam)
-        chain = chain @ (factor / np.max(np.abs(factor)))
-    reduced = chain[:, [0, 2]]
-    scale = np.max(np.abs(reduced), axis=1)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return float(np.linalg.det(reduced / scale[:, None]))
+    factors = factors / _max_abs(factors)
+    chain = end_rows / _max_abs(end_rows)
+    for i in range(factors.shape[1] - 1, -1, -1):
+        chain = chain @ factors[:, i]
+    reduced = chain[:, :, [0, 2]]
+    scale = np.max(np.abs(reduced), axis=2, keepdims=True)
+    return reduced / np.where(scale > 0.0, scale, 1.0)
+
+
+def boundary_det(problem: BeamProblem, lams):
+    """Determinant of the reduced 2x2 end-condition system.
+
+    ``lams`` is one wavenumber (the result is a float) or an array of them
+    (the result has its shape); the transfer chains of all wavenumbers are
+    propagated together.
+    """
+    return rootfind.blockwise(
+        lambda block: np.linalg.det(_reduced_system(*_interval_maps(problem, block))),
+        lams,
+        16 * (problem.m + 1),
+    )
 
 
 def find_eigenvalues(
@@ -83,32 +99,18 @@ def find_eigenvalues(
     step: float = rootfind.DEFAULT_STEP,
 ) -> list[float]:
     """First ``count`` eigenvalue wavenumbers by scanning boundary_det."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if lam_max is None:
-        lam_max = count + problem.m + 5
-    roots, _ = rootfind.find_roots(
-        lambda lam: boundary_det(problem, lam), count, lam_max, step=step
-    )
-    return roots
+    return rootfind.first_roots(boundary_det, problem, count, lam_max, step)[0]
 
 
 def _mode_from_root(problem: BeamProblem, lam: float) -> Eigenpair:
     """Recover per-interval coefficients for one located root."""
-    chain = _end_rows(problem, lam)
-    chain = chain / np.max(np.abs(chain))
-    for i in range(problem.m, 0, -1):
-        factor = transition_matrix(problem, i, lam)
-        chain = chain @ (factor / np.max(np.abs(factor)))
-    reduced = chain[:, [0, 2]]
-    scale = np.max(np.abs(reduced), axis=1)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    _, _, vt = np.linalg.svd(reduced / scale[:, None])
+    factors, end_rows = _interval_maps(problem, np.array([lam]))
+    _, _, vt = np.linalg.svd(_reduced_system(factors, end_rows)[0])
     a1, c1 = vt[-1]
 
     coeffs = [np.array([a1, 0.0, c1, 0.0])]
-    for i in range(1, problem.m + 1):
-        coeffs.append(transition_matrix(problem, i, lam) @ coeffs[-1])
+    for factor in factors[0]:
+        coeffs.append(factor @ coeffs[-1])
     pw = PiecewiseForm(
         lam=lam,
         breakpoints=np.asarray(problem.breakpoints),
@@ -126,13 +128,7 @@ def oracle_eigenpairs(
     step: float = rootfind.DEFAULT_STEP,
 ) -> Spectrum:
     """Spectrum computed wholly by the transition-matrix route."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if lam_max is None:
-        lam_max = count + problem.m + 5
-    roots, diagnostics = rootfind.find_roots(
-        lambda lam: boundary_det(problem, lam), count, lam_max, step=step
-    )
+    roots, diagnostics = rootfind.first_roots(boundary_det, problem, count, lam_max, step)
     pairs = tuple(_mode_from_root(problem, lam) for lam in roots)
     return Spectrum(
         problem=problem, pairs=pairs, solver="transition", diagnostics=tuple(diagnostics)

@@ -34,6 +34,13 @@ def node_crack_problem() -> BeamProblem:
 
 
 @pytest.fixture(scope="session")
+def thirty_crack_problem() -> BeamProblem:
+    positions = tuple(math.pi * (j + 1) / 31 for j in range(30))
+    flexibilities = tuple(0.01 * 200.0 ** (j / 29) for j in range(30))
+    return BeamProblem(positions=positions, flexibilities=flexibilities)
+
+
+@pytest.fixture(scope="session")
 def uniform_spectrum(uniform_problem):
     return compute_spectrum(uniform_problem, 5)
 

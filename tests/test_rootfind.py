@@ -1,0 +1,185 @@
+"""Chunked grid scan and lockstep bisection."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from crackedbeam import BeamProblem, char_det
+from crackedbeam.rootfind import (
+    DEFAULT_STEP,
+    SUSPECT_RATIO,
+    RootCountError,
+    ScanDiagnostic,
+    bisect,
+    find_roots,
+)
+
+
+class Counted:
+    """Array function that records every batch of wavenumbers it is given."""
+
+    def __init__(self, f):
+        self.f = f
+        self.batches: list[np.ndarray] = []
+
+    def __call__(self, lams):
+        self.batches.append(np.array(lams, dtype=float))
+        return self.f(np.asarray(lams, dtype=float))
+
+
+def _scalar_bisect(f, a, b, fa, fb):
+    """Plain one-bracket bisection, the reference for the lockstep version."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    while b - a > 0.0:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _pointwise_roots(f, count, lam_max, step=DEFAULT_STEP):
+    """Point-by-point scan with immediate bisection, one wavenumber per call."""
+    roots, diagnostics = [], []
+    n_steps = max(0, int(round((lam_max - step) / step)))
+    prev_lam, prev_val = step, f(step)
+    hist, scale = [abs(prev_val)], abs(prev_val)
+    if prev_val == 0.0:
+        roots.append(prev_lam)
+    for k in range(1, n_steps + 1):
+        if len(roots) >= count:
+            break
+        lam = step + k * step
+        val = f(lam)
+        scale = max(scale, abs(val))
+        if val == 0.0:
+            roots.append(lam)
+        elif prev_val != 0.0 and (val > 0.0) != (prev_val > 0.0):
+            roots.append(_scalar_bisect(f, prev_lam, lam, prev_val, val))
+        elif (
+            len(hist) >= 2
+            and hist[-1] < hist[-2]
+            and abs(val) > hist[-1]
+            and hist[-1] < SUSPECT_RATIO * scale
+            and prev_val != 0.0
+        ):
+            diagnostics.append(ScanDiagnostic("possible_double_root", prev_lam, prev_val))
+        hist = [hist[-1], abs(val)]
+        prev_lam, prev_val = lam, val
+    return roots[:count], diagnostics
+
+
+class TestFindRoots:
+    def test_exact_zero_on_grid_point_is_returned_as_is(self):
+        f = Counted(lambda x: (x - 0.75) * (x - 2.0))
+        roots, diagnostics = find_roots(f, 2, 5.0, step=0.25)
+        assert roots == [0.75, 2.0]
+        assert diagnostics == []
+        # Neither root needed bisection: the scan is the only call.
+        assert len(f.batches) == 1
+
+    def test_exact_zero_at_scan_start(self):
+        roots, _ = find_roots(lambda x: x - 0.5, 1, 3.0, step=0.25, lam_min=0.5)
+        assert roots == [0.5]
+
+    def test_stops_at_count(self):
+        # The dip at x = 1 and the root at 1.105 lie inside the first chunk
+        # but after the first root: a scan that stops at the requested count
+        # neither reports the dip nor refines the second bracket.
+        f = Counted(lambda x: (x - 0.505) * ((x - 1.0) ** 2 + 1e-12) * (x - 1.105))
+        roots, diagnostics = find_roots(f, 1, 10.0)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(0.505, abs=1e-15)
+        assert diagnostics == []
+        assert len(f.batches) > 1
+        assert all(batch.size == 1 for batch in f.batches[1:])
+
+    def test_root_count_error_carries_found_roots(self):
+        with pytest.raises(RootCountError) as info:
+            find_roots(lambda x: np.sin(math.pi * x), 5, 3.2)
+        err = info.value
+        assert err.requested == 5
+        assert err.lam_max == 3.2
+        assert np.allclose(err.found, [1.0, 2.0, 3.0], atol=1e-12)
+
+    def test_possible_double_root_flagged(self):
+        def f(x):
+            return (x - 1.505) * ((x - 1.0) ** 2 + 1e-12)
+
+        roots, diagnostics = find_roots(f, 1, 10.0)
+        assert roots[0] == pytest.approx(1.505, abs=1e-15)
+        assert [d.kind for d in diagnostics] == ["possible_double_root"]
+        assert diagnostics[0].lam == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            BeamProblem(),
+            BeamProblem(positions=(1.0,), flexibilities=(0.3,)),
+            BeamProblem(positions=(0.4, 1.9, 2.8), flexibilities=(2.0, 0.05, 0.7)),
+        ],
+    )
+    def test_matches_pointwise_scan_bit_for_bit(self, problem):
+        count = 6
+        lam_max = count + problem.m + 5
+        batched = find_roots(lambda lams: char_det(problem, lams), count, lam_max)
+        pointwise = _pointwise_roots(lambda lam: char_det(problem, lam), count, lam_max)
+        assert batched == pointwise
+
+    def test_callable_receives_arrays(self):
+        f = Counted(lambda x: np.cos(x))
+        roots, _ = find_roots(f, 2, 8.0)
+        assert np.allclose(roots, [math.pi / 2, 3 * math.pi / 2], atol=1e-14)
+        assert all(batch.ndim == 1 for batch in f.batches)
+
+
+class TestBisect:
+    @staticmethod
+    def _f(x):
+        return np.sin(3.0 * x)
+
+    def test_lockstep_equals_scalar_bisection(self):
+        # Brackets of different widths around different roots k*pi/3.
+        a = np.array([0.9, 2.0, 3.0, 4.0, 5.0, 1.0, 1.04])
+        b = np.array([1.1, 2.5, 3.3, 4.3, 5.5, 1.05, 1.0472])
+        fa, fb = self._f(a), self._f(b)
+        f = Counted(self._f)
+        lockstep = bisect(f, a, b, fa, fb)
+        scalar = [
+            _scalar_bisect(lambda x: float(self._f(x)), *args)
+            for args in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())
+        ]
+        assert lockstep.tolist() == scalar
+        # One call per halving, each on the brackets still open.
+        sizes = [batch.size for batch in f.batches]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] == len(a)
+
+    def test_scalar_call_returns_float(self):
+        root = bisect(self._f, 0.9, 1.1, float(self._f(0.9)), float(self._f(1.1)))
+        assert isinstance(root, float)
+        assert root == pytest.approx(math.pi / 3, abs=1e-15)
+
+    def test_zero_endpoints_returned_without_evaluation(self):
+        f = Counted(self._f)
+        a, b = np.array([1.0, 2.0]), np.array([2.0, 3.0])
+        out = bisect(f, a, b, np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
+        assert out.tolist() == [1.0, 3.0]
+        assert f.batches == []
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(ValueError, match="no sign change"):
+            a, b = np.array([0.5, 0.1]), np.array([1.5, 0.2])
+            bisect(self._f, a, b, np.array([1.0, 1.0]), np.array([-1.0, 2.0]))

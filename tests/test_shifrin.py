@@ -128,7 +128,46 @@ class TestKernel:
             kernel_M(mid_crack, 1, 1.0, 0.0)
 
 
+def _looped_system(problem: BeamProblem, lam: float) -> np.ndarray:
+    """U(lam) filled entry by entry, one wavenumber at a time: the reference
+    for the batched assembly, which must reproduce it bit for bit."""
+    m = problem.m
+    mat = np.zeros((m + 4, m + 4))
+    xs = np.asarray(problem.positions)
+    decay = math.exp(-lam * math.pi)
+    t = lam * xs
+    for j in range(m):
+        theta = problem.flexibilities[j]
+        for i in range(j):
+            u = lam * np.asarray(xs[j] - xs[i])
+            mat[j, i] = -theta * (lam**1 * 0.5 * (-np.sin(u) + np.sinh(u)))
+        mat[j, j] = 1.0
+        mat[j, m + 0] = theta * lam**2 * np.cos(t)[j]
+        mat[j, m + 1] = theta * lam**2 * np.sin(t)[j]
+        mat[j, m + 2] = -theta * lam**2 * np.exp(-t)[j]
+        mat[j, m + 3] = -theta * lam**2 * np.exp(-lam * math.pi + t)[j]
+    mat[m, m + 2] = 1.0
+    mat[m, m + 3] = decay
+    mat[m + 1, m + 0] = 1.0
+    tg = lam * (math.pi - xs)
+    mat[m + 2, :m] = np.sinh(tg) / (2.0 * lam)
+    mat[m + 2, m + 2] = decay
+    mat[m + 2, m + 3] = 1.0
+    mat[m + 3, :m] = np.sin(tg) / (2.0 * lam)
+    mat[m + 3, m + 0] = math.cos(lam * math.pi)
+    mat[m + 3, m + 1] = math.sin(lam * math.pi)
+    return mat
+
+
 class TestSystemMatrix:
+    @pytest.mark.parametrize(
+        "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
+    )
+    def test_batched_assembly_matches_entrywise_loop(self, name, request):
+        problem = request.getfixturevalue(name)
+        for lam in (0.3, 1.7, 5.2, 11.9, 23.4):
+            assert np.array_equal(assemble_system(problem, lam).matrix, _looped_system(problem, lam))
+
     def test_size_and_unit_delta_diagonal(self):
         problem = BeamProblem(positions=(0.9, 2.0), flexibilities=(0.4, 0.8))
         system = assemble_system(problem, 1.7)
@@ -196,6 +235,27 @@ class TestCharDet:
     def test_requires_positive_wavenumber(self, mid_crack):
         with pytest.raises(ValueError):
             char_det(mid_crack, -1.0)
+        with pytest.raises(ValueError):
+            char_det(mid_crack, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
+    )
+    def test_array_equals_scalar_values(self, name, request):
+        # 150 wavenumbers exceed one stack at 30 cracks, so blocking is covered.
+        problem = request.getfixturevalue(name)
+        lams = np.linspace(0.05, 24.0, 150)
+        batched = char_det(problem, lams)
+        scalar = np.array([char_det(problem, lam) for lam in lams.tolist()])
+        assert np.array_equal(batched, scalar)
+        assert char_det(problem, lams.reshape(10, 15)).shape == (10, 15)
+        assert isinstance(char_det(problem, 1.3), float)
+
+    def test_assembled_matrix_is_the_determinant_input(self, two_crack_problem):
+        lam = 2.37
+        mat = assemble_system(two_crack_problem, lam).matrix
+        scaled = mat / np.max(np.abs(mat), axis=1)[:, None]
+        assert char_det(two_crack_problem, lam) == float(np.linalg.det(scaled))
 
 
 class TestFindEigenvalues:

@@ -77,7 +77,44 @@ class TestTransitionMatrix:
         )
 
 
+def _looped_boundary_det(problem: BeamProblem, lam: float) -> float:
+    """The transfer chain for one wavenumber, one 4x4 factor at a time: the
+    reference for the batched chain, which must reproduce it bit for bit."""
+
+    def state(xi):
+        t = np.asarray(lam * xi)
+        s, c, sh, ch = (float(f(t)) for f in (np.sin, np.cos, np.sinh, np.cosh))
+        rows = [(s, c, sh, ch), (c, -s, ch, sh), (-s, -c, sh, ch), (-c, s, ch, sh)]
+        return np.array([[lam**k * v for v in row] for k, row in enumerate(rows)])
+
+    il, il2, il3 = 0.5 / lam, 0.5 / lam**2, 0.5 / lam**3
+    inverse = np.array(
+        [[0.0, il, 0.0, -il3], [0.5, 0.0, -il2, 0.0], [0.0, il, 0.0, il3], [0.5, 0.0, il2, 0.0]]
+    )
+    bp = problem.breakpoints
+    chain = state(bp[-1] - bp[-2])[[0, 2]]
+    chain = chain / np.max(np.abs(chain))
+    for i in range(problem.m, 0, -1):
+        jump = np.eye(4)
+        jump[1, 2] = problem.flexibilities[i - 1]
+        factor = inverse @ jump @ state(bp[i] - bp[i - 1])
+        chain = chain @ (factor / np.max(np.abs(factor)))
+    reduced = chain[:, [0, 2]]
+    scale = np.max(np.abs(reduced), axis=1)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    return float(np.linalg.det(reduced / scale[:, None]))
+
+
 class TestBoundaryDet:
+    @pytest.mark.parametrize(
+        "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
+    )
+    def test_batched_chain_matches_factor_loop(self, name, request):
+        problem = request.getfixturevalue(name)
+        lams = np.array([0.3, 1.7, 5.2, 11.9, 23.4])
+        looped = [_looped_boundary_det(problem, lam) for lam in lams.tolist()]
+        assert boundary_det(problem, lams).tolist() == looped
+
     def test_uniform_roots_are_integers(self):
         from crackedbeam.transition import find_eigenvalues
 
@@ -98,6 +135,21 @@ class TestBoundaryDet:
     def test_requires_positive_wavenumber(self, one_crack_problem):
         with pytest.raises(ValueError):
             boundary_det(one_crack_problem, 0.0)
+        with pytest.raises(ValueError):
+            boundary_det(one_crack_problem, np.array([2.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
+    )
+    def test_array_equals_scalar_values(self, name, request):
+        # 150 wavenumbers exceed one stack at 30 cracks, so blocking is covered.
+        problem = request.getfixturevalue(name)
+        lams = np.linspace(0.05, 24.0, 150)
+        batched = boundary_det(problem, lams)
+        scalar = np.array([boundary_det(problem, lam) for lam in lams.tolist()])
+        assert np.array_equal(batched, scalar)
+        assert boundary_det(problem, lams.reshape(10, 15)).shape == (10, 15)
+        assert isinstance(boundary_det(problem, 1.3), float)
 
 
 class TestOracleEigenpairs:
