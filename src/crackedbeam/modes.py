@@ -73,18 +73,19 @@ def local_state_matrix(lam, xi: float) -> np.ndarray:
     return _powers(lam)[..., :, None] * _as_matrices(rows)
 
 
-def coefficients_from_state(lam: float, state: np.ndarray) -> np.ndarray:
-    """Invert the local state map at xi = 0.
+def coefficients_from_state(lam: float, state) -> np.ndarray:
+    """Invert the local state map at xi = 0, for one state or a stack (..., 4).
 
     The value fixes B + D, the slope A + C, and the second and third
     derivatives split the pairs, so the inverse is explicit.
     """
-    s0, s1, s2, s3 = (float(s) for s in state)
+    lam = float(lam)
+    s0, s1, s2, s3 = np.moveaxis(np.asarray(state, dtype=float), -1, 0)
     a = 0.5 * s1 / lam - 0.5 * s3 / lam**3
     b = 0.5 * s0 - 0.5 * s2 / lam**2
     c = 0.5 * s1 / lam + 0.5 * s3 / lam**3
     d = 0.5 * s0 + 0.5 * s2 / lam**2
-    return np.array([a, b, c, d])
+    return np.stack([a, b, c, d], axis=-1)
 
 
 def inverse_state_matrix(lam) -> np.ndarray:
@@ -125,8 +126,11 @@ class PiecewiseForm:
 
     @classmethod
     def from_left_states(cls, lam: float, breakpoints, states) -> "PiecewiseForm":
-        """Build from the (w, w', w'', w''') state at each interval's left end."""
-        coeffs = np.array([coefficients_from_state(lam, s) for s in states])
+        """Build from the (w, w', w'', w''') state at each interval's left end.
+
+        ``states`` holds one row of four values per interval.
+        """
+        coeffs = coefficients_from_state(lam, states)
         return cls(lam=lam, breakpoints=np.asarray(breakpoints, float), coefficients=coeffs)
 
     def _intervals(self, x: np.ndarray, side: str) -> np.ndarray:

@@ -10,7 +10,7 @@ The function being scanned takes a 1-D array of wavenumbers and returns the
 array of its values, so that a determinant can be assembled for many
 wavenumbers in one pass.  The scan evaluates the grid in chunks and then
 walks the values in grid order; bisection refines every bracket in lockstep,
-one call per halving.  Both give exactly the roots a point-by-point scan
+two halvings per call.  Both give exactly the roots a point-by-point scan
 would, since each bracket sees the same midpoints and the same values.
 """
 
@@ -34,6 +34,12 @@ SUSPECT_RATIO = 1e-8
 # Grid points evaluated per call during the scan.  Larger chunks cost little
 # per point but waste more evaluations past the last requested root.
 _SCAN_CHUNK = 128
+
+# Halvings of each bracket per bisection call.  A call costs a fixed overhead
+# plus a little per wavenumber, so evaluating 2**levels - 1 points to advance
+# each bracket by `levels` halvings pays off while brackets are few; deeper
+# trees waste more points than the calls they save.
+_BISECT_LEVELS = 2
 
 # Matrix entries one batched determinant call may hold in a stack (256 KiB of
 # doubles); with many cracks this caps the wavenumbers per stack, and with it
@@ -63,14 +69,32 @@ class ScanDiagnostic:
     value: float
 
 
+def _subtree(a: float, b: float) -> list[float]:
+    """Midpoints of the next ``_BISECT_LEVELS`` halvings of [a, b], in heap order.
+
+    Node j splits its interval at its midpoint; its halves are nodes 2j+1
+    (left) and 2j+2 (right).
+    """
+    spans, mids = [(a, b)], []
+    for node in range(2**_BISECT_LEVELS - 1):
+        lo, hi = spans[node]
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        spans += [(lo, mid), (mid, hi)]
+    return mids
+
+
 def bisect(f, a, b, fa, fb, tol: float = BISECT_TOL):
     """Bisect every bracket [a_k, b_k] in lockstep; returns the midpoints at tolerance.
 
     ``a``, ``b``, ``fa`` and ``fb`` are scalars or equal-length 1-D arrays.
-    Each halving evaluates ``f`` once, on the midpoints of the brackets still
-    open; a bracket closes when it reaches ``tol``, when its midpoint no
-    longer lies strictly inside, or when ``f`` vanishes there.  Every bracket
-    follows the same midpoint sequence as it would alone.
+    Each call of ``f`` evaluates the next two halvings of every bracket still
+    open (its midpoint and both quarter points), and each bracket then takes
+    the one or two steps its signs select; a bracket closes when it reaches
+    ``tol``, when its midpoint no longer lies strictly inside, or when ``f``
+    vanishes there.  Every bracket follows the same midpoint sequence as it
+    would alone, one point per halving; the quarter point it does not step
+    to is wasted.
     """
     scalar = np.ndim(a) == 0
     a, b, fa, fb = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (a, b, fa, fb))
@@ -85,27 +109,39 @@ def bisect(f, a, b, fa, fb, tol: float = BISECT_TOL):
             raise ValueError(f"no sign change on [{a[k]}, {b[k]}]")
         else:
             live.append(k)
+    width = 2**_BISECT_LEVELS - 1
     while live:
-        todo, mids = [], []
+        todo, points = [], []
         for k in live:
             mid = 0.5 * (a[k] + b[k])
             if b[k] - a[k] > tol and a[k] < mid < b[k]:
                 todo.append(k)
-                mids.append(mid)
+                points += _subtree(a[k], b[k])
             else:
                 out[k] = mid
         if not todo:
             break
+        values = np.asarray(f(np.array(points)), dtype=float).tolist()
         live = []
-        for k, mid, fm in zip(todo, mids, np.asarray(f(np.array(mids)), dtype=float).tolist()):
-            if fm == 0.0:
-                out[k] = mid
-                continue
-            if (fm > 0.0) == (fa[k] > 0.0):
-                a[k], fa[k] = mid, fm
+        for n, k in enumerate(todo):
+            node = 0
+            for _ in range(_BISECT_LEVELS):
+                mid = 0.5 * (a[k] + b[k])
+                if not (b[k] - a[k] > tol and a[k] < mid < b[k]):
+                    out[k] = mid
+                    break
+                fm = values[n * width + node]
+                if fm == 0.0:
+                    out[k] = mid
+                    break
+                if (fm > 0.0) == (fa[k] > 0.0):
+                    a[k], fa[k] = mid, fm
+                    node = 2 * node + 2
+                else:
+                    b[k] = mid
+                    node = 2 * node + 1
             else:
-                b[k] = mid
-            live.append(k)
+                live.append(k)
     return out[0] if scalar else np.array(out)
 
 

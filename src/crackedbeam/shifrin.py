@@ -273,6 +273,8 @@ class ShifrinForm:
         scalar = xa.ndim == 0
         xf = np.atleast_1d(xa).astype(float)
         out = self._smooth(xf, order)
+        # One crack at a time, in order: every point then sees the same sums
+        # whether it is evaluated alone or in an array.
         for delta, x_i in zip(self.deltas, self.positions):
             if side in ("R", "+"):
                 active = xf >= x_i
@@ -389,22 +391,12 @@ def assemble_system(problem: BeamProblem, lam: float) -> SystemMatrix:
 
 
 def _equilibrated(mat: np.ndarray) -> np.ndarray:
-    """Rows divided by their max-abs entry; degenerate rows left alone.
+    """Rows divided by their max-abs entry, for one matrix or a stack of them.
 
-    Works on one matrix or on a stack of them (rows along the second-to-last
-    axis).
+    No row can vanish: every row of U(lam) holds an exact 1.0 except the
+    last, whose largest entry is at least max(|cos lam pi|, |sin lam pi|).
     """
-    scale = np.max(np.abs(mat), axis=-1)
-    dead = scale < 1e-300
-    if dead.any():
-        warnings.warn(
-            f"system rows {np.flatnonzero(dead.reshape(-1, dead.shape[-1]).any(axis=0)).tolist()} "
-            "vanish to working precision",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        scale = np.where(dead, 1.0, scale)
-    return mat / scale[..., None]
+    return mat / np.max(np.abs(mat), axis=-1)[..., None]
 
 
 def char_det(problem: BeamProblem, lams):
@@ -472,13 +464,13 @@ def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:
     """Convert a solved form into a normalized piecewise-coefficient mode.
 
     The state (phi, phi', phi'', phi''') is taken at the right limit of each
-    interval's left endpoint and inverted into local coefficients, so all
-    later derivative evaluations stay exact per subinterval.
+    interval's left endpoint, one array evaluation of the form per derivative
+    order, and inverted into local coefficients, so all later derivative
+    evaluations stay exact per subinterval.
     """
     bp = problem.breakpoints
-    states = [
-        [form.eval_one_sided(left, order, "R") for order in range(4)] for left in bp[:-1]
-    ]
+    left = np.array(bp[:-1])
+    states = np.stack([form.eval(left, order, "R") for order in range(4)], axis=-1)
     pw = PiecewiseForm.from_left_states(form.lam, bp, states)
     pair = Eigenpair(lam=form.lam, piecewise=pw, solver="shifrin", shifrin=form)
     rule = QuadratureRule.for_problem(problem, lam=form.lam)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crackedbeam import cli
@@ -208,6 +210,83 @@ class TestValidate:
         body = json.loads(out)
         assert body["passed"] is False
         assert "crack_law" in body["failed_checks"]
+
+
+class TestSolverChoice:
+    @staticmethod
+    def values(out: str) -> np.ndarray:
+        _, rows = csv_rows(out)
+        return np.array([[float(v) for v in row[3:]] for row in rows])
+
+    def test_modes_by_transition_and_both(self, capsys):
+        argv = ("modes", TWO_CRACK, "--modes", "3", "--samples", "21")
+        code, jump, _ = run(capsys, *argv)
+        assert code == 0
+        code, oracle, _ = run(capsys, *argv, "--solver", "transition")
+        assert code == 0
+        assert csv_rows(oracle)[0] == csv_rows(jump)[0]
+        assert [row[:3] for row in csv_rows(oracle)[1]] == [row[:3] for row in csv_rows(jump)[1]]
+        assert np.allclose(self.values(oracle), self.values(jump), rtol=0.0, atol=1e-7)
+        # Both solvers agree here, so 'both' prints the jump-amplitude modes.
+        code, both, _ = run(capsys, *argv, "--solver", "both")
+        assert code == 0
+        assert both == jump
+
+    @pytest.mark.parametrize("solver", ["transition", "both"])
+    def test_frequencies_by_solver(self, capsys, solver):
+        code, jump, _ = run(capsys, "frequencies", STEEL, "--modes", "3")
+        assert code == 0
+        code, out, _ = run(capsys, "frequencies", STEEL, "--modes", "3", "--solver", solver)
+        assert code == 0
+        header, rows = csv_rows(out)
+        assert header == ["k", "lambda", "omega", "f_hz"]
+        _, jump_rows = csv_rows(jump)
+        for row, ref in zip(rows, jump_rows):
+            assert float(row[1]) == pytest.approx(float(ref[1]), abs=1e-8)
+        if solver == "both":
+            assert out == jump
+
+
+class TestVerificationFailure:
+    """Exit 4 from the cross-solver checks of the non-validate subcommands."""
+
+    @pytest.fixture
+    def shifted_oracle(self, monkeypatch):
+        find = cli.transition.find_eigenvalues
+        monkeypatch.setattr(
+            cli.transition,
+            "find_eigenvalues",
+            lambda *args, **kwargs: [lam + 1e-6 for lam in find(*args, **kwargs)],
+        )
+
+    def test_wavenumber_gap_exits_4(self, capsys, shifted_oracle):
+        code, out, err = run(capsys, "frequencies", STEEL, "--modes", "3", "--solver", "both")
+        assert code == 4
+        assert out == ""
+        body = json.loads(err)
+        assert body["error"]["type"] == "verification"
+        assert body["error"]["check"] == "cross_solver_lambda"
+        assert "cross_solver_lambda" in body["error"]["message"]
+
+    def test_spectrum_reports_the_gap_without_failing(self, capsys, shifted_oracle):
+        # spectrum prints the gap in its agreement column instead of checking it.
+        code, out, _ = run(capsys, "spectrum", TWO_CRACK, "--modes", "3", "--solver", "both")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert all(float(row[3]) == pytest.approx(1e-6, rel=1e-6) for row in rows)
+
+    def test_mode_gap_exits_4(self, capsys, monkeypatch):
+        oracle = cli.transition.oracle_eigenpairs
+
+        def flipped(*args, **kwargs):
+            spectrum = oracle(*args, **kwargs)
+            return replace(spectrum, pairs=tuple(p.scaled(-1.0) for p in spectrum.pairs))
+
+        monkeypatch.setattr(cli.transition, "oracle_eigenpairs", flipped)
+        code, out, err = run(capsys, "modes", ONE_CRACK, "--modes", "2", "--solver", "both")
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"]["check"] == "cross_solver_modes"
 
 
 class TestErrorPaths:

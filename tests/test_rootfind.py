@@ -30,13 +30,13 @@ class Counted:
         return self.f(np.asarray(lams, dtype=float))
 
 
-def _scalar_bisect(f, a, b, fa, fb):
+def _scalar_bisect(f, a, b, fa, fb, tol=0.0):
     """Plain one-bracket bisection, the reference for the lockstep version."""
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    while b - a > 0.0:
+    while b - a > tol:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -104,7 +104,7 @@ class TestFindRoots:
         assert roots[0] == pytest.approx(0.505, abs=1e-15)
         assert diagnostics == []
         assert len(f.batches) > 1
-        assert all(batch.size == 1 for batch in f.batches[1:])
+        assert all(batch.size == 3 for batch in f.batches[1:])
 
     def test_root_count_error_carries_found_roots(self):
         with pytest.raises(RootCountError) as info:
@@ -162,10 +162,45 @@ class TestBisect:
             for args in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())
         ]
         assert lockstep.tolist() == scalar
-        # One call per halving, each on the brackets still open.
+        # Two halvings per call, three points for each bracket still open.
         sizes = [batch.size for batch in f.batches]
         assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] == len(a)
+        assert sizes[0] == 3 * len(a)
+
+    @pytest.mark.parametrize("depth", [5, 6, 7, 8])
+    def test_two_levels_per_call_at_odd_and_even_depths(self, depth):
+        # Unit brackets close after exactly `depth` halvings at this tol: an
+        # odd depth ends halfway through a call's two levels.
+        a = np.array([0.5, 1.75, 3.0])
+        b = a + 1.0
+        fa, fb = self._f(a), self._f(b)
+        tol = 2.0**-depth
+        f = Counted(self._f)
+        lockstep = bisect(f, a, b, fa, fb, tol)
+        scalar = [
+            _scalar_bisect(lambda x: float(self._f(x)), *args, tol=tol)
+            for args in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())
+        ]
+        assert lockstep.tolist() == scalar
+        assert len(f.batches) == (depth + 1) // 2
+        assert all(batch.size == 3 * len(a) for batch in f.batches)
+
+    @pytest.mark.parametrize("root", [1.5, 1.25, 1.75, 1.375])
+    def test_exact_zero_on_first_or_second_level_midpoint(self, root):
+        def g(x):
+            return (x - root) * (x - 3.3)
+
+        f = Counted(g)
+        # The bracket around 3.3 keeps bisecting after the first hits its zero.
+        a, b = np.array([1.0, 3.0]), np.array([2.0, 3.5])
+        lockstep = bisect(f, a, b, g(a), g(b))
+        scalar = [_scalar_bisect(g, *args) for args in zip(a, b, g(a), g(b))]
+        assert lockstep.tolist() == scalar
+        assert lockstep[0] == root
+        # Midpoint and both quarter points in the first call; the zero closes
+        # its bracket in the call that reaches its level.
+        assert f.batches[0][:3].tolist() == [1.5, 1.25, 1.75]
+        assert f.batches[1].size == (6 if root == 1.375 else 3)
 
     def test_scalar_call_returns_float(self):
         root = bisect(self._f, 0.9, 1.1, float(self._f(0.9)), float(self._f(1.1)))

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from crackedbeam import (
     BeamProblem,
+    Eigenpair,
+    PiecewiseForm,
+    QuadratureRule,
     assemble_system,
     basis_eval,
     build_eigenfunction,
@@ -20,6 +23,7 @@ from crackedbeam import (
     find_eigenvalues,
     jump_basis,
     kernel_M,
+    normalize_eigenpair,
     solve_nullspace,
 )
 from crackedbeam.transition import find_eigenvalues as transition_eigenvalues
@@ -409,3 +413,36 @@ class TestEigenpairs:
         jump = pair.eval_one_sided(x1, 1, "R") - pair.eval_one_sided(x1, 1, "L")
         law = jump - one_crack_problem.flexibilities[0] * pair.eval_one_sided(x1, 2, "R")
         assert abs(law) > 1e-4
+
+
+def _looped_eigenfunction(problem, form):
+    """Mode built from per-point one-sided states, the reference for the array build."""
+    lam = form.lam
+    rows = []
+    for left in problem.breakpoints[:-1]:
+        s0, s1, s2, s3 = (form.eval_one_sided(left, order, "R") for order in range(4))
+        rows.append(
+            [
+                0.5 * s1 / lam - 0.5 * s3 / lam**3,
+                0.5 * s0 - 0.5 * s2 / lam**2,
+                0.5 * s1 / lam + 0.5 * s3 / lam**3,
+                0.5 * s0 + 0.5 * s2 / lam**2,
+            ]
+        )
+    piecewise = PiecewiseForm(lam=lam, breakpoints=problem.breakpoints, coefficients=rows)
+    pair = Eigenpair(lam=lam, piecewise=piecewise, solver="shifrin", shifrin=form)
+    return normalize_eigenpair(pair, QuadratureRule.for_problem(problem, lam=lam))
+
+
+class TestBuildEigenfunction:
+    @pytest.mark.parametrize(
+        "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
+    )
+    def test_array_build_matches_pointwise_states(self, name, request):
+        problem = request.getfixturevalue(name)
+        for lam in find_eigenvalues(problem, 4):
+            form = solve_nullspace(problem, lam)
+            built = build_eigenfunction(problem, form).piecewise.coefficients
+            looped = _looped_eigenfunction(problem, form).piecewise.coefficients
+            assert built.shape == (problem.m + 1, 4)
+            assert np.array_equal(built, looped)
