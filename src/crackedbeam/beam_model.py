@@ -134,10 +134,6 @@ class PhysicalBeam:
             raise ValidationError(f"beam parameters must be positive: {', '.join(bad)}")
 
     @property
-    def radius_of_gyration(self) -> float:
-        return math.sqrt(self.inertia / self.area)
-
-    @property
     def frequency_scale(self) -> float:
         """Angular frequency of the reference time unit, rad/s."""
         stiffness = math.sqrt(self.young_modulus * self.inertia / (self.density * self.area))
@@ -358,7 +354,3 @@ def load_problem_file(path) -> tuple[BeamProblem, PhysicalBeam | None, dict]:
         doc = json.load(fh)
     problem, beam = load_problem(doc)
     return problem, beam, doc
-
-
-# Convenience alias used throughout the test-suite.
-UNIFORM = BeamProblem()

@@ -17,9 +17,12 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .shifrin import ShifrinForm
 
-#: Map from side labels to the searchsorted side that selects the interval.
-_SIDE_LEFT = ("L", "-", "left")
-_SIDE_RIGHT = ("R", "+", "right")
+
+def is_right_side(side: str) -> bool:
+    """True for the right limit "R", False for the left limit "L"; other labels raise."""
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', not {side!r}")
+    return side == "R"
 
 
 def _basis_rows(lam: float, t: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
@@ -134,7 +137,7 @@ class PiecewiseForm:
         return cls(lam=lam, breakpoints=np.asarray(breakpoints, float), coefficients=coeffs)
 
     def _intervals(self, x: np.ndarray, side: str) -> np.ndarray:
-        mode = "left" if side in _SIDE_LEFT else "right"
+        mode = "right" if is_right_side(side) else "left"
         idx = np.searchsorted(self.breakpoints, x, side=mode) - 1
         return np.clip(idx, 0, len(self.coefficients) - 1)
 
@@ -144,8 +147,6 @@ class PiecewiseForm:
         ``side`` only matters at breakpoints, where slope and higher
         derivatives may jump.
         """
-        if side not in _SIDE_LEFT and side not in _SIDE_RIGHT:
-            raise ValueError(f"side must be one of {_SIDE_LEFT + _SIDE_RIGHT}")
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xf = np.atleast_1d(xa)
@@ -178,10 +179,6 @@ class Eigenpair:
     def eval_one_sided(self, x: float, order: int, side: str) -> float:
         return self.piecewise.eval_one_sided(x, order, side)
 
-    def slope_jump(self, x: float) -> float:
-        """Jump of the first derivative across ``x`` (zero off cracks)."""
-        return self.eval_one_sided(x, 1, "R") - self.eval_one_sided(x, 1, "L")
-
     def scaled(self, factor: float) -> "Eigenpair":
         sh = None if self.shifrin is None else self.shifrin.scaled(factor)
         return replace(self, piecewise=self.piecewise.scaled(factor), shifrin=sh)
@@ -199,12 +196,6 @@ class Spectrum:
     @property
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.pairs])
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, k: int) -> Eigenpair:
-        return self.pairs[k]
 
 
 def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:

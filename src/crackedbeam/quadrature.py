@@ -72,6 +72,3 @@ class QuadratureRule:
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of function values sampled at ``self.nodes``."""
         return float(np.dot(self.weights, values))
-
-    def apply(self, fn) -> float:
-        return self.integrate(fn(self.nodes))

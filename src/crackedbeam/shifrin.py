@@ -42,7 +42,7 @@ import numpy as np
 
 from . import rootfind
 from .beam_model import BeamProblem
-from .modes import Eigenpair, PiecewiseForm, Spectrum, normalize_eigenpair
+from .modes import Eigenpair, PiecewiseForm, Spectrum, is_right_side, normalize_eigenpair
 from .quadrature import QuadratureRule
 
 # Second-smallest singular value below this fraction of the largest flags a
@@ -67,6 +67,7 @@ class JumpBasis:
 
     def eval(self, x, order: int = 0, side: str = "R"):
         """Derivative of order 0 or 1 at ``x``; higher orders vanish."""
+        from_right = is_right_side(side)
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xf = np.atleast_1d(xa)
@@ -75,7 +76,7 @@ class JumpBasis:
             right = self.right_slope * (xf - math.pi)
             out = np.where(xf <= self.breakpoint, left, right)
         elif order == 1:
-            on_left = xf < self.breakpoint if side in ("R", "+") else xf <= self.breakpoint
+            on_left = xf < self.breakpoint if from_right else xf <= self.breakpoint
             out = np.where(on_left, self.left_slope, self.right_slope)
         else:
             out = np.zeros_like(xf)
@@ -272,14 +273,12 @@ class ShifrinForm:
         xa = np.asarray(x, dtype=float)
         scalar = xa.ndim == 0
         xf = np.atleast_1d(xa).astype(float)
+        from_right = is_right_side(side)
         out = self._smooth(xf, order)
         # One crack at a time, in order: every point then sees the same sums
         # whether it is evaluated alone or in an array.
         for delta, x_i in zip(self.deltas, self.positions):
-            if side in ("R", "+"):
-                active = xf >= x_i
-            else:
-                active = xf > x_i
+            active = xf >= x_i if from_right else xf > x_i
             xi_local = np.where(active, xf - x_i, 0.0)
             out = out + np.where(active, delta * _jump_response(self.lam, xi_local, order), 0.0)
         return float(out[0]) if scalar else out

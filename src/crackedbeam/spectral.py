@@ -7,11 +7,12 @@ model to the spectrum: Rayleigh quotients of true modes equal lambda**4.
 
 Everything here consumes objects exposing ``eval(x, order, side)`` and
 ``eval_one_sided(x, order, side)``; both solver outputs and the light
-adapters below qualify.
+adapters below qualify.  :func:`verify` gathers every check into one report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,9 @@ from .quadrature import QuadratureRule
 
 #: Count of interior sample points per subinterval in the residual report.
 ODE_SAMPLES_PER_INTERVAL = 20
+
+#: Points of the uniform grid on [0, pi] where two solvers' modes are compared.
+CROSS_GRID_POINTS = 200
 
 
 class FunctionOnPartition:
@@ -206,3 +210,43 @@ def residual_report(pair, problem: BeamProblem, samples: int = ODE_SAMPLES_PER_I
         scale=max(1.0, sup_d2),
         lam=lam,
     )
+
+
+def cross_solver_gaps(spectrum, oracle) -> dict[str, float]:
+    """Largest wavenumber gap and largest sampled mode difference of two spectra."""
+    grid = np.linspace(0.0, math.pi, CROSS_GRID_POINTS)
+    return {
+        "cross_solver_lambda": float(np.max(np.abs(spectrum.lambdas - oracle.lambdas))),
+        "cross_solver_modes": max(
+            float(np.max(np.abs(ps.eval(grid) - pt.eval(grid))))
+            for ps, pt in zip(spectrum.pairs, oracle.pairs)
+        ),
+    }
+
+
+def verify(problem: BeamProblem, spectrum, oracle) -> dict[str, float]:
+    """Worst value over the modes of every check, keyed by check name.
+
+    Residual families are relative to each mode's curvature scale and the
+    ODE residual to lambda**4; then come the deviation of h(phi, phi) from 1,
+    of the Gram matrix from the identity and of the Rayleigh quotient
+    a(phi, phi) / h(phi, phi) from lambda**4 (relative), and the gaps to
+    ``oracle``, another solver's spectrum of the same length.
+    """
+    pairs = spectrum.pairs
+    rule = QuadratureRule.for_problem(problem, lam=max(spectrum.lambdas.max(), 1.0))
+    reports = [residual_report(p, problem) for p in pairs]
+    worst = {
+        family: max(r.worst()[family] / r.scale for r in reports)
+        for family in ("bc_left", "bc_right", "moment_left", "moment_right",
+                       "jump_disp", "jump_moment", "jump_shear", "crack_law")
+    }
+    worst["ode_residual"] = max(r.ode_residual / r.lam**4 for r in reports)
+    norms = [h_inner(p, p, rule) for p in pairs]
+    worst["h_normalization"] = max(abs(h - 1.0) for h in norms)
+    gram = gram_matrix(pairs, rule)
+    worst["gram_identity"] = float(np.max(np.abs(gram - np.eye(len(pairs)))))
+    worst["rayleigh"] = max(
+        abs(a_form(p, p, problem, rule) / h - p.lam**4) / p.lam**4 for p, h in zip(pairs, norms)
+    )
+    return {**worst, **cross_solver_gaps(spectrum, oracle)}

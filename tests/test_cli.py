@@ -268,12 +268,15 @@ class TestVerificationFailure:
         assert body["error"]["check"] == "cross_solver_lambda"
         assert "cross_solver_lambda" in body["error"]["message"]
 
-    def test_spectrum_reports_the_gap_without_failing(self, capsys, shifted_oracle):
-        # spectrum prints the gap in its agreement column instead of checking it.
-        code, out, _ = run(capsys, "spectrum", TWO_CRACK, "--modes", "3", "--solver", "both")
-        assert code == 0
-        _, rows = csv_rows(out)
-        assert all(float(row[3]) == pytest.approx(1e-6, rel=1e-6) for row in rows)
+    def test_spectrum_gap_exits_4(self, capsys, shifted_oracle):
+        code, out, err = run(capsys, "spectrum", TWO_CRACK, "--modes", "3", "--solver", "both")
+        assert code == 4
+        assert out == ""
+        body = json.loads(err)
+        assert body["error"]["type"] == "verification"
+        assert body["error"]["check"] == "cross_solver_lambda"
+        message = body["error"]["message"]
+        assert message.startswith("verification check cross_solver_lambda failed:")
 
     def test_mode_gap_exits_4(self, capsys, monkeypatch):
         oracle = cli.transition.oracle_eigenpairs

@@ -66,6 +66,22 @@ class TestJumpBasis:
             jump_basis(mid_crack, 0)
 
 
+class TestSideLabels:
+    """Every evaluator takes "L" or "R" and rejects any other side label."""
+
+    @pytest.mark.parametrize("side", ["right", "+"])
+    @pytest.mark.parametrize("evaluator", ["jump_basis", "shifrin", "piecewise"])
+    def test_other_labels_raise(self, evaluator, side, one_crack_problem, one_crack_spectrum):
+        pair = one_crack_spectrum.pairs[0]
+        f = {
+            "jump_basis": jump_basis(one_crack_problem, 1),
+            "shifrin": pair.shifrin,
+            "piecewise": pair.piecewise,
+        }[evaluator]
+        with pytest.raises(ValueError, match="side"):
+            f.eval(1.0, 1, side)
+
+
 # Five crack layouts; the kernel of crack i only sees positions, not thetas.
 KERNEL_CONFIGS = [
     (BeamProblem(positions=(math.pi / 2,), flexibilities=(0.5,)), 1),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from crackedbeam import (
     residual_report,
     v_inner,
 )
+from crackedbeam import cli, spectral, transition
 
 
 def sine(k: int) -> FunctionOnPartition:
@@ -264,3 +266,24 @@ class TestCompleteness:
             history.append(residual_sq)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
         assert math.sqrt(max(history[-1], 0.0) / f_norm_sq) < 0.02
+
+
+class TestVerify:
+    def test_keys_are_the_cli_checks_in_order(self, one_crack_problem, one_crack_spectrum):
+        oracle = transition.oracle_eigenpairs(one_crack_problem, 8)
+        worst = spectral.verify(one_crack_problem, one_crack_spectrum, oracle)
+        assert list(worst) == list(cli.THRESHOLDS)
+
+    def test_own_oracle_has_no_gap(self, one_crack_problem, one_crack_spectrum):
+        worst = spectral.verify(one_crack_problem, one_crack_spectrum, one_crack_spectrum)
+        assert worst["cross_solver_lambda"] == 0.0
+        assert worst["cross_solver_modes"] == 0.0
+
+    def test_sign_flipped_oracle_doubles_the_mode(self, one_crack_spectrum):
+        flipped = replace(
+            one_crack_spectrum, pairs=tuple(p.scaled(-1.0) for p in one_crack_spectrum.pairs)
+        )
+        gaps = spectral.cross_solver_gaps(one_crack_spectrum, flipped)
+        grid = np.linspace(0.0, math.pi, spectral.CROSS_GRID_POINTS)
+        peak = max(float(np.max(np.abs(p.eval(grid)))) for p in one_crack_spectrum.pairs)
+        assert gaps == {"cross_solver_lambda": 0.0, "cross_solver_modes": 2.0 * peak}
