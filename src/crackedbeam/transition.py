@@ -15,17 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rootfind
+from . import modes, rootfind
 from .beam_model import BeamProblem
-from .modes import (
-    Eigenpair,
-    PiecewiseForm,
-    Spectrum,
-    inverse_state_matrix,
-    local_state_matrix,
-    normalize_eigenpair,
-)
-from .quadrature import QuadratureRule
+from .modes import Eigenpair, PiecewiseForm, Spectrum, inverse_state_matrix, local_state_matrix
+from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it here
 
 
 def _interval_maps(problem: BeamProblem, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +96,7 @@ def find_eigenvalues(
 
 
 def _mode_from_root(problem: BeamProblem, lam: float) -> Eigenpair:
-    """Recover per-interval coefficients for one located root."""
+    """Per-interval coefficients of the mode at one located root, unnormalized."""
     factors, end_rows = _interval_maps(problem, np.array([lam]))
     _, _, vt = np.linalg.svd(_reduced_system(factors, end_rows)[0])
     a1, c1 = vt[-1]
@@ -116,9 +109,7 @@ def _mode_from_root(problem: BeamProblem, lam: float) -> Eigenpair:
         breakpoints=np.asarray(problem.breakpoints),
         coefficients=np.vstack(coeffs),
     )
-    pair = Eigenpair(lam=lam, piecewise=pw, solver="transition")
-    rule = QuadratureRule.for_problem(problem, lam=lam)
-    return normalize_eigenpair(pair, rule)
+    return Eigenpair(lam=lam, piecewise=pw)
 
 
 def oracle_eigenpairs(
@@ -128,8 +119,4 @@ def oracle_eigenpairs(
     step: float = rootfind.DEFAULT_STEP,
 ) -> Spectrum:
     """Spectrum computed wholly by the transition-matrix route."""
-    roots, diagnostics = rootfind.first_roots(boundary_det, problem, count, lam_max, step)
-    pairs = tuple(_mode_from_root(problem, lam) for lam in roots)
-    return Spectrum(
-        problem=problem, pairs=pairs, solver="transition", diagnostics=tuple(diagnostics)
-    )
+    return modes.solve(problem, boundary_det, _mode_from_root, count, lam_max, step)

@@ -97,11 +97,17 @@ class TestBeamProblem:
             ((1.0,), (0.0,)),
             ((1.0,), (-0.5,)),
             ((1.0, 2.0), (0.1,)),
+            ((1.0,), (math.inf,)),
+            ((1.0,), (math.nan,)),
         ],
     )
     def test_invalid_geometry_rejected(self, positions, flexibilities):
         with pytest.raises(ValidationError):
             BeamProblem(positions=positions, flexibilities=flexibilities)
+
+    def test_nan_flexibility_is_rejected_not_elided(self):
+        with pytest.raises(ValidationError):
+            problem_from_cracks([CrackSpec(x=1.0, theta=math.nan)])
 
     def test_negligible_springs_elided_and_cracks_sorted(self):
         cracks = [
@@ -164,6 +170,8 @@ class TestPhysicalMapping:
             PhysicalBeam(length=-1.0, young_modulus=1.0, density=1.0, area=1.0, inertia=1.0)
         with pytest.raises(ValidationError):
             PhysicalBeam(length=1.0, young_modulus=1.0, density=1.0, area=1.0, inertia=0.0)
+        with pytest.raises(ValidationError):
+            PhysicalBeam(length=math.inf, young_modulus=1.0, density=1.0, area=1.0, inertia=1.0)
 
 
 class TestCrackSpec:

@@ -326,3 +326,72 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "reversed" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv, document, message",
+        [
+            (("spectrum", ONE_CRACK, "--modes", "0"), None, "need at least one mode"),
+            (("modes", ONE_CRACK, "--samples", "1"), None, "need at least two sample points"),
+            (
+                ("det-scan", ONE_CRACK, "--lambda-min", "0"),
+                None,
+                "scan must start at a positive wavenumber",
+            ),
+            (("det-scan", ONE_CRACK, "--step", "0"), None, "scan step must be positive"),
+            (
+                ("validate",),
+                {"mode": 1, "offsets": [0.0], "scale": 2.0},
+                "debug_perturb_delta needs exactly {mode, offsets}",
+            ),
+            (
+                ("validate",),
+                {"mode": 9, "offsets": [0.0]},
+                "debug_perturb_delta mode 9 out of range",
+            ),
+            (
+                ("validate",),
+                {"mode": 1, "offsets": [0.0, 1.0]},
+                "debug_perturb_delta offsets must list one value per crack",
+            ),
+        ],
+        ids=["modes", "samples", "lambda-min", "step", "debug-keys", "debug-mode", "debug-offsets"],
+    )
+    def test_option_and_fault_injection_checks_exit_2(
+        self, capsys, tmp_path, argv, document, message
+    ):
+        if document is not None:
+            doc = {"nondimensional": True, "cracks": [{"x": 1.0, "theta": 0.3}]}
+            path = tmp_path / "debug.json"
+            path.write_text(json.dumps({**doc, "debug_perturb_delta": document}), encoding="utf-8")
+            argv = (*argv, str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": {"type": "validation", "message": message}}
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"cracks": null}',
+            '{"nondimensional": "false", "cracks": [{"x": 1.0, "theta": 0.3}]}',
+            '{"cracks": [{"x": "abc", "theta": 0.3}]}',
+            '{"cracks": [{"x": 1.0, "theta": NaN}]}',
+            '{"cracks": [{"x": 1.0, "theta": Infinity}]}',
+            '{"cracks": [{"x": 1.0, "theta": true}]}',
+            '{"beam": {"L": "x", "E": 2e11, "rho": 7850, "A": 3e-4, "I": 2e-8}, "cracks": []}',
+            '{"beam": {"L": Infinity, "E": 2e11, "rho": 7850, "A": 3e-4, "I": 2e-8}, "cracks": []}',
+            '{"cracks": [{"x": 1.0, "theta": 0.3}],'
+            ' "debug_perturb_delta": {"mode": "a", "offsets": [0]}}',
+            '{"cracks": [{"x": 1.0, "theta": 0.3}],'
+            ' "debug_perturb_delta": {"mode": 1, "offsets": ["b"]}}',
+            '{"cracks": [{"x": 1.0, "theta": 0.3}],'
+            ' "debug_perturb_delta": {"mode": 1.5, "offsets": [0]}}',
+        ],
+    )
+    def test_malformed_documents_exit_2(self, capsys, tmp_path, document):
+        path = tmp_path / "malformed.json"
+        path.write_text(document, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "validation"

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from crackedbeam import (
     BeamProblem,
-    Eigenpair,
     PiecewiseForm,
-    QuadratureRule,
     assemble_system,
     basis_eval,
     build_eigenfunction,
@@ -23,7 +21,6 @@ from crackedbeam import (
     find_eigenvalues,
     jump_basis,
     kernel_M,
-    normalize_eigenpair,
     solve_nullspace,
 )
 from crackedbeam.transition import find_eigenvalues as transition_eigenvalues
@@ -375,10 +372,6 @@ class TestShifrinForm:
             )
         assert np.max(np.abs(rebuilt - form.eval(xs))) < 1e-10
 
-    def test_left_slope_matches_eval(self, two_crack_spectrum):
-        form = two_crack_spectrum.pairs[0].shifrin
-        assert form.left_slope() == pytest.approx(form.eval_one_sided(0.0, 1, "R"), rel=1e-12)
-
 
 class TestEigenpairs:
     def test_junction_conditions(self, two_crack_spectrum, two_crack_problem):
@@ -432,7 +425,7 @@ class TestEigenpairs:
 
 
 def _looped_eigenfunction(problem, form):
-    """Mode built from per-point one-sided states, the reference for the array build."""
+    """Unnormalized coefficients from per-point one-sided states, the array build's reference."""
     lam = form.lam
     rows = []
     for left in problem.breakpoints[:-1]:
@@ -445,9 +438,7 @@ def _looped_eigenfunction(problem, form):
                 0.5 * s0 + 0.5 * s2 / lam**2,
             ]
         )
-    piecewise = PiecewiseForm(lam=lam, breakpoints=problem.breakpoints, coefficients=rows)
-    pair = Eigenpair(lam=lam, piecewise=piecewise, solver="shifrin", shifrin=form)
-    return normalize_eigenpair(pair, QuadratureRule.for_problem(problem, lam=lam))
+    return PiecewiseForm(lam=lam, breakpoints=problem.breakpoints, coefficients=rows).coefficients
 
 
 class TestBuildEigenfunction:
@@ -459,6 +450,6 @@ class TestBuildEigenfunction:
         for lam in find_eigenvalues(problem, 4):
             form = solve_nullspace(problem, lam)
             built = build_eigenfunction(problem, form).piecewise.coefficients
-            looped = _looped_eigenfunction(problem, form).piecewise.coefficients
+            looped = _looped_eigenfunction(problem, form)
             assert built.shape == (problem.m + 1, 4)
             assert np.array_equal(built, looped)
