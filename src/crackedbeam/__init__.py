@@ -22,18 +22,16 @@ from .beam_model import (
     problem_from_cracks,
 )
 from .modes import Eigenpair, PiecewiseForm, Spectrum, normalize_eigenpair
+from .paper import basis_eval, jump_basis, kernel_M
 from .quadrature import QuadratureRule
 from .rootfind import RootCountError
 from .shifrin import (
     ShifrinForm,
     assemble_system,
-    basis_eval,
     build_eigenfunction,
     char_det,
     compute_spectrum,
     find_eigenvalues,
-    jump_basis,
-    kernel_M,
     solve_nullspace,
 )
 from .spectral import (

@@ -149,14 +149,13 @@ def _mode_rows(problem: BeamProblem, pair, k: int, samples: int) -> list[list]:
     points.extend((x, "L") for x in problem.positions)
     points.extend((x, "R") for x in problem.positions)
     points.sort(key=lambda p: (p[0], {"L": 0, "": 1, "R": 2}[p[1]]))
-    rows = []
-    for x, side in points:
-        if side:
-            values = [pair.eval_one_sided(x, order, side) for order in range(3)]
-        else:
-            values = [pair.eval(x, order) for order in range(3)]
-        rows.append([k, float(x), side, *map(float, values)])
-    return rows
+    xs = np.array([x for x, _ in points])
+    left = np.array([side == "L" for _, side in points])
+    values = [
+        np.where(left, pair.eval(xs, order, "L"), pair.eval(xs, order, "R")).tolist()
+        for order in range(3)
+    ]
+    return [[k, float(x), side, *v] for (x, side), *v in zip(points, *values)]
 
 
 def cmd_modes(args: argparse.Namespace) -> int:
@@ -312,6 +311,10 @@ def _error_body(kind: str, message: str, **extra) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name in ("lambda_min", "lambda_max", "step"):
+            value = getattr(args, name, None)
+            if value is not None:
+                setattr(args, name, finite_real(value, "--" + name.replace("_", "-")))
         if getattr(args, "modes", 1) < 1:
             raise ValidationError("need at least one mode")
         if getattr(args, "samples", 2) < 2:

@@ -4,7 +4,11 @@ Between consecutive cracks every mode is an exact combination
 ``A sin + B cos + C sinh + D cosh`` of the local coordinate scaled by the
 wavenumber.  Storing those four coefficients per subinterval keeps all
 derivative evaluations exact and free of cancellation, which matters for
-residual checks at the fourth derivative.
+residual checks at the fourth derivative.  The derivatives of those four
+functions come from one table, :func:`_basis_rows`, and the state map
+(w, w', w'', w''') <-> (A, B, C, D) and its explicit inverse at the left end
+are stated once here for both solvers.  A mode is read through
+``eval(x, order, side)`` alone, at a point or an array of points.
 
 The solvers differ only in their characteristic determinant and in how they
 recover a mode at a root; :func:`solve` does everything else once: it finds
@@ -32,14 +36,19 @@ def is_right_side(side: str) -> bool:
     return side == "R"
 
 
-def _basis_rows(lam: float, t: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-    """Order-th derivative of (sin, cos, sinh, cosh) at phase ``t = lam*xi``.
+def _basis(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(sin, cos, sinh, cosh) at phase ``t = lam*xi``."""
+    return np.sin(t), np.cos(t), np.sinh(t), np.cosh(t)
 
-    Returns the four factors multiplying (A, B, C, D); the common lam**order
-    scale is included in the first factor pair via the caller.
+
+def _basis_rows(basis: tuple[np.ndarray, ...], order: int) -> tuple[np.ndarray, ...]:
+    """Order-th derivative of (sin, cos, sinh, cosh), given their values ``basis``.
+
+    The derivative is taken in the phase: the caller applies the lam**order
+    scale.  This is the one such table; the state map, the piecewise mode,
+    the jump response and the smooth part of the jump-amplitude form read it.
     """
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    sinh_t, cosh_t = np.sinh(t), np.cosh(t)
+    sin_t, cos_t, sinh_t, cosh_t = basis
     r = order % 4
     if r == 0:
         trig = (sin_t, cos_t)
@@ -55,13 +64,9 @@ def _basis_rows(lam: float, t: np.ndarray, order: int) -> tuple[np.ndarray, ...]
 
 def _powers(lam: np.ndarray) -> np.ndarray:
     """lam**0 .. lam**3 for every entry, as Python floats compute them; shape (..., 4)."""
-    flat = [[x**k for k in range(4)] for x in lam.ravel().tolist()]
+    # x**0 and x**1 are exactly 1.0 and x; only the squares and cubes need pow.
+    flat = [[1.0, x, x**2, x**3] for x in lam.ravel().tolist()]
     return np.array(flat).reshape(lam.shape + (4,))
-
-
-def _as_matrices(rows) -> np.ndarray:
-    """Nested 4x4 tuples of equal-shape arrays as one C-ordered array (..., 4, 4)."""
-    return np.ascontiguousarray(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
 
 
 def local_state_matrix(lam, xi: float) -> np.ndarray:
@@ -71,46 +76,27 @@ def local_state_matrix(lam, xi: float) -> np.ndarray:
     4x4 matrix per entry along its leading axes.
     """
     lam = np.asarray(lam, dtype=float)
-    t = lam * xi
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    sinh_t, cosh_t = np.sinh(t), np.cosh(t)
-    rows = (
-        (sin_t, cos_t, sinh_t, cosh_t),
-        (cos_t, -sin_t, cosh_t, sinh_t),
-        (-sin_t, -cos_t, sinh_t, cosh_t),
-        (-cos_t, sin_t, cosh_t, sinh_t),
-    )
-    return _powers(lam)[..., :, None] * _as_matrices(rows)
+    basis = _basis(lam * xi)
+    rows = np.moveaxis(np.array([_basis_rows(basis, k) for k in range(4)]), (0, 1), (-2, -1))
+    return _powers(lam)[..., :, None] * np.ascontiguousarray(rows)
 
 
-def coefficients_from_state(lam: float, state) -> np.ndarray:
+def coefficients_from_state(lam, state) -> np.ndarray:
     """Invert the local state map at xi = 0, for one state or a stack (..., 4).
 
-    The value fixes B + D, the slope A + C, and the second and third
-    derivatives split the pairs, so the inverse is explicit.
+    ``lam`` is one wavenumber or an array broadcasting against the stack's
+    leading axes.  The value fixes B + D, the slope A + C, and the second
+    and third derivatives split the pairs, so the inverse is explicit.
     """
-    lam = float(lam)
-    s0, s1, s2, s3 = np.moveaxis(np.asarray(state, dtype=float), -1, 0)
-    a = 0.5 * s1 / lam - 0.5 * s3 / lam**3
-    b = 0.5 * s0 - 0.5 * s2 / lam**2
-    c = 0.5 * s1 / lam + 0.5 * s3 / lam**3
-    d = 0.5 * s0 + 0.5 * s2 / lam**2
-    return np.stack([a, b, c, d], axis=-1)
-
-
-def inverse_state_matrix(lam) -> np.ndarray:
-    """Explicit inverse of ``local_state_matrix(lam, 0)``, also for an array ``lam``."""
     powers = _powers(np.asarray(lam, dtype=float))
-    il, il2, il3 = (0.5 / powers[..., k] for k in (1, 2, 3))
-    zero, half = np.zeros_like(il), np.full_like(il, 0.5)
-    return _as_matrices(
-        (
-            (zero, il, zero, -il3),
-            (half, zero, -il2, zero),
-            (zero, il, zero, il3),
-            (half, zero, il2, zero),
-        )
-    )
+    lam1, lam2, lam3 = powers[..., 1], powers[..., 2], powers[..., 3]
+    state = np.asarray(state, dtype=float)
+    s0, s1, s2, s3 = state[..., 0], state[..., 1], state[..., 2], state[..., 3]
+    a = 0.5 * s1 / lam1 - 0.5 * s3 / lam3
+    b = 0.5 * s0 - 0.5 * s2 / lam2
+    c = 0.5 * s1 / lam1 + 0.5 * s3 / lam3
+    d = 0.5 * s0 + 0.5 * s2 / lam2
+    return np.stack([a, b, c, d], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -134,15 +120,6 @@ class PiecewiseForm:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", co)
 
-    @classmethod
-    def from_left_states(cls, lam: float, breakpoints, states) -> "PiecewiseForm":
-        """Build from the (w, w', w'', w''') state at each interval's left end.
-
-        ``states`` holds one row of four values per interval.
-        """
-        coeffs = coefficients_from_state(lam, states)
-        return cls(lam=lam, breakpoints=np.asarray(breakpoints, float), coefficients=coeffs)
-
     def _intervals(self, x: np.ndarray, side: str) -> np.ndarray:
         mode = "right" if is_right_side(side) else "left"
         idx = np.searchsorted(self.breakpoints, x, side=mode) - 1
@@ -159,13 +136,10 @@ class PiecewiseForm:
         xf = np.atleast_1d(xa)
         idx = self._intervals(xf, side)
         xi = xf - self.breakpoints[idx]
-        fa, fb, fc, fd = _basis_rows(self.lam, self.lam * xi, order)
+        fa, fb, fc, fd = _basis_rows(_basis(self.lam * xi), order)
         co = self.coefficients[idx]
         out = self.lam**order * (co[:, 0] * fa + co[:, 1] * fb + co[:, 2] * fc + co[:, 3] * fd)
         return float(out[0]) if scalar else out
-
-    def eval_one_sided(self, x: float, order: int, side: str) -> float:
-        return float(self.eval(x, order=order, side=side))
 
     def scaled(self, factor: float) -> "PiecewiseForm":
         return replace(self, coefficients=self.coefficients * factor)
@@ -181,9 +155,6 @@ class Eigenpair:
 
     def eval(self, x, order: int = 0, side: str = "R"):
         return self.piecewise.eval(x, order=order, side=side)
-
-    def eval_one_sided(self, x: float, order: int, side: str) -> float:
-        return self.piecewise.eval_one_sided(x, order, side)
 
     def scaled(self, factor: float) -> "Eigenpair":
         sh = None if self.shifrin is None else self.shifrin.scaled(factor)
@@ -213,7 +184,7 @@ def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
         raise ValueError("cannot normalize the zero function")
     sign = 1.0
     for order in (1, 3):
-        probe = pair.eval_one_sided(0.0, order, "R")
+        probe = float(pair.eval(0.0, order, "R"))
         if probe != 0.0:
             sign = 1.0 if probe > 0.0 else -1.0
             break

@@ -1,34 +1,24 @@
 """Eigen-solver that carries one slope-jump unknown per crack.
 
-The mode is split as ``phi = phi_s + sum_i Delta_i w_i`` where w_i is a fixed
-piecewise-linear function with a unit slope jump at crack i (zero at both
-supports) and phi_s is smooth, so the whole eigenvalue problem collapses to
-an (m+4) x (m+4) linear system in (Delta_1..Delta_m) plus four smooth-part
-coefficients.  Its determinant vanishes exactly at the eigenvalues.
-
-Conditioning note.  The textbook smooth-part basis (cos, sin, cosh, sinh)
-and the growing convolution kernel M_i both acquire entries like e**(lam*pi)
-whose leading parts are mutually parallel, which destroys the nullspace for
-wavenumbers beyond roughly 6.  Internally the solver therefore carries the
-equivalent representation
+The mode is written as
 
     phi = A cos(lam x) + B sin(lam x) + P e**(-lam x) + Q e**(-lam (pi - x))
           + sum_i Delta_i z_i(x),
     z_i(x) = H(x - x_i) (sin + sinh)(lam (x - x_i)) / (2 lam),
 
 where z_i has exactly a unit slope jump at x_i and continuous value, moment
-and shear, so Delta_i keeps its meaning J[phi'](x_i).  Boundary rows use the
-combinations (lam^2 phi +- phi'')/(2 lam^2), which separate the decaying and
-oscillatory parts, so the four smooth-part columns stay bounded.  The jump
-responses still grow: the ladder entry of crack row j holds
-sinh(lam (x_j - x_i)) for every earlier crack i, and the right-support row
-holds sinh(lam (pi - x_i)), so entries grow with the distance from a crack
-to any later crack or to the right support, not with the spacing of
-adjacent cracks.  Row equilibration keeps the determinant representable
-all the same.  The classical (A, B, C, D)
-coefficients of cos, sin, cosh, sinh and the convolution kernel remain
-available (`classical_coefficients`, `kernel_M`); the two parametrizations
-differ by an explicit homogeneous recombination and describe the same mode.
+and shear, so Delta_i = J[phi'](x_i).  The crack laws and the hinged
+supports then form an (m+4) x (m+4) linear system in (Delta_1..Delta_m) and
+(A, B, P, Q), the paper's Modified Shifrin system, whose determinant
+vanishes exactly at the eigenvalues.  Boundary rows use the combinations
+(lam^2 phi +- phi'')/(2 lam^2), which separate the decaying and oscillatory
+parts, so the four smooth-part columns stay bounded.  The jump responses
+still grow: the ladder entry of crack row j holds sinh(lam (x_j - x_i)) for
+every earlier crack i, and the right-support row holds sinh(lam (pi - x_i)),
+so entries grow with the distance from a crack to any later crack or to the
+right support, not with the spacing of adjacent cracks.  Row equilibration
+keeps the determinant representable all the same.  The paper's classical
+parametrization of the same mode lives in :mod:`crackedbeam.paper`.
 """
 
 from __future__ import annotations
@@ -42,149 +32,12 @@ import numpy as np
 
 from . import modes, rootfind
 from .beam_model import BeamProblem
-from .modes import Eigenpair, PiecewiseForm, Spectrum, is_right_side
+from .modes import Eigenpair, PiecewiseForm, Spectrum, _basis, _basis_rows, is_right_side
 from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it here
 
 # Second-smallest singular value below this fraction of the largest flags a
 # numerically multiple eigenvalue.
 DEGENERACY_RATIO = 1e-8
-
-
-@dataclass(frozen=True)
-class JumpBasis:
-    """Piecewise-linear w_i: zero at both supports, unit slope jump at x_i."""
-
-    index: int
-    breakpoint: float
-
-    @property
-    def left_slope(self) -> float:
-        return (self.breakpoint - math.pi) / math.pi
-
-    @property
-    def right_slope(self) -> float:
-        return self.breakpoint / math.pi
-
-    def eval(self, x, order: int = 0, side: str = "R"):
-        """Derivative of order 0 or 1 at ``x``; higher orders vanish."""
-        from_right = is_right_side(side)
-        xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        xf = np.atleast_1d(xa)
-        if order == 0:
-            left = self.left_slope * xf
-            right = self.right_slope * (xf - math.pi)
-            out = np.where(xf <= self.breakpoint, left, right)
-        elif order == 1:
-            on_left = xf < self.breakpoint if from_right else xf <= self.breakpoint
-            out = np.where(on_left, self.left_slope, self.right_slope)
-        else:
-            out = np.zeros_like(xf)
-        return float(out[0]) if scalar else out
-
-    def eval_one_sided(self, x: float, order: int, side: str) -> float:
-        return float(self.eval(x, order=order, side=side))
-
-
-def jump_basis(problem: BeamProblem, i: int) -> JumpBasis:
-    """The i-th (1-based) jump basis function of a problem."""
-    if not 1 <= i <= problem.m:
-        raise IndexError(f"crack index {i} out of range 1..{problem.m}")
-    return JumpBasis(index=i, breakpoint=problem.positions[i - 1])
-
-
-def basis_eval(problem: BeamProblem, i: int, x, order: int = 0, side: str = "R"):
-    """Evaluate w_i or its one-sided slope at ``x``."""
-    return jump_basis(problem, i).eval(x, order=order, side=side)
-
-
-def _antiderivatives(lam: float, u: np.ndarray) -> dict[str, np.ndarray]:
-    """Antiderivatives in u of f(lam*u) and u*f(lam*u) for the four kernels."""
-    t = lam * u
-    sh, ch = np.sinh(t), np.cosh(t)
-    sn, cs = np.sin(t), np.cos(t)
-    inv, inv2 = 1.0 / lam, 1.0 / lam**2
-    return {
-        "sinh0": ch * inv,
-        "cosh0": sh * inv,
-        "sin0": -cs * inv,
-        "cos0": sn * inv,
-        "sinh1": u * ch * inv - sh * inv2,
-        "cosh1": u * sh * inv - ch * inv2,
-        "sin1": -u * cs * inv + sn * inv2,
-        "cos1": u * sn * inv + cs * inv2,
-    }
-
-
-_KERNEL_NAMES = ("sinh", "cosh", "sin", "cos")
-
-
-def _affine_convolutions(lam, x, a, b, alpha, beta, live):
-    """Integrals over u in [a, b] of f(lam*u) * (alpha*(x-u) + beta) du.
-
-    Returned per kernel name; entries where ``live`` is false are zero (used
-    for the piece of w_i beyond the integration limit).
-    """
-    fa = _antiderivatives(lam, a)
-    fb = _antiderivatives(lam, b)
-    c0 = alpha * x + beta
-    out = {}
-    for name in _KERNEL_NAMES:
-        val = c0 * (fb[name + "0"] - fa[name + "0"]) - alpha * (fb[name + "1"] - fa[name + "1"])
-        out[name] = np.where(live, val, 0.0)
-    return out
-
-
-def kernel_M(problem: BeamProblem, i: int, x, lam: float, order: int = 0):
-    """Convolution of sinh - sin against w_i, or one of its derivatives.
-
-    ``M_i(x) = integral_0^x (sinh(lam (x-s)) - sin(lam (x-s))) w_i(s) ds``.
-    The kernel and its first derivative vanish at 0, so differentiation in x
-    passes under the integral; order r swaps the integrand factor to
-    cosh - cos (r=1), sinh + sin (r=2), cosh + cos (r=3), times lam**r.
-
-    Closed forms throughout: each piece of w_i is affine, so only
-    antiderivatives of f(lam*u) and u*f(lam*u) appear.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order {order} not in 0..3")
-    if lam <= 0.0:
-        raise ValueError("wavenumber must be positive")
-    basis = jump_basis(problem, i)
-    xi = basis.breakpoint
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xf = np.atleast_1d(xa).astype(float)
-
-    # Piece of w_i below the crack: weight alpha*s with alpha = left slope,
-    # substituted u = x - s so the weight becomes alpha*(x - u).
-    hi = np.minimum(xf, xi)
-    p1 = _affine_convolutions(
-        lam, xf, a=xf - hi, b=xf, alpha=basis.left_slope, beta=0.0, live=hi > 0.0
-    )
-    # Piece above the crack: weight alpha*s + beta = alpha*(s - pi).
-    beyond = xf > xi
-    b2 = np.where(beyond, xf - xi, 0.0)
-    p2 = _affine_convolutions(
-        lam,
-        xf,
-        a=np.zeros_like(xf),
-        b=b2,
-        alpha=basis.right_slope,
-        beta=-basis.breakpoint,
-        live=beyond,
-    )
-    conv = {name: p1[name] + p2[name] for name in _KERNEL_NAMES}
-
-    if order == 0:
-        out = conv["sinh"] - conv["sin"]
-    elif order == 1:
-        out = lam * (conv["cosh"] - conv["cos"])
-    elif order == 2:
-        out = lam**2 * (conv["sinh"] + conv["sin"])
-    else:
-        out = lam**3 * (conv["cosh"] + conv["cos"])
-    return float(out[0]) if scalar else out
 
 
 def _jump_response(lam: float, xi: np.ndarray, order: int) -> np.ndarray:
@@ -193,18 +46,8 @@ def _jump_response(lam: float, xi: np.ndarray, order: int) -> np.ndarray:
     This is the homogeneous solution whose state at 0 is (0, 1, 0, 0): the
     pure unit slope jump.
     """
-    t = lam * xi
-    r = order % 4
-    if r == 0:
-        trig = np.sin(t)
-    elif r == 1:
-        trig = np.cos(t)
-    elif r == 2:
-        trig = -np.sin(t)
-    else:
-        trig = -np.cos(t)
-    hyp = np.sinh(t) if order % 2 == 0 else np.cosh(t)
-    return lam ** (order - 1) * 0.5 * (trig + hyp)
+    sin_part, _, sinh_part, _ = _basis_rows(_basis(lam * xi), order)
+    return lam ** (order - 1) * 0.5 * (sin_part + sinh_part)
 
 
 @dataclass(frozen=True)
@@ -214,7 +57,7 @@ class ShifrinForm:
     ``deltas`` are the slope-jump amplitudes J[phi'](x_i).  ``coefficients``
     holds (A, B, P, Q) multiplying cos(lam x), sin(lam x), e**(-lam x) and
     e**(-lam (pi - x)); the classical cosh/sinh pair is available through
-    :attr:`classical_coefficients`.
+    :func:`crackedbeam.paper.classical_coefficients`.
     """
 
     lam: float
@@ -232,35 +75,12 @@ class ShifrinForm:
         object.__setattr__(self, "deltas", de)
         object.__setattr__(self, "coefficients", co)
 
-    @property
-    def classical_coefficients(self) -> np.ndarray:
-        """Equivalent (A, B, C, D) of cos, sin, cosh, sinh in the split
-        phi = (classical four-term part) + (lam/2) sum Delta_i M_i + sum Delta_i w_i.
-
-        The jump response z_i differs from w_i + (lam/2) M_i by the global
-        homogeneous term -w_i'(0) (sin + sinh)(lam x)/(2 lam), which is what
-        the conversion folds back in.
-        """
-        a, b, p, q = self.coefficients
-        decay = math.exp(-self.lam * math.pi)
-        spill = sum(
-            delta * (x_i - math.pi) / math.pi for delta, x_i in zip(self.deltas, self.positions)
-        ) / (2.0 * self.lam)
-        return np.array([a, b - spill, p + q * decay, -p + q * decay - spill])
-
     def _smooth(self, x: np.ndarray, order: int) -> np.ndarray:
         lam = self.lam
         a, b, p, q = self.coefficients
         t = lam * np.asarray(x, dtype=float)
-        r = order % 4
-        if r == 0:
-            trig = a * np.cos(t) + b * np.sin(t)
-        elif r == 1:
-            trig = -a * np.sin(t) + b * np.cos(t)
-        elif r == 2:
-            trig = -a * np.cos(t) - b * np.sin(t)
-        else:
-            trig = a * np.sin(t) - b * np.cos(t)
+        d_sin, d_cos, _, _ = _basis_rows(_basis(t), order)
+        trig = a * d_cos + b * d_sin
         left = p * np.exp(-t)
         right = q * np.exp(-lam * math.pi + t)
         sign = -1.0 if order % 2 else 1.0
@@ -274,39 +94,20 @@ class ShifrinForm:
         scalar = xa.ndim == 0
         xf = np.atleast_1d(xa).astype(float)
         from_right = is_right_side(side)
+        x_i = np.asarray(self.positions, dtype=float)[:, None]
+        active = xf >= x_i if from_right else xf > x_i
+        response = _jump_response(self.lam, np.where(active, xf - x_i, 0.0), order)
         out = self._smooth(xf, order)
-        # One crack at a time, in order: every point then sees the same sums
-        # whether it is evaluated alone or in an array.
-        for delta, x_i in zip(self.deltas, self.positions):
-            active = xf >= x_i if from_right else xf > x_i
-            xi_local = np.where(active, xf - x_i, 0.0)
-            out = out + np.where(active, delta * _jump_response(self.lam, xi_local, order), 0.0)
+        # Cracks are added one at a time, in order: every point then sees the
+        # same sums whether it is evaluated alone or in an array.
+        for term in np.where(active, self.deltas[:, None] * response, 0.0):
+            out = out + term
         return float(out[0]) if scalar else out
-
-    def eval_one_sided(self, x: float, order: int, side: str) -> float:
-        return float(self.eval(x, order=order, side=side))
 
     def scaled(self, factor: float) -> "ShifrinForm":
         return replace(
             self, deltas=self.deltas * factor, coefficients=self.coefficients * factor
         )
-
-
-@dataclass(frozen=True)
-class SystemMatrix:
-    """Dense system U(lam): m crack rows then 4 boundary rows.
-
-    Columns are (Delta_1..Delta_m, A, B, P, Q) matching ShifrinForm.  The
-    boundary block holds, in order, the left and right support combinations
-    (lam^2 phi + phi'')/(2 lam^2) and (lam^2 phi - phi'')/(2 lam^2).
-    """
-
-    lam: float
-    matrix: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0] - 4
 
 
 @functools.lru_cache(maxsize=64)
@@ -376,11 +177,16 @@ def _system_stack(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
     return mat
 
 
-def assemble_system(problem: BeamProblem, lam: float) -> SystemMatrix:
-    """Build U(lam): crack law rows plus four hinged boundary rows."""
+def assemble_system(problem: BeamProblem, lam: float) -> np.ndarray:
+    """Build U(lam): m crack law rows, then four hinged boundary rows.
+
+    Columns are (Delta_1..Delta_m, A, B, P, Q) matching ShifrinForm.  The
+    boundary block holds, in order, the left and right support combinations
+    (lam^2 phi + phi'')/(2 lam^2) and (lam^2 phi - phi'')/(2 lam^2).
+    """
     if lam <= 0.0:
         raise ValueError("wavenumber must be positive")
-    return SystemMatrix(lam=lam, matrix=_system_stack(problem, np.array([lam], dtype=float))[0])
+    return _system_stack(problem, np.array([lam], dtype=float))[0]
 
 
 def _equilibrated(mat: np.ndarray) -> np.ndarray:
@@ -427,7 +233,7 @@ def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
     degenerate eigenvalue, not an error.  The sign is fixed, with the final
     scale, by :func:`crackedbeam.modes.normalize_eigenpair`.
     """
-    mat = _equilibrated(assemble_system(problem, lam).matrix)
+    mat = _equilibrated(assemble_system(problem, lam))
     col_scale = np.max(np.abs(mat), axis=0)
     col_scale = np.where(col_scale > 0.0, col_scale, 1.0)
     _, sing, vt = np.linalg.svd(mat / col_scale)
@@ -454,7 +260,7 @@ def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:
     bp = problem.breakpoints
     left = np.array(bp[:-1])
     states = np.stack([form.eval(left, order, "R") for order in range(4)], axis=-1)
-    pw = PiecewiseForm.from_left_states(form.lam, bp, states)
+    pw = PiecewiseForm(form.lam, bp, modes.coefficients_from_state(form.lam, states))
     return Eigenpair(lam=form.lam, piecewise=pw, shifrin=form)
 
 

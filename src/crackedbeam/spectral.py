@@ -5,8 +5,9 @@ energy space adds slope-jump terms at the cracks.  The operator form weights
 each slope jump by the inverse flexibility, which is what ties the spring
 model to the spectrum: Rayleigh quotients of true modes equal lambda**4.
 
-Everything here consumes objects exposing ``eval(x, order, side)`` and
-``eval_one_sided(x, order, side)``; both solver outputs and the light
+Everything here consumes objects exposing ``eval(x, order, side)``, which
+takes a point or an array of points; a one-sided value at a point is
+``float(f.eval(x, order, side))``.  Both solver outputs and the light
 adapters below qualify.  :func:`verify` gathers every check into one report.
 """
 
@@ -45,9 +46,6 @@ class FunctionOnPartition:
             raise ValueError(f"no callable supplied for derivative order {order}")
         return self._derivatives[order](np.asarray(x, dtype=float))
 
-    def eval_one_sided(self, x: float, order: int, side: str) -> float:
-        return float(self.eval(x, order=order))
-
 
 class Superposition:
     """Linear combination of evaluation-protocol objects."""
@@ -62,9 +60,6 @@ class Superposition:
             out = val if out is None else out + val
         return out
 
-    def eval_one_sided(self, x: float, order: int, side: str) -> float:
-        return float(sum(c * f.eval_one_sided(x, order, side) for c, f in self._terms))
-
 
 def h_inner(u, v, rule: QuadratureRule) -> float:
     """Displacement-space inner product: sum of L2 pairings per subinterval."""
@@ -72,7 +67,7 @@ def h_inner(u, v, rule: QuadratureRule) -> float:
 
 
 def _jump(f, x: float, order: int) -> float:
-    return f.eval_one_sided(x, order, "R") - f.eval_one_sided(x, order, "L")
+    return float(f.eval(x, order, "R")) - float(f.eval(x, order, "L"))
 
 
 def v_inner(u, v, problem: BeamProblem, rule: QuadratureRule) -> float:
@@ -183,7 +178,7 @@ def residual_report(pair, problem: BeamProblem, samples: int = ODE_SAMPLES_PER_I
         jump_disp.append(abs(_jump(pair, x, 0)))
         jump_moment.append(abs(_jump(pair, x, 2)))
         jump_shear.append(abs(_jump(pair, x, 3)))
-        crack_law.append(abs(_jump(pair, x, 1) - theta * pair.eval_one_sided(x, 2, "R")))
+        crack_law.append(abs(_jump(pair, x, 1) - theta * float(pair.eval(x, 2, "R"))))
 
     bp = problem.breakpoints
     ode = 0.0
@@ -195,13 +190,14 @@ def residual_report(pair, problem: BeamProblem, samples: int = ODE_SAMPLES_PER_I
         ode = max(ode, float(np.max(np.abs(phi4 - lam**4 * phi))))
         sup_d2 = max(sup_d2, float(np.max(np.abs(pair.eval(inner, order=2)))))
     for x in bp:
-        sup_d2 = max(sup_d2, abs(pair.eval_one_sided(x, 2, "R")), abs(pair.eval_one_sided(x, 2, "L")))
+        for side in ("R", "L"):
+            sup_d2 = max(sup_d2, abs(float(pair.eval(x, 2, side))))
 
     return ResidualReport(
-        bc_left=abs(pair.eval_one_sided(0.0, 0, "R")),
-        bc_right=abs(pair.eval_one_sided(bp[-1], 0, "L")),
-        moment_left=abs(pair.eval_one_sided(0.0, 2, "R")),
-        moment_right=abs(pair.eval_one_sided(bp[-1], 2, "L")),
+        bc_left=abs(float(pair.eval(0.0, 0, "R"))),
+        bc_right=abs(float(pair.eval(bp[-1], 0, "L"))),
+        moment_left=abs(float(pair.eval(0.0, 2, "R"))),
+        moment_right=abs(float(pair.eval(bp[-1], 2, "L"))),
         jump_disp=tuple(jump_disp),
         jump_moment=tuple(jump_moment),
         jump_shear=tuple(jump_shear),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crackedbeam import cli
+from crackedbeam import cli, compute_spectrum, load_problem_file
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 UNIFORM = str(FIXTURES / "uniform.json")
@@ -108,6 +108,16 @@ class TestModes:
             # Displacement and moment stay continuous across the crack.
             assert float(sided["R"][3]) == pytest.approx(float(sided["L"][3]), abs=1e-10)
             assert float(sided["R"][5]) == pytest.approx(float(sided["L"][5]), abs=1e-8)
+
+    def test_array_sampling_matches_pointwise_values(self):
+        problem, _, _ = load_problem_file(TWO_CRACK)
+        for k, pair in enumerate(compute_spectrum(problem, 3).pairs, start=1):
+            rows = cli._mode_rows(problem, pair, k, 41)
+            looped = [
+                [k, x, side, *(float(pair.eval(x, order, side or "R")) for order in range(3))]
+                for _, x, side, *_ in rows
+            ]
+            assert rows == looped
 
 
 class TestFrequencies:
@@ -339,6 +349,31 @@ class TestErrorPaths:
             ),
             (("det-scan", ONE_CRACK, "--step", "0"), None, "scan step must be positive"),
             (
+                ("spectrum", ONE_CRACK, "--lambda-max", "nan"),
+                None,
+                "--lambda-max must be a finite number, not nan",
+            ),
+            (
+                ("validate", ONE_CRACK, "--lambda-max", "inf"),
+                None,
+                "--lambda-max must be a finite number, not inf",
+            ),
+            (
+                ("det-scan", ONE_CRACK, "--lambda-max", "inf"),
+                None,
+                "--lambda-max must be a finite number, not inf",
+            ),
+            (
+                ("det-scan", ONE_CRACK, "--lambda-min", "nan"),
+                None,
+                "--lambda-min must be a finite number, not nan",
+            ),
+            (
+                ("det-scan", ONE_CRACK, "--step", "nan"),
+                None,
+                "--step must be a finite number, not nan",
+            ),
+            (
                 ("validate",),
                 {"mode": 1, "offsets": [0.0], "scale": 2.0},
                 "debug_perturb_delta needs exactly {mode, offsets}",
@@ -354,7 +389,20 @@ class TestErrorPaths:
                 "debug_perturb_delta offsets must list one value per crack",
             ),
         ],
-        ids=["modes", "samples", "lambda-min", "step", "debug-keys", "debug-mode", "debug-offsets"],
+        ids=[
+            "modes",
+            "samples",
+            "lambda-min",
+            "step",
+            "spectrum-lambda-max-nan",
+            "validate-lambda-max-inf",
+            "det-scan-lambda-max-inf",
+            "det-scan-lambda-min-nan",
+            "det-scan-step-nan",
+            "debug-keys",
+            "debug-mode",
+            "debug-offsets",
+        ],
     )
     def test_option_and_fault_injection_checks_exit_2(
         self, capsys, tmp_path, argv, document, message

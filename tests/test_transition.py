@@ -24,6 +24,17 @@ class TestStateMap:
         back = coefficients_from_state(lam, state)
         assert np.allclose(back, vec, atol=1e-12 * max(1.0, np.max(np.abs(vec))))
 
+    def test_roundtrip_over_a_stack_of_wavenumbers(self):
+        # Column k of local_state_matrix is the state of unit coefficient k,
+        # so inverting every column of every matrix gives the identity.
+        lams = np.linspace(0.2, 40.0, 25)
+        states = np.swapaxes(local_state_matrix(lams, 0.0), -1, -2)
+        back = coefficients_from_state(lams[:, None], states)
+        assert np.allclose(back, np.eye(4), rtol=0.0, atol=1e-14)
+        # The stack gives exactly what one wavenumber at a time gives.
+        for lam, stacked, state in zip(lams, back, states):
+            assert np.array_equal(stacked, coefficients_from_state(lam, state))
+
     def test_state_matrix_structure_at_origin(self):
         lam = 1.7
         mat = local_state_matrix(lam, 0.0)
@@ -170,8 +181,8 @@ class TestOracleEigenpairs:
         for pair in spectrum.pairs:
             scale = max(1.0, np.max(np.abs(pair.eval(np.linspace(0, math.pi, 200), 2))))
             for x_i, theta in zip(two_crack_problem.positions, two_crack_problem.flexibilities):
-                right = [pair.eval_one_sided(x_i, o, "R") for o in range(4)]
-                left = [pair.eval_one_sided(x_i, o, "L") for o in range(4)]
+                right = [float(pair.eval(x_i, o, "R")) for o in range(4)]
+                left = [float(pair.eval(x_i, o, "L")) for o in range(4)]
                 assert abs(right[0] - left[0]) <= 1e-10 * scale
                 assert abs(right[2] - left[2]) <= 1e-10 * scale
                 assert abs(right[3] - left[3]) <= 1e-10 * scale
