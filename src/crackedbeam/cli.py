@@ -20,7 +20,7 @@ from . import shifrin, spectral, transition
 from .beam_model import BeamProblem, ValidationError, finite_real, load_problem_file
 from .modes import normalize_eigenpair
 from .quadrature import QuadratureRule
-from .rootfind import RootCountError
+from .rootfind import MIN_WAVENUMBER, RootCountError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -185,6 +185,8 @@ def cmd_det_scan(args: argparse.Namespace) -> int:
     problem, _, _ = load_problem_file(args.input)
     if args.lambda_min <= 0.0:
         raise ValidationError("scan must start at a positive wavenumber")
+    if args.lambda_min < MIN_WAVENUMBER:
+        raise ValidationError(f"scan must start at a wavenumber of at least {MIN_WAVENUMBER:g}")
     if args.lambda_max < args.lambda_min:
         raise ValidationError("scan range is reversed")
     if args.step <= 0.0:

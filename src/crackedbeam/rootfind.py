@@ -9,9 +9,13 @@ silently skipped, since it hints at a double root straddled by the grid.
 The function being scanned takes a 1-D array of wavenumbers and returns the
 array of its values, so that a determinant can be assembled for many
 wavenumbers in one pass.  The scan evaluates the grid in chunks and then
-walks the values in grid order; bisection refines every bracket in lockstep,
-two halvings per call.  Both give exactly the roots a point-by-point scan
-would, since each bracket sees the same midpoints and the same values.
+walks the values in grid order.  Bisection refines every bracket in lockstep:
+each call evaluates, per bracket, the run of midpoints bisection would visit
+if the root lay where the bracket's secant puts it, and the bracket halves
+through those values for as long as the prediction holds.  Both give exactly
+the roots a point-by-point scan would, since each bracket sees the same
+midpoints and the same values; the secant only decides which points are
+evaluated ahead of time.
 """
 
 from __future__ import annotations
@@ -35,11 +39,18 @@ SUSPECT_RATIO = 1e-8
 # per point but waste more evaluations past the last requested root.
 _SCAN_CHUNK = 128
 
-# Halvings of each bracket per bisection call.  A call costs a fixed overhead
-# plus a little per wavenumber, so evaluating 2**levels - 1 points to advance
-# each bracket by `levels` halvings pays off while brackets are few; deeper
-# trees waste more points than the calls they save.
-_BISECT_LEVELS = 2
+# Most midpoints of each bracket's secant-predicted path per bisection call.
+# A call costs a fixed overhead plus a little per wavenumber, and the
+# prediction mostly holds, so a long path saves calls; a path longer than the
+# prediction holds only wastes wavenumbers.  Between 8 and 16, the length
+# barely moves 1-3 crack solves, while at 30 cracks paths of 14 and 16 were
+# slower than 10 or 12 (the perfbench sweep and dense_cracks workloads).
+_PATH_LEVELS = 10
+
+# Smallest wavenumber a determinant accepts.  Its cube must be a normal
+# double: below about 1e-103 the cube underflows and the transfer matrix
+# divides by zero.
+MIN_WAVENUMBER = 1e-100
 
 # Matrix entries one batched determinant call may hold in a stack (256 KiB of
 # doubles); with many cracks this caps the wavenumbers per stack, and with it
@@ -69,32 +80,40 @@ class ScanDiagnostic:
     value: float
 
 
-def _subtree(a: float, b: float) -> list[float]:
-    """Midpoints of the next ``_BISECT_LEVELS`` halvings of [a, b], in heap order.
+def _secant_path(a: float, b: float, fa: float, fb: float, tol: float) -> list[float]:
+    """Midpoints that bisecting [a, b] visits if the root lies where the secant says.
 
-    Node j splits its interval at its midpoint; its halves are nodes 2j+1
-    (left) and 2j+2 (right).
+    From each midpoint the path moves to the half holding the regula-falsi
+    guess; it ends after ``_PATH_LEVELS`` points or where bisection would
+    close.  The guess only chooses points: a NaN guess gives a valid
+    (leftward) path.
     """
-    spans, mids = [(a, b)], []
-    for node in range(2**_BISECT_LEVELS - 1):
-        lo, hi = spans[node]
+    guess = a - fa * (b - a) / (fb - fa)
+    lo, hi, path = a, b, []
+    while len(path) < _PATH_LEVELS:
         mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        spans += [(lo, mid), (mid, hi)]
-    return mids
+        if not (hi - lo > tol and lo < mid < hi):
+            break
+        path.append(mid)
+        if mid < guess:
+            lo = mid
+        else:
+            hi = mid
+    return path
 
 
 def bisect(f, a, b, fa, fb, tol: float = BISECT_TOL):
     """Bisect every bracket [a_k, b_k] in lockstep; returns the midpoints at tolerance.
 
     ``a``, ``b``, ``fa`` and ``fb`` are scalars or equal-length 1-D arrays.
-    Each call of ``f`` evaluates the next two halvings of every bracket still
-    open (its midpoint and both quarter points), and each bracket then takes
-    the one or two steps its signs select; a bracket closes when it reaches
-    ``tol``, when its midpoint no longer lies strictly inside, or when ``f``
-    vanishes there.  Every bracket follows the same midpoint sequence as it
-    would alone, one point per halving; the quarter point it does not step
-    to is wasted.
+    A bracket closes when it reaches ``tol``, when its midpoint no longer lies
+    strictly inside, or when ``f`` vanishes there.  Each call of ``f``
+    evaluates the secant-predicted path (:func:`_secant_path`) of every
+    bracket still open, and each bracket halves through those values while
+    its own midpoint is the next point of its path; at the first that is not,
+    it carries over to the next call.  So every bracket visits the same
+    midpoints, and sees the same values there, as it would alone: the secant
+    only decides how many halvings one call covers.
     """
     scalar = np.ndim(a) == 0
     a, b, fa, fb = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (a, b, fa, fb))
@@ -109,37 +128,36 @@ def bisect(f, a, b, fa, fb, tol: float = BISECT_TOL):
             raise ValueError(f"no sign change on [{a[k]}, {b[k]}]")
         else:
             live.append(k)
-    width = 2**_BISECT_LEVELS - 1
     while live:
-        todo, points = [], []
+        todo, paths = [], []
         for k in live:
-            mid = 0.5 * (a[k] + b[k])
-            if b[k] - a[k] > tol and a[k] < mid < b[k]:
+            path = _secant_path(a[k], b[k], fa[k], fb[k], tol)
+            if path:
                 todo.append(k)
-                points += _subtree(a[k], b[k])
+                paths.append(path)
             else:
-                out[k] = mid
+                out[k] = 0.5 * (a[k] + b[k])
         if not todo:
             break
+        points = [x for path in paths for x in path]
         values = np.asarray(f(np.array(points)), dtype=float).tolist()
-        live = []
-        for n, k in enumerate(todo):
-            node = 0
-            for _ in range(_BISECT_LEVELS):
-                mid = 0.5 * (a[k] + b[k])
-                if not (b[k] - a[k] > tol and a[k] < mid < b[k]):
-                    out[k] = mid
+        live, start = [], 0
+        for k, path in zip(todo, paths):
+            fms = values[start : start + len(path)]
+            start += len(path)
+            for point, fm in zip(path, fms):
+                # Past a wrong side the bracket's midpoints leave the path;
+                # where bisection would close, the next path is empty.
+                if 0.5 * (a[k] + b[k]) != point:
+                    live.append(k)
                     break
-                fm = values[n * width + node]
                 if fm == 0.0:
-                    out[k] = mid
+                    out[k] = point
                     break
                 if (fm > 0.0) == (fa[k] > 0.0):
-                    a[k], fa[k] = mid, fm
-                    node = 2 * node + 2
+                    a[k], fa[k] = point, fm
                 else:
-                    b[k] = mid
-                    node = 2 * node + 1
+                    b[k], fb[k] = point, fm
             else:
                 live.append(k)
     return out[0] if scalar else np.array(out)
@@ -151,12 +169,14 @@ def blockwise(fn, lams, entries_per_lam: int):
     ``fn`` maps a 1-D array of wavenumbers to the 1-D array of its values and
     builds ``entries_per_lam`` stack entries for each; slices are sized to
     keep that within ``_STACK_ENTRIES``.  A scalar ``lams`` gives a float,
-    an array gives an array of its shape; a nonpositive wavenumber raises
-    ValueError.
+    an array gives an array of its shape; a nonpositive wavenumber, or one
+    below ``MIN_WAVENUMBER``, raises ValueError.
     """
     arr = np.asarray(lams, dtype=float)
-    if (arr <= 0.0).any():
-        raise ValueError("wavenumber must be positive")
+    if (arr < MIN_WAVENUMBER).any():
+        if (arr <= 0.0).any():
+            raise ValueError("wavenumber must be positive")
+        raise ValueError(f"wavenumber must be at least {MIN_WAVENUMBER:g}")
     flat = arr.reshape(-1)
     out = np.empty(flat.size)
     block = max(1, _STACK_ENTRIES // entries_per_lam)

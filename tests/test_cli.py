@@ -374,6 +374,16 @@ class TestErrorPaths:
                 "--step must be a finite number, not nan",
             ),
             (
+                ("det-scan", ONE_CRACK, "--lambda-min", "1e-300", "--lambda-max", "1e-300"),
+                None,
+                "scan must start at a wavenumber of at least 1e-100",
+            ),
+            (
+                ("det-scan", ONE_CRACK, "--lambda-min", "9.9e-101"),
+                None,
+                "scan must start at a wavenumber of at least 1e-100",
+            ),
+            (
                 ("validate",),
                 {"mode": 1, "offsets": [0.0], "scale": 2.0},
                 "debug_perturb_delta needs exactly {mode, offsets}",
@@ -399,6 +409,8 @@ class TestErrorPaths:
             "det-scan-lambda-max-inf",
             "det-scan-lambda-min-nan",
             "det-scan-step-nan",
+            "det-scan-lambda-min-underflow",
+            "det-scan-lambda-min-below-floor",
             "debug-keys",
             "debug-mode",
             "debug-offsets",
@@ -416,6 +428,13 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": {"type": "validation", "message": message}}
+
+    def test_scan_at_the_wavenumber_floor_is_finite(self, capsys):
+        code, out, _ = run(
+            capsys, "det-scan", ONE_CRACK, "--lambda-min", "1e-100", "--lambda-max", "1e-100"
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "1e-100,0,2,0"
 
     @pytest.mark.parametrize(
         "document",

@@ -6,15 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from crackedbeam import BeamProblem, char_det
+from crackedbeam import BeamProblem, char_det, rootfind
 from crackedbeam.rootfind import (
+    _PATH_LEVELS,
     DEFAULT_STEP,
     SUSPECT_RATIO,
     RootCountError,
     ScanDiagnostic,
     bisect,
     find_roots,
+    first_roots,
 )
 
 
@@ -81,6 +85,23 @@ def _pointwise_roots(f, count, lam_max, step=DEFAULT_STEP):
     return roots[:count], diagnostics
 
 
+def _assert_matches_scalar(h, a, b, fa=None, fb=None, tol=0.0):
+    """Lockstep bisection of ``h`` on the brackets [a_k, b_k] equals the scalar one.
+
+    The array function applies ``h`` point by point, so both bisections see
+    the very same value at every point and can differ only in the points
+    they visit.
+    """
+    fa = [h(x) for x in a] if fa is None else fa
+    fb = [h(x) for x in b] if fb is None else fb
+
+    def f(lams):
+        return np.array([h(x) for x in lams.tolist()])
+
+    lockstep = bisect(f, np.array(a), np.array(b), np.array(fa), np.array(fb), tol)
+    assert lockstep.tolist() == [_scalar_bisect(h, *args, tol=tol) for args in zip(a, b, fa, fb)]
+
+
 class TestFindRoots:
     def test_exact_zero_on_grid_point_is_returned_as_is(self):
         f = Counted(lambda x: (x - 0.75) * (x - 2.0))
@@ -104,7 +125,8 @@ class TestFindRoots:
         assert roots[0] == pytest.approx(0.505, abs=1e-15)
         assert diagnostics == []
         assert len(f.batches) > 1
-        assert all(batch.size == 3 for batch in f.batches[1:])
+        # Every later call holds the one bracket's path, all of it below the dip.
+        assert all(batch.size <= _PATH_LEVELS and batch.max() < 1.0 for batch in f.batches[1:])
 
     def test_root_count_error_carries_found_roots(self):
         with pytest.raises(RootCountError) as info:
@@ -138,6 +160,22 @@ class TestFindRoots:
         pointwise = _pointwise_roots(lambda lam: char_det(problem, lam), count, lam_max)
         assert batched == pointwise
 
+    def test_bisection_calls_per_solve(self, monkeypatch):
+        # Five brackets need about 46 halvings each; one path per call brings
+        # that to a handful of determinant calls instead of one per halving.
+        problem = BeamProblem(positions=(1.0,), flexibilities=(0.3,))
+        seen = []
+
+        def counted_bisect(f, *args):
+            seen.append(Counted(f))
+            return bisect(seen[-1], *args)
+
+        monkeypatch.setattr(rootfind, "bisect", counted_bisect)
+        roots, _ = first_roots(char_det, problem, 5)
+        assert len(roots) == 5
+        assert len(seen) == 1
+        assert len(seen[0].batches) <= 8
+
     def test_callable_receives_arrays(self):
         f = Counted(lambda x: np.cos(x))
         roots, _ = find_roots(f, 2, 8.0)
@@ -162,15 +200,17 @@ class TestBisect:
             for args in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())
         ]
         assert lockstep.tolist() == scalar
-        # Two halvings per call, three points for each bracket still open.
+        # Every bracket is far wider than _PATH_LEVELS halvings at tol = 0, so
+        # the first call holds a full path for each, starting at its midpoint.
         sizes = [batch.size for batch in f.batches]
         assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] == 3 * len(a)
+        assert sizes[0] == _PATH_LEVELS * len(a)
+        assert f.batches[0][::_PATH_LEVELS].tolist() == (0.5 * (a + b)).tolist()
 
     @pytest.mark.parametrize("depth", [5, 6, 7, 8])
     def test_two_levels_per_call_at_odd_and_even_depths(self, depth):
-        # Unit brackets close after exactly `depth` halvings at this tol: an
-        # odd depth ends halfway through a call's two levels.
+        # Unit brackets close after exactly `depth` halvings at this tol, so
+        # each path ends at `depth` points whatever its parity.
         a = np.array([0.5, 1.75, 3.0])
         b = a + 1.0
         fa, fb = self._f(a), self._f(b)
@@ -182,8 +222,11 @@ class TestBisect:
             for args in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())
         ]
         assert lockstep.tolist() == scalar
-        assert len(f.batches) == (depth + 1) // 2
-        assert all(batch.size == 3 * len(a) for batch in f.batches)
+        # The first call holds every bracket's whole path down to tol; a
+        # bracket whose secant mispredicts a side finishes in later calls.
+        assert f.batches[0].size == depth * len(a)
+        assert f.batches[0][::depth].tolist() == (0.5 * (a + b)).tolist()
+        assert len(f.batches) <= depth
 
     @pytest.mark.parametrize("root", [1.5, 1.25, 1.75, 1.375])
     def test_exact_zero_on_first_or_second_level_midpoint(self, root):
@@ -197,10 +240,82 @@ class TestBisect:
         scalar = [_scalar_bisect(g, *args) for args in zip(a, b, g(a), g(b))]
         assert lockstep.tolist() == scalar
         assert lockstep[0] == root
-        # Midpoint and both quarter points in the first call; the zero closes
-        # its bracket in the call that reaches its level.
-        assert f.batches[0][:3].tolist() == [1.5, 1.25, 1.75]
-        assert f.batches[1].size == (6 if root == 1.375 else 3)
+        # The path starts at the midpoint; the zero is evaluated once and
+        # closes its bracket, so no later call holds a point of [1, 2].
+        assert f.batches[0][0] == 1.5
+        calls = [n for n, batch in enumerate(f.batches) if root in batch]
+        assert len(calls) == 1
+        assert all(batch.min() > 2.0 for batch in f.batches[calls[0] + 1 :])
+
+    @pytest.mark.parametrize("depth", [5, _PATH_LEVELS, _PATH_LEVELS + 1, 3 * _PATH_LEVELS])
+    def test_linear_f_closes_in_one_call_per_path_length(self, depth):
+        # The secant of a line is exact, so every predicted side holds and
+        # each call advances every bracket by a whole path.
+        def line(x):
+            return x - 0.9
+
+        a = np.array([0.1, 0.2, 0.3])
+        b = a + 1.0
+        f = Counted(line)
+        tol = 2.0**-depth
+        lockstep = bisect(f, a, b, line(a), line(b), tol)
+        scalar = [_scalar_bisect(line, *args, tol=tol) for args in zip(a, b, line(a), line(b))]
+        assert lockstep.tolist() == scalar
+        assert len(f.batches) == math.ceil(depth / _PATH_LEVELS)
+
+    @pytest.mark.parametrize(
+        "h, a, b, fa, fb",
+        [
+            # Below |x - r| ~ 1e-13 the sign is noise, which the secant cannot
+            # follow.
+            (
+                lambda x: (x - 1.3) + 1e-13 * math.sin(1e15 * x),
+                [1.0, 1.2, 0.3, 1.299999],
+                [1.5, 1.4, 2.9, 1.300001],
+                None,
+                None,
+            ),
+            # End values of +-1 put the secant guess far from the step.
+            (
+                lambda x: math.tanh(1e8 * (x - 1.1)),
+                [0.0, 1.0, 1.09],
+                [3.0, 5.0, 1.1000001],
+                None,
+                None,
+            ),
+            # An infinite end value makes the guess NaN.
+            (
+                lambda x: x - 1.3,
+                [1.0, 0.5, 1.25],
+                [2.0, 1.5, 1.5],
+                [-math.inf, -0.8, -math.inf],
+                [0.7, math.inf, math.inf],
+            ),
+        ],
+        ids=["sign-noise", "step", "infinite-end"],
+    )
+    def test_mispredicted_paths_match_scalar(self, h, a, b, fa, fb):
+        _assert_matches_scalar(h, a, b, fa, fb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        zeros=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+        noise=st.sampled_from([0.0, 1e-14, 1e-9]),
+        ends=st.lists(
+            st.tuples(st.floats(-1.0, 5.0), st.floats(-1.0, 5.0)), min_size=1, max_size=6
+        ),
+        tol=st.sampled_from([0.0, 1e-9]),
+    )
+    def test_noisy_cubic_brackets_match_scalar(self, zeros, noise, ends, tol):
+        r1, r2, r3 = zeros
+
+        def h(x):
+            return (x - r1) * (x - r2) * (x - r3) + noise * math.sin(1e13 * x)
+
+        brackets = [(min(p, q), max(p, q)) for p, q in ends if h(p) * h(q) < 0.0]
+        assume(brackets)
+        a, b = (list(side) for side in zip(*brackets))
+        _assert_matches_scalar(h, a, b, tol=tol)
 
     def test_scalar_call_returns_float(self):
         root = bisect(self._f, 0.9, 1.1, float(self._f(0.9)), float(self._f(1.1)))

@@ -255,6 +255,10 @@ class TestCharDet:
             char_det(mid_crack, -1.0)
         with pytest.raises(ValueError):
             char_det(mid_crack, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="at least 1e-100"):
+            char_det(mid_crack, 1e-300)
+        with pytest.raises(ValueError, match="at least 1e-100"):
+            char_det(mid_crack, np.array([1.0, 9.9e-101]))
 
     @pytest.mark.parametrize(
         "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]

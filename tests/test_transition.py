@@ -148,6 +148,10 @@ class TestBoundaryDet:
             boundary_det(one_crack_problem, 0.0)
         with pytest.raises(ValueError):
             boundary_det(one_crack_problem, np.array([2.0, -1.0]))
+        with pytest.raises(ValueError, match="at least 1e-100"):
+            boundary_det(one_crack_problem, 1e-300)
+        with pytest.raises(ValueError, match="at least 1e-100"):
+            boundary_det(one_crack_problem, np.array([2.0, 9.9e-101]))
 
     @pytest.mark.parametrize(
         "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
