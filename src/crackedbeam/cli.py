@@ -20,7 +20,7 @@ from . import shifrin, spectral, transition
 from .beam_model import BeamProblem, ValidationError, finite_real, load_problem_file
 from .modes import normalize_eigenpair
 from .quadrature import QuadratureRule
-from .rootfind import MIN_WAVENUMBER, RootCountError
+from .rootfind import DEFAULT_STEP, MIN_WAVENUMBER, RootCountError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -90,6 +90,14 @@ def _emit_table(args: argparse.Namespace, columns: list[str], rows: list[list]) 
         "rows": [[_round15(v) if isinstance(v, float) else v for v in row] for row in rows],
     }
     return json.dumps(body, indent=2) + "\n"
+
+
+def _scan_steps(lo: float, hi: float, step: float) -> float:
+    """Grid steps from ``lo`` to ``hi``; ValidationError if too many for a double."""
+    steps = (hi - lo) / step
+    if math.isinf(steps):
+        raise ValidationError("--lambda-max spans too many scan steps")
+    return steps
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -191,7 +199,7 @@ def cmd_det_scan(args: argparse.Namespace) -> int:
         raise ValidationError("scan range is reversed")
     if args.step <= 0.0:
         raise ValidationError("scan step must be positive")
-    n_steps = int(round((args.lambda_max - args.lambda_min) / args.step))
+    n_steps = int(round(_scan_steps(args.lambda_min, args.lambda_max, args.step)))
     grid = [args.lambda_min + k * args.step for k in range(n_steps + 1)]
     dets_s = shifrin.char_det(problem, np.array(grid)).tolist()
     dets_t = transition.boundary_det(problem, np.array(grid)).tolist()
@@ -317,6 +325,8 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None:
                 setattr(args, name, finite_real(value, "--" + name.replace("_", "-")))
+        if args.command != "det-scan" and args.lambda_max is not None:
+            _scan_steps(DEFAULT_STEP, args.lambda_max, DEFAULT_STEP)
         if getattr(args, "modes", 1) < 1:
             raise ValidationError("need at least one mode")
         if getattr(args, "samples", 2) < 2:

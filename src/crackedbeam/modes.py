@@ -205,7 +205,7 @@ def solve(
     ``mode(problem, lam)`` its eigenpair at a root, at any scale and sign.
     Each mode is normalized here to h(phi, phi) = 1 with phi'(0+) > 0.
     """
-    roots, _ = rootfind.first_roots(det, problem, count, lam_max, step)
+    roots = rootfind.first_roots(det, problem, count, lam_max, step)
     pairs = [mode(problem, lam) for lam in roots]
     rules = [QuadratureRule.for_problem(problem, lam=lam) for lam in roots]
     return Spectrum(tuple(map(normalize_eigenpair, pairs, rules)))

@@ -220,7 +220,7 @@ def find_eigenvalues(
     step: float = rootfind.DEFAULT_STEP,
 ) -> list[float]:
     """First ``count`` eigenvalue wavenumbers, by scan plus bisection."""
-    return rootfind.first_roots(char_det, problem, count, lam_max, step)[0]
+    return rootfind.first_roots(char_det, problem, count, lam_max, step)
 
 
 def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:

@@ -95,7 +95,7 @@ def find_eigenvalues(
     step: float = rootfind.DEFAULT_STEP,
 ) -> list[float]:
     """First ``count`` eigenvalue wavenumbers by scanning boundary_det."""
-    return rootfind.first_roots(boundary_det, problem, count, lam_max, step)[0]
+    return rootfind.first_roots(boundary_det, problem, count, lam_max, step)
 
 
 def _mode_from_root(problem: BeamProblem, lam: float) -> Eigenpair:

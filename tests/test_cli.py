@@ -364,6 +364,31 @@ class TestErrorPaths:
                 "--lambda-max must be a finite number, not inf",
             ),
             (
+                ("spectrum", ONE_CRACK, "--lambda-max", "1e308"),
+                None,
+                "--lambda-max spans too many scan steps",
+            ),
+            (
+                ("modes", ONE_CRACK, "--lambda-max", "1e308"),
+                None,
+                "--lambda-max spans too many scan steps",
+            ),
+            (
+                ("frequencies", STEEL, "--lambda-max", "1e308"),
+                None,
+                "--lambda-max spans too many scan steps",
+            ),
+            (
+                ("validate", ONE_CRACK, "--lambda-max", "1e308"),
+                None,
+                "--lambda-max spans too many scan steps",
+            ),
+            (
+                ("det-scan", ONE_CRACK, "--lambda-max", "1e308", "--step", "1e-300"),
+                None,
+                "--lambda-max spans too many scan steps",
+            ),
+            (
                 ("det-scan", ONE_CRACK, "--lambda-min", "nan"),
                 None,
                 "--lambda-min must be a finite number, not nan",
@@ -407,6 +432,11 @@ class TestErrorPaths:
             "spectrum-lambda-max-nan",
             "validate-lambda-max-inf",
             "det-scan-lambda-max-inf",
+            "spectrum-lambda-max-overflow",
+            "modes-lambda-max-overflow",
+            "frequencies-lambda-max-overflow",
+            "validate-lambda-max-overflow",
+            "det-scan-lambda-max-overflow",
             "det-scan-lambda-min-nan",
             "det-scan-step-nan",
             "det-scan-lambda-min-underflow",

@@ -6,16 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crackedbeam import BeamProblem, char_det, rootfind
 from crackedbeam.rootfind import (
     _PATH_LEVELS,
     DEFAULT_STEP,
-    SUSPECT_RATIO,
     RootCountError,
-    ScanDiagnostic,
     bisect,
     find_roots,
     first_roots,
@@ -56,10 +54,9 @@ def _scalar_bisect(f, a, b, fa, fb, tol=0.0):
 
 def _pointwise_roots(f, count, lam_max, step=DEFAULT_STEP):
     """Point-by-point scan with immediate bisection, one wavenumber per call."""
-    roots, diagnostics = [], []
+    roots = []
     n_steps = max(0, int(round((lam_max - step) / step)))
     prev_lam, prev_val = step, f(step)
-    hist, scale = [abs(prev_val)], abs(prev_val)
     if prev_val == 0.0:
         roots.append(prev_lam)
     for k in range(1, n_steps + 1):
@@ -67,22 +64,12 @@ def _pointwise_roots(f, count, lam_max, step=DEFAULT_STEP):
             break
         lam = step + k * step
         val = f(lam)
-        scale = max(scale, abs(val))
         if val == 0.0:
             roots.append(lam)
         elif prev_val != 0.0 and (val > 0.0) != (prev_val > 0.0):
             roots.append(_scalar_bisect(f, prev_lam, lam, prev_val, val))
-        elif (
-            len(hist) >= 2
-            and hist[-1] < hist[-2]
-            and abs(val) > hist[-1]
-            and hist[-1] < SUSPECT_RATIO * scale
-            and prev_val != 0.0
-        ):
-            diagnostics.append(ScanDiagnostic("possible_double_root", prev_lam, prev_val))
-        hist = [hist[-1], abs(val)]
         prev_lam, prev_val = lam, val
-    return roots[:count], diagnostics
+    return roots[:count]
 
 
 def _assert_matches_scalar(h, a, b, fa=None, fb=None, tol=0.0):
@@ -105,27 +92,25 @@ def _assert_matches_scalar(h, a, b, fa=None, fb=None, tol=0.0):
 class TestFindRoots:
     def test_exact_zero_on_grid_point_is_returned_as_is(self):
         f = Counted(lambda x: (x - 0.75) * (x - 2.0))
-        roots, diagnostics = find_roots(f, 2, 5.0, step=0.25)
+        roots, _ = find_roots(f, 2, 5.0, step=0.25)
         assert roots == [0.75, 2.0]
-        assert diagnostics == []
         # Neither root needed bisection: the scan is the only call.
         assert len(f.batches) == 1
 
     def test_exact_zero_at_scan_start(self):
-        roots, _ = find_roots(lambda x: x - 0.5, 1, 3.0, step=0.25, lam_min=0.5)
+        roots, _ = find_roots(lambda x: x - 0.5, 1, 3.0, step=0.5)
         assert roots == [0.5]
 
     def test_stops_at_count(self):
-        # The dip at x = 1 and the root at 1.105 lie inside the first chunk
-        # but after the first root: a scan that stops at the requested count
-        # neither reports the dip nor refines the second bracket.
+        # The root at 1.105 lies inside the first chunk but after the first
+        # root: a scan that stops at the requested count does not refine its
+        # bracket.
         f = Counted(lambda x: (x - 0.505) * ((x - 1.0) ** 2 + 1e-12) * (x - 1.105))
-        roots, diagnostics = find_roots(f, 1, 10.0)
+        roots, _ = find_roots(f, 1, 10.0)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.505, abs=1e-15)
-        assert diagnostics == []
         assert len(f.batches) > 1
-        # Every later call holds the one bracket's path, all of it below the dip.
+        # Every later call holds the one bracket's path, all of it below 1.
         assert all(batch.size <= _PATH_LEVELS and batch.max() < 1.0 for batch in f.batches[1:])
 
     def test_root_count_error_carries_found_roots(self):
@@ -136,14 +121,53 @@ class TestFindRoots:
         assert err.lam_max == 3.2
         assert np.allclose(err.found, [1.0, 2.0, 3.0], atol=1e-12)
 
-    def test_possible_double_root_flagged(self):
-        def f(x):
-            return (x - 1.505) * ((x - 1.0) ** 2 + 1e-12)
+    def test_count_reached_on_a_chunks_last_point_scans_one_chunk(self):
+        # Grid indices 126 and 127 are 1.27 and 1.28; 127 ends the first chunk.
+        f = Counted(lambda x: x - 1.2731)
+        roots, _ = find_roots(f, 1, 10.0)
+        assert roots[0] == pytest.approx(1.2731, abs=1e-15)
+        assert f.batches[0].size == 128
+        assert all(batch.size <= _PATH_LEVELS for batch in f.batches[1:])
 
-        roots, diagnostics = find_roots(f, 1, 10.0)
-        assert roots[0] == pytest.approx(1.505, abs=1e-15)
-        assert [d.kind for d in diagnostics] == ["possible_double_root"]
-        assert diagnostics[0].lam == pytest.approx(1.0, abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        zeros=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 126, 127, 128, 129, 254, 255, 256, 257, 300]),
+                st.sampled_from([0.0, 1e-9, 0.5, 1.0 - 1e-9]),
+            ),
+            max_size=5,
+        ),
+        nan_at=st.sampled_from([None, 127, 128, 256]),
+        count=st.integers(1, 5),
+        lam_max=st.sampled_from([1.28, 1.29, 2.56, 2.57, 3.5]),
+    )
+    # Exact zeros at the last point of a chunk and the first of the next.
+    @example(zeros=[(127, 0.0), (128, 0.0)], nan_at=None, count=2, lam_max=3.5)
+    # The count is reached on a chunk's last point.
+    @example(zeros=[(126, 0.5)], nan_at=None, count=1, lam_max=3.5)
+    @example(zeros=[(3, 0.5), (254, 0.5)], nan_at=None, count=2, lam_max=3.5)
+    def test_chunk_boundaries_match_pointwise_scan(self, zeros, nan_at, count, lam_max):
+        # Zeros lie on grid point j (offset 0) or inside the cell after it.
+        step = DEFAULT_STEP
+        roots = [step + j * step + frac * step for j, frac in zeros]
+        nan_lam = None if nan_at is None else step + nan_at * step
+
+        def h(x):
+            if x == nan_lam:
+                return math.nan
+            return math.prod(x - r for r in roots)
+
+        def f(lams):
+            return np.array([h(x) for x in lams.tolist()])
+
+        reference = _pointwise_roots(h, count, lam_max)
+        if len(reference) < count:
+            with pytest.raises(RootCountError) as info:
+                find_roots(f, count, lam_max)
+            assert info.value.found == reference
+        else:
+            assert find_roots(f, count, lam_max)[0] == reference
 
     @pytest.mark.parametrize(
         "problem",
@@ -156,7 +180,7 @@ class TestFindRoots:
     def test_matches_pointwise_scan_bit_for_bit(self, problem):
         count = 6
         lam_max = count + problem.m + 5
-        batched = find_roots(lambda lams: char_det(problem, lams), count, lam_max)
+        batched, _ = find_roots(lambda lams: char_det(problem, lams), count, lam_max)
         pointwise = _pointwise_roots(lambda lam: char_det(problem, lam), count, lam_max)
         assert batched == pointwise
 
@@ -171,7 +195,7 @@ class TestFindRoots:
             return bisect(seen[-1], *args)
 
         monkeypatch.setattr(rootfind, "bisect", counted_bisect)
-        roots, _ = first_roots(char_det, problem, 5)
+        roots = first_roots(char_det, problem, 5)
         assert len(roots) == 5
         assert len(seen) == 1
         assert len(seen[0].batches) <= 8
