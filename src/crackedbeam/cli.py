@@ -9,6 +9,7 @@ files can be parsed and re-emitted byte-identically for diff-based testing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -265,6 +266,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crackedbeam",

@@ -6,9 +6,10 @@ each slope jump by the inverse flexibility, which is what ties the spring
 model to the spectrum: Rayleigh quotients of true modes equal lambda**4.
 
 Everything here consumes objects exposing ``eval(x, order, side)``, which
-takes a point or an array of points; a one-sided value at a point is
-``float(f.eval(x, order, side))``.  Both solver outputs and the light
-adapters below qualify.  :func:`verify` gathers every check into one report.
+takes a point or an array of points; every check reads its one-sided values
+in arrays, one evaluation per derivative order and side.  Both solver
+outputs and the light adapters below qualify.  :func:`verify` gathers every
+check into one report.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ ODE_SAMPLES_PER_INTERVAL = 20
 
 #: Points of the uniform grid on [0, pi] where two solvers' modes are compared.
 CROSS_GRID_POINTS = 200
+
+#: Boundary and junction residual families, in report order; the last four
+#: hold one value per crack.
+FAMILIES = ("bc_left", "bc_right", "moment_left", "moment_right",
+            "jump_disp", "jump_moment", "jump_shear", "crack_law")
 
 
 class FunctionOnPartition:
@@ -66,18 +72,27 @@ def h_inner(u, v, rule: QuadratureRule) -> float:
     return rule.integrate(np.asarray(u.eval(rule.nodes)) * np.asarray(v.eval(rule.nodes)))
 
 
-def _jump(f, x: float, order: int) -> float:
-    return float(f.eval(x, order, "R")) - float(f.eval(x, order, "L"))
+def _jumps(f, xs, order: int) -> np.ndarray:
+    """Right minus left limit of the order-th derivative at each point of ``xs``."""
+    xs = np.asarray(xs, dtype=float)
+    return np.asarray(f.eval(xs, order, "R")) - np.asarray(f.eval(xs, order, "L"))
+
+
+def _energy(u, v, problem: BeamProblem, rule: QuadratureRule, weights) -> float:
+    """Curvature pairing plus each crack's slope-jump product divided by its weight."""
+    acc = rule.integrate(
+        np.asarray(u.eval(rule.nodes, order=2)) * np.asarray(v.eval(rule.nodes, order=2))
+    )
+    products = _jumps(u, problem.positions, 1) * _jumps(v, problem.positions, 1)
+    # One crack at a time, in order: a pairwise sum would round differently.
+    for term in (products / np.asarray(weights, dtype=float)).tolist():
+        acc += term
+    return float(acc)
 
 
 def v_inner(u, v, problem: BeamProblem, rule: QuadratureRule) -> float:
     """Energy-space inner product: curvature pairing plus slope-jump products."""
-    acc = rule.integrate(
-        np.asarray(u.eval(rule.nodes, order=2)) * np.asarray(v.eval(rule.nodes, order=2))
-    )
-    for x in problem.positions:
-        acc += _jump(u, x, 1) * _jump(v, x, 1)
-    return float(acc)
+    return _energy(u, v, problem, rule, 1.0)
 
 
 def a_form(u, v, problem: BeamProblem, rule: QuadratureRule) -> float:
@@ -85,12 +100,7 @@ def a_form(u, v, problem: BeamProblem, rule: QuadratureRule) -> float:
     for i, theta in enumerate(problem.flexibilities):
         if theta <= 0.0:
             raise ValidationError(f"theta_{i + 1} = {theta} must be positive in the energy form")
-    acc = rule.integrate(
-        np.asarray(u.eval(rule.nodes, order=2)) * np.asarray(v.eval(rule.nodes, order=2))
-    )
-    for x, theta in zip(problem.positions, problem.flexibilities):
-        acc += _jump(u, x, 1) * _jump(v, x, 1) / theta
-    return float(acc)
+    return _energy(u, v, problem, rule, problem.flexibilities)
 
 
 def coercivity_probe(u, problem: BeamProblem, rule: QuadratureRule) -> float:
@@ -133,35 +143,20 @@ class ResidualReport:
     scale: float = 1.0
     lam: float = field(default=0.0)
 
+    def _by_family(self, per_crack) -> dict:
+        out = {}
+        for name in FAMILIES:
+            value = getattr(self, name)
+            out[name] = per_crack(value) if isinstance(value, tuple) else value
+        out["ode_residual"] = self.ode_residual
+        return out
+
     def to_json_dict(self) -> dict:
-        return {
-            "bc_left": self.bc_left,
-            "bc_right": self.bc_right,
-            "moment_left": self.moment_left,
-            "moment_right": self.moment_right,
-            "jump_disp": list(self.jump_disp),
-            "jump_moment": list(self.jump_moment),
-            "jump_shear": list(self.jump_shear),
-            "crack_law": list(self.crack_law),
-            "ode_residual": self.ode_residual,
-        }
+        return self._by_family(list)
 
     def worst(self) -> dict[str, float]:
         """Scalar per family, maxing over cracks where applicable."""
-        def top(values):
-            return max(values) if values else 0.0
-
-        return {
-            "bc_left": self.bc_left,
-            "bc_right": self.bc_right,
-            "moment_left": self.moment_left,
-            "moment_right": self.moment_right,
-            "jump_disp": top(self.jump_disp),
-            "jump_moment": top(self.jump_moment),
-            "jump_shear": top(self.jump_shear),
-            "crack_law": top(self.crack_law),
-            "ode_residual": self.ode_residual,
-        }
+        return self._by_family(lambda values: max(values, default=0.0))
 
 
 def residual_report(pair, problem: BeamProblem, samples: int = ODE_SAMPLES_PER_INTERVAL) -> ResidualReport:
@@ -170,40 +165,25 @@ def residual_report(pair, problem: BeamProblem, samples: int = ODE_SAMPLES_PER_I
     Families: displacement and moment at both supports; jumps of
     displacement, moment and shear across each crack; the crack law
     J[phi'] = theta * phi''; and the interior equation phi'''' = lambda**4 phi
-    sampled on ``samples`` interior points per subinterval.
+    sampled on ``samples`` interior points per subinterval.  Support and
+    crack values come from one table of left and right limits at the
+    breakpoints, so the mode is evaluated eleven times whatever the number
+    of cracks.
     """
     lam = pair.lam
-    jump_disp, jump_moment, jump_shear, crack_law = [], [], [], []
-    for x, theta in zip(problem.positions, problem.flexibilities):
-        jump_disp.append(abs(_jump(pair, x, 0)))
-        jump_moment.append(abs(_jump(pair, x, 2)))
-        jump_shear.append(abs(_jump(pair, x, 3)))
-        crack_law.append(abs(_jump(pair, x, 1) - theta * float(pair.eval(x, 2, "R"))))
-
-    bp = problem.breakpoints
-    ode = 0.0
-    sup_d2 = 0.0
-    for left, right in zip(bp, bp[1:]):
-        inner = np.linspace(left, right, samples + 2)[1:-1]
-        phi = np.asarray(pair.eval(inner))
-        phi4 = np.asarray(pair.eval(inner, order=4))
-        ode = max(ode, float(np.max(np.abs(phi4 - lam**4 * phi))))
-        sup_d2 = max(sup_d2, float(np.max(np.abs(pair.eval(inner, order=2)))))
-    for x in bp:
-        for side in ("R", "L"):
-            sup_d2 = max(sup_d2, abs(float(pair.eval(x, 2, side))))
-
+    bp = np.asarray(problem.breakpoints)
+    left, right = ([np.asarray(pair.eval(bp, order, side)) for order in range(4)] for side in "LR")
+    jumps = [r[1:-1] - l[1:-1] for l, r in zip(left, right)]
+    crack_law = jumps[1] - np.asarray(problem.flexibilities, dtype=float) * right[2][1:-1]
+    inner = np.linspace(bp[:-1], bp[1:], samples + 2, axis=1)[:, 1:-1].ravel()
+    phi, d2, phi4 = (np.asarray(pair.eval(inner, order)) for order in (0, 2, 4))
+    curvature = np.abs(np.concatenate([d2, left[2], right[2]]))
+    supports = np.abs([right[0][0], left[0][-1], right[2][0], left[2][-1]]).tolist()
+    cracks = [tuple(np.abs(j).tolist()) for j in (jumps[0], jumps[2], jumps[3], crack_law)]
     return ResidualReport(
-        bc_left=abs(float(pair.eval(0.0, 0, "R"))),
-        bc_right=abs(float(pair.eval(bp[-1], 0, "L"))),
-        moment_left=abs(float(pair.eval(0.0, 2, "R"))),
-        moment_right=abs(float(pair.eval(bp[-1], 2, "L"))),
-        jump_disp=tuple(jump_disp),
-        jump_moment=tuple(jump_moment),
-        jump_shear=tuple(jump_shear),
-        crack_law=tuple(crack_law),
-        ode_residual=ode,
-        scale=max(1.0, sup_d2),
+        **dict(zip(FAMILIES, supports + cracks)),
+        ode_residual=float(np.max(np.abs(phi4 - lam**4 * phi))),
+        scale=max(1.0, float(np.max(curvature))),
         lam=lam,
     )
 
@@ -232,15 +212,11 @@ def verify(problem: BeamProblem, spectrum, oracle) -> dict[str, float]:
     pairs = spectrum.pairs
     rule = QuadratureRule.for_problem(problem, lam=max(spectrum.lambdas.max(), 1.0))
     reports = [residual_report(p, problem) for p in pairs]
-    worst = {
-        family: max(r.worst()[family] / r.scale for r in reports)
-        for family in ("bc_left", "bc_right", "moment_left", "moment_right",
-                       "jump_disp", "jump_moment", "jump_shear", "crack_law")
-    }
+    worst = {family: max(r.worst()[family] / r.scale for r in reports) for family in FAMILIES}
     worst["ode_residual"] = max(r.ode_residual / r.lam**4 for r in reports)
-    norms = [h_inner(p, p, rule) for p in pairs]
-    worst["h_normalization"] = max(abs(h - 1.0) for h in norms)
     gram = gram_matrix(pairs, rule)
+    norms = np.diag(gram).tolist()  # h(phi, phi) for every mode
+    worst["h_normalization"] = max(abs(h - 1.0) for h in norms)
     worst["gram_identity"] = float(np.max(np.abs(gram - np.eye(len(pairs)))))
     worst["rayleigh"] = max(
         abs(a_form(p, p, problem, rule) / h - p.lam**4) / p.lam**4 for p, h in zip(pairs, norms)

@@ -492,3 +492,24 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "validation"
+
+
+class TestParser:
+    def test_calls_share_no_state(self, capsys):
+        # The parser is built once per process: options, defaults and usage
+        # errors of one call must not reach the next.
+        _, first, _ = run(capsys, "spectrum", ONE_CRACK, "--modes", "3")
+        code, _, _ = run(
+            capsys, "spectrum", TWO_CRACK, "--modes", "4", "--solver", "both",
+            "--format", "json", "--lambda-max", "20",
+        )
+        assert code == 0
+        with pytest.raises(SystemExit):
+            cli.main(["spectrum", ONE_CRACK, "--solver", "neither"])
+        capsys.readouterr()
+        code, again, _ = run(capsys, "spectrum", ONE_CRACK, "--modes", "3")
+        assert code == 0 and again == first
+        argv = ["spectrum", ONE_CRACK]
+        cached = cli._build_parser().parse_args(argv)
+        assert vars(cached) == vars(cli._build_parser.__wrapped__().parse_args(argv))
+        assert cli._build_parser() is cli._build_parser()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from crackedbeam import (
     gram_matrix,
     h_inner,
     jump_basis,
+    load_problem_file,
     residual_report,
     v_inner,
 )
@@ -287,3 +289,124 @@ class TestVerify:
         grid = np.linspace(0.0, math.pi, spectral.CROSS_GRID_POINTS)
         peak = max(float(np.max(np.abs(p.eval(grid)))) for p in one_crack_spectrum.pairs)
         assert gaps == {"cross_solver_lambda": 0.0, "cross_solver_modes": 2.0 * peak}
+
+
+# Loop references: the scalar certificate these array versions replaced,
+# kept to hold them to the same bits.
+FIXTURE_FILES = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
+
+
+def _jump(f, x: float, order: int) -> float:
+    return float(f.eval(x, order, "R")) - float(f.eval(x, order, "L"))
+
+
+def _looped_v_inner(u, v, problem, rule) -> float:
+    acc = rule.integrate(
+        np.asarray(u.eval(rule.nodes, order=2)) * np.asarray(v.eval(rule.nodes, order=2))
+    )
+    for x in problem.positions:
+        acc += _jump(u, x, 1) * _jump(v, x, 1)
+    return float(acc)
+
+
+def _looped_a_form(u, v, problem, rule) -> float:
+    acc = rule.integrate(
+        np.asarray(u.eval(rule.nodes, order=2)) * np.asarray(v.eval(rule.nodes, order=2))
+    )
+    for x, theta in zip(problem.positions, problem.flexibilities):
+        acc += _jump(u, x, 1) * _jump(v, x, 1) / theta
+    return float(acc)
+
+
+def _looped_report(pair, problem, samples=spectral.ODE_SAMPLES_PER_INTERVAL):
+    lam = pair.lam
+    jump_disp, jump_moment, jump_shear, crack_law = [], [], [], []
+    for x, theta in zip(problem.positions, problem.flexibilities):
+        jump_disp.append(abs(_jump(pair, x, 0)))
+        jump_moment.append(abs(_jump(pair, x, 2)))
+        jump_shear.append(abs(_jump(pair, x, 3)))
+        crack_law.append(abs(_jump(pair, x, 1) - theta * float(pair.eval(x, 2, "R"))))
+
+    bp = problem.breakpoints
+    ode = 0.0
+    sup_d2 = 0.0
+    for left, right in zip(bp, bp[1:]):
+        inner = np.linspace(left, right, samples + 2)[1:-1]
+        phi = np.asarray(pair.eval(inner))
+        phi4 = np.asarray(pair.eval(inner, order=4))
+        ode = max(ode, float(np.max(np.abs(phi4 - lam**4 * phi))))
+        sup_d2 = max(sup_d2, float(np.max(np.abs(pair.eval(inner, order=2)))))
+    for x in bp:
+        for side in ("R", "L"):
+            sup_d2 = max(sup_d2, abs(float(pair.eval(x, 2, side))))
+
+    return spectral.ResidualReport(
+        bc_left=abs(float(pair.eval(0.0, 0, "R"))),
+        bc_right=abs(float(pair.eval(bp[-1], 0, "L"))),
+        moment_left=abs(float(pair.eval(0.0, 2, "R"))),
+        moment_right=abs(float(pair.eval(bp[-1], 2, "L"))),
+        jump_disp=tuple(jump_disp),
+        jump_moment=tuple(jump_moment),
+        jump_shear=tuple(jump_shear),
+        crack_law=tuple(crack_law),
+        ode_residual=ode,
+        scale=max(1.0, sup_d2),
+        lam=lam,
+    )
+
+
+def _assert_reports_match_loop(problem, spectrum):
+    # Both mode forms: the piecewise form every solver returns and, for the
+    # jump-amplitude solver, its own form.
+    forms = list(spectrum.pairs) + [p.shifrin for p in spectrum.pairs if p.shifrin is not None]
+    for form in forms:
+        got, want = residual_report(form, problem), _looped_report(form, problem)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert (got.scale, got.lam) == (want.scale, want.lam)
+        assert all(type(v) is float for v in got.worst().values())
+
+
+class _CountingMode:
+    """A mode that counts its evaluations."""
+
+    def __init__(self, pair):
+        self.pair, self.lam, self.calls = pair, pair.lam, 0
+
+    def eval(self, x, order=0, side="R"):
+        self.calls += 1
+        return self.pair.eval(x, order, side)
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("count", [5, 20])
+    @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
+    def test_fixture_reports_equal_the_loop(self, path, count):
+        problem, _, _ = load_problem_file(str(path))
+        _assert_reports_match_loop(problem, compute_spectrum(problem, count))
+        _assert_reports_match_loop(problem, transition.oracle_eigenpairs(problem, count))
+
+    def test_thirty_crack_reports_equal_the_loop(self, thirty_crack_problem):
+        problem = thirty_crack_problem
+        _assert_reports_match_loop(problem, compute_spectrum(problem, 5))
+        _assert_reports_match_loop(problem, transition.oracle_eigenpairs(problem, 5))
+
+    @pytest.mark.parametrize("name", ["two_crack_problem", "thirty_crack_problem"])
+    def test_energy_forms_equal_the_loop(self, name, request):
+        problem = request.getfixturevalue(name)
+        rule = QuadratureRule.for_problem(problem, lam=5.0)
+        family = [sine(k) for k in range(1, 6)]
+        family += [jump_basis(problem, i) for i in range(1, problem.m + 1)]
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            u = Superposition(list(zip(rng.standard_normal(len(family)), family)))
+            v = Superposition(list(zip(rng.standard_normal(len(family)), family)))
+            for w in (u, v, family[0], family[-1]):
+                assert v_inner(u, w, problem, rule) == _looped_v_inner(u, w, problem, rule)
+                assert a_form(u, w, problem, rule) == _looped_a_form(u, w, problem, rule)
+
+    @pytest.mark.parametrize("name", ["one_crack_problem", "thirty_crack_problem"])
+    def test_eleven_evaluations_whatever_the_crack_count(self, name, request):
+        problem = request.getfixturevalue(name)
+        mode = _CountingMode(compute_spectrum(problem, 1).pairs[0])
+        residual_report(mode, problem)
+        assert mode.calls == 11
