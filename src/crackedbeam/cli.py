@@ -21,12 +21,16 @@ from . import shifrin, spectral, transition
 from .beam_model import BeamProblem, ValidationError, finite_real, load_problem_file
 from .modes import normalize_eigenpair
 from .quadrature import QuadratureRule
-from .rootfind import DEFAULT_STEP, MIN_WAVENUMBER, RootCountError
+from .rootfind import DEFAULT_STEP, MAX_WAVENUMBER, MIN_WAVENUMBER, RootCountError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_ROOTS = 3
 EXIT_VERIFY = 4
+
+# Most grid points one det-scan evaluates; a scan holds every row in memory
+# until it writes them.
+_MAX_SCAN_POINTS = 100_000
 
 #: Verification thresholds; residual families are relative to the report's
 #: curvature scale and the ODE residual is relative to lambda**4.
@@ -74,8 +78,6 @@ def _round15(x: float) -> float:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return _fmt_float(value)
     return str(value)
@@ -200,13 +202,18 @@ def cmd_det_scan(args: argparse.Namespace) -> int:
         raise ValidationError("scan range is reversed")
     if args.step <= 0.0:
         raise ValidationError("scan step must be positive")
-    n_steps = int(round(_scan_steps(args.lambda_min, args.lambda_max, args.step)))
-    grid = [args.lambda_min + k * args.step for k in range(n_steps + 1)]
-    dets_s = shifrin.char_det(problem, np.array(grid)).tolist()
-    dets_t = transition.boundary_det(problem, np.array(grid)).tolist()
+    n_points = int(round(_scan_steps(args.lambda_min, args.lambda_max, args.step))) + 1
+    if n_points > _MAX_SCAN_POINTS:
+        raise ValidationError("--lambda-max spans too many scan steps")
+    last = args.lambda_min + (n_points - 1) * args.step  # up to half a step past --lambda-max
+    if max(args.lambda_max, last) > MAX_WAVENUMBER:
+        raise ValidationError(f"scan must end at a wavenumber of at most {MAX_WAVENUMBER:g}")
+    grid = args.lambda_min + np.arange(n_points) * args.step
+    dets_s = shifrin.char_det(problem, grid).tolist()
+    dets_t = transition.boundary_det(problem, grid).tolist()
     rows = []
     prev_sign = 0.0
-    for lam, det_s, det_t in zip(grid, dets_s, dets_t):
+    for lam, det_s, det_t in zip(grid.tolist(), dets_s, dets_t):
         sign = math.copysign(1.0, det_s) if det_s != 0.0 else 0.0
         changed = int(prev_sign != 0.0 and sign != 0.0 and sign != prev_sign)
         rows.append([lam, det_s, det_t, changed])

@@ -191,21 +191,14 @@ def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
     return pair.scaled(sign / norm)
 
 
-def solve(
-    problem,
-    det,
-    mode,
-    count: int,
-    lam_max: float | None = None,
-    step: float = rootfind.DEFAULT_STEP,
-) -> Spectrum:
+def solve(problem, det, mode, count: int, lam_max: float | None = None) -> Spectrum:
     """First ``count`` normalized eigenpairs of ``problem``.
 
     ``det(problem, lams)`` is a solver's characteristic determinant and
     ``mode(problem, lam)`` its eigenpair at a root, at any scale and sign.
     Each mode is normalized here to h(phi, phi) = 1 with phi'(0+) > 0.
     """
-    roots = rootfind.first_roots(det, problem, count, lam_max, step)
+    roots = rootfind.first_roots(det, problem, count, lam_max)
     pairs = [mode(problem, lam) for lam in roots]
-    rules = [QuadratureRule.for_problem(problem, lam=lam) for lam in roots]
+    rules = [QuadratureRule.for_problem(problem, lam) for lam in roots]
     return Spectrum(tuple(map(normalize_eigenpair, pairs, rules)))

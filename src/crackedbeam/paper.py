@@ -24,7 +24,6 @@ from .modes import is_right_side
 class JumpBasis:
     """Piecewise-linear w_i: zero at both supports, unit slope jump at x_i."""
 
-    index: int
     breakpoint: float
 
     @property
@@ -57,7 +56,7 @@ def jump_basis(problem: BeamProblem, i: int) -> JumpBasis:
     """The i-th (1-based) jump basis function of a problem."""
     if not 1 <= i <= problem.m:
         raise IndexError(f"crack index {i} out of range 1..{problem.m}")
-    return JumpBasis(index=i, breakpoint=problem.positions[i - 1])
+    return JumpBasis(breakpoint=problem.positions[i - 1])
 
 
 def basis_eval(problem: BeamProblem, i: int, x, order: int = 0, side: str = "R"):

@@ -14,13 +14,13 @@ from math import ceil
 
 import numpy as np
 
-DEFAULT_ORDER = 16
+ORDER = 16
 MAX_PHASE_PER_PANEL = 4.0
 
 
 @lru_cache(maxsize=None)
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(ORDER)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -32,24 +32,18 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    breakpoints: tuple[float, ...]
 
     @classmethod
-    def on_partition(
-        cls,
-        breakpoints,
-        lam: float = 1.0,
-        order: int = DEFAULT_ORDER,
-    ) -> "QuadratureRule":
-        """Composite rule over consecutive [b_i, b_{i+1}] panels.
+    def for_problem(cls, problem, lam: float) -> "QuadratureRule":
+        """Composite rule over the panels between consecutive breakpoints of ``problem``.
 
         ``lam`` sets the oscillation scale: each subinterval is split so no
         panel sees more than MAX_PHASE_PER_PANEL radians of phase.
         """
-        bp = tuple(float(b) for b in breakpoints)
+        bp = tuple(float(b) for b in problem.breakpoints)
         if len(bp) < 2 or any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing with length >= 2")
-        ref_x, ref_w = _gauss_nodes(order)
+        ref_x, ref_w = _gauss_nodes()
         xs, ws = [], []
         for left, right in zip(bp, bp[1:]):
             length = right - left
@@ -63,11 +57,7 @@ class QuadratureRule:
         weights = np.concatenate(ws)
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        return cls(nodes=nodes, weights=weights, breakpoints=bp)
-
-    @classmethod
-    def for_problem(cls, problem, lam: float = 1.0, order: int = DEFAULT_ORDER) -> "QuadratureRule":
-        return cls.on_partition(problem.breakpoints, lam=lam, order=order)
+        return cls(nodes=nodes, weights=weights)
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum of function values sampled at ``self.nodes``."""

@@ -45,6 +45,10 @@ _PATH_LEVELS = 10
 # divides by zero.
 MIN_WAVENUMBER = 1e-100
 
+# Largest wavenumber a determinant accepts.  Its cube must be finite: from
+# about 5.6e102 the cube overflows in the state map.
+MAX_WAVENUMBER = 1e100
+
 # Matrix entries one batched determinant call may hold in a stack (256 KiB of
 # doubles); with many cracks this caps the wavenumbers per stack, and with it
 # the peak memory of a solve.
@@ -154,13 +158,15 @@ def blockwise(fn, lams, entries_per_lam: int):
     builds ``entries_per_lam`` stack entries for each; slices are sized to
     keep that within ``_STACK_ENTRIES``.  A scalar ``lams`` gives a float,
     an array gives an array of its shape; a nonpositive wavenumber, or one
-    below ``MIN_WAVENUMBER``, raises ValueError.
+    below ``MIN_WAVENUMBER`` or above ``MAX_WAVENUMBER``, raises ValueError.
     """
     arr = np.asarray(lams, dtype=float)
     if (arr < MIN_WAVENUMBER).any():
         if (arr <= 0.0).any():
             raise ValueError("wavenumber must be positive")
         raise ValueError(f"wavenumber must be at least {MIN_WAVENUMBER:g}")
+    if (arr > MAX_WAVENUMBER).any():
+        raise ValueError(f"wavenumber must be at most {MAX_WAVENUMBER:g}")
     flat = arr.reshape(-1)
     out = np.empty(flat.size)
     block = max(1, _STACK_ENTRIES // entries_per_lam)
@@ -214,7 +220,7 @@ def find_roots(f, count: int, lam_max: float, step: float = DEFAULT_STEP):
     return roots, []
 
 
-def first_roots(det, problem, count: int, lam_max: float | None = None, step: float = DEFAULT_STEP):
+def first_roots(det, problem, count: int, lam_max: float | None = None):
     """First ``count`` roots of ``det(problem, lams)``.
 
     The scan ceiling defaults to ``count + m + 5`` for a problem with m
@@ -224,4 +230,4 @@ def first_roots(det, problem, count: int, lam_max: float | None = None, step: fl
         raise ValueError("count must be at least 1")
     if lam_max is None:
         lam_max = count + problem.m + 5
-    return find_roots(lambda lams: det(problem, lams), count, lam_max, step=step)[0]
+    return find_roots(lambda lams: det(problem, lams), count, lam_max)[0]

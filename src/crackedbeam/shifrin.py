@@ -213,14 +213,9 @@ def char_det(problem: BeamProblem, lams):
     )
 
 
-def find_eigenvalues(
-    problem: BeamProblem,
-    count: int,
-    lam_max: float | None = None,
-    step: float = rootfind.DEFAULT_STEP,
-) -> list[float]:
+def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:
     """First ``count`` eigenvalue wavenumbers, by scan plus bisection."""
-    return rootfind.first_roots(char_det, problem, count, lam_max, step)
+    return rootfind.first_roots(char_det, problem, count, lam_max)
 
 
 def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
@@ -268,11 +263,6 @@ def _nullspace_mode(problem: BeamProblem, lam: float) -> Eigenpair:
     return build_eigenfunction(problem, solve_nullspace(problem, lam))
 
 
-def compute_spectrum(
-    problem: BeamProblem,
-    count: int,
-    lam_max: float | None = None,
-    step: float = rootfind.DEFAULT_STEP,
-) -> Spectrum:
+def compute_spectrum(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:
     """First ``count`` normalized modes: roots of char_det, then their nullspaces."""
-    return modes.solve(problem, char_det, _nullspace_mode, count, lam_max, step)
+    return modes.solve(problem, char_det, _nullspace_mode, count, lam_max)

@@ -15,7 +15,7 @@ check into one report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,8 +140,8 @@ class ResidualReport:
     jump_shear: tuple[float, ...]
     crack_law: tuple[float, ...]
     ode_residual: float
-    scale: float = 1.0
-    lam: float = field(default=0.0)
+    scale: float
+    lam: float
 
     def _by_family(self, per_crack) -> dict:
         out = {}
@@ -159,23 +159,23 @@ class ResidualReport:
         return self._by_family(lambda values: max(values, default=0.0))
 
 
-def residual_report(pair, problem: BeamProblem, samples: int = ODE_SAMPLES_PER_INTERVAL) -> ResidualReport:
+def residual_report(pair, problem: BeamProblem) -> ResidualReport:
     """Check one mode against every defining condition.
 
     Families: displacement and moment at both supports; jumps of
     displacement, moment and shear across each crack; the crack law
     J[phi'] = theta * phi''; and the interior equation phi'''' = lambda**4 phi
-    sampled on ``samples`` interior points per subinterval.  Support and
-    crack values come from one table of left and right limits at the
-    breakpoints, so the mode is evaluated eleven times whatever the number
-    of cracks.
+    sampled on ``ODE_SAMPLES_PER_INTERVAL`` interior points per subinterval.
+    Support and crack values come from one table of left and right limits at
+    the breakpoints, so the mode is evaluated eleven times whatever the
+    number of cracks.
     """
     lam = pair.lam
     bp = np.asarray(problem.breakpoints)
     left, right = ([np.asarray(pair.eval(bp, order, side)) for order in range(4)] for side in "LR")
     jumps = [r[1:-1] - l[1:-1] for l, r in zip(left, right)]
     crack_law = jumps[1] - np.asarray(problem.flexibilities, dtype=float) * right[2][1:-1]
-    inner = np.linspace(bp[:-1], bp[1:], samples + 2, axis=1)[:, 1:-1].ravel()
+    inner = np.linspace(bp[:-1], bp[1:], ODE_SAMPLES_PER_INTERVAL + 2, axis=1)[:, 1:-1].ravel()
     phi, d2, phi4 = (np.asarray(pair.eval(inner, order)) for order in (0, 2, 4))
     curvature = np.abs(np.concatenate([d2, left[2], right[2]]))
     supports = np.abs([right[0][0], left[0][-1], right[2][0], left[2][-1]]).tolist()

@@ -88,14 +88,9 @@ def boundary_det(problem: BeamProblem, lams):
     )
 
 
-def find_eigenvalues(
-    problem: BeamProblem,
-    count: int,
-    lam_max: float | None = None,
-    step: float = rootfind.DEFAULT_STEP,
-) -> list[float]:
+def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:
     """First ``count`` eigenvalue wavenumbers by scanning boundary_det."""
-    return rootfind.first_roots(boundary_det, problem, count, lam_max, step)
+    return rootfind.first_roots(boundary_det, problem, count, lam_max)
 
 
 def _mode_from_root(problem: BeamProblem, lam: float) -> Eigenpair:
@@ -115,11 +110,6 @@ def _mode_from_root(problem: BeamProblem, lam: float) -> Eigenpair:
     return Eigenpair(lam=lam, piecewise=pw)
 
 
-def oracle_eigenpairs(
-    problem: BeamProblem,
-    count: int,
-    lam_max: float | None = None,
-    step: float = rootfind.DEFAULT_STEP,
-) -> Spectrum:
+def oracle_eigenpairs(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:
     """Spectrum computed wholly by the transition-matrix route."""
-    return modes.solve(problem, boundary_det, _mode_from_root, count, lam_max, step)
+    return modes.solve(problem, boundary_det, _mode_from_root, count, lam_max)

@@ -389,6 +389,29 @@ class TestErrorPaths:
                 "--lambda-max spans too many scan steps",
             ),
             (
+                ("det-scan", ONE_CRACK, "--lambda-max", "1e9"),
+                None,
+                "--lambda-max spans too many scan steps",
+            ),
+            (
+                ("det-scan", ONE_CRACK, "--lambda-min", "1e103", "--lambda-max", "1e103"),
+                None,
+                "scan must end at a wavenumber of at most 1e+100",
+            ),
+            (
+                ("det-scan", ONE_CRACK, "--lambda-min", "1e308", "--lambda-max", "1e308",
+                 "--step", "1e-300"),
+                None,
+                "scan must end at a wavenumber of at most 1e+100",
+            ),
+            (
+                # 1.67 steps round to 2: the last point, 1.2e100, lies past --lambda-max.
+                ("det-scan", ONE_CRACK, "--lambda-min", "1", "--lambda-max", "1e100",
+                 "--step", "6e99"),
+                None,
+                "scan must end at a wavenumber of at most 1e+100",
+            ),
+            (
                 ("det-scan", ONE_CRACK, "--lambda-min", "nan"),
                 None,
                 "--lambda-min must be a finite number, not nan",
@@ -437,6 +460,10 @@ class TestErrorPaths:
             "frequencies-lambda-max-overflow",
             "validate-lambda-max-overflow",
             "det-scan-lambda-max-overflow",
+            "det-scan-too-many-points",
+            "det-scan-above-ceiling",
+            "det-scan-far-above-ceiling",
+            "det-scan-last-point-above-ceiling",
             "det-scan-lambda-min-nan",
             "det-scan-step-nan",
             "det-scan-lambda-min-underflow",

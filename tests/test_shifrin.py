@@ -260,6 +260,12 @@ class TestCharDet:
         with pytest.raises(ValueError, match="at least 1e-100"):
             char_det(mid_crack, np.array([1.0, 9.9e-101]))
 
+    def test_rejects_wavenumber_above_ceiling(self, mid_crack):
+        with pytest.raises(ValueError, match="at most 1e\\+100"):
+            char_det(mid_crack, 1e101)
+        with pytest.raises(ValueError, match="at most 1e\\+100"):
+            char_det(mid_crack, np.array([1.0, 1e101]))
+
     @pytest.mark.parametrize(
         "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
     )

@@ -153,6 +153,12 @@ class TestBoundaryDet:
         with pytest.raises(ValueError, match="at least 1e-100"):
             boundary_det(one_crack_problem, np.array([2.0, 9.9e-101]))
 
+    def test_rejects_wavenumber_above_ceiling(self, one_crack_problem):
+        with pytest.raises(ValueError, match="at most 1e\\+100"):
+            boundary_det(one_crack_problem, 1e101)
+        with pytest.raises(ValueError, match="at most 1e\\+100"):
+            boundary_det(one_crack_problem, np.array([2.0, 1e101]))
+
     @pytest.mark.parametrize(
         "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
     )
