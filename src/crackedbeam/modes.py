@@ -11,8 +11,9 @@ are stated once here for both solvers.  A mode is read through
 ``eval(x, order, side)`` alone, at a point or an array of points.
 
 The solvers differ only in their characteristic determinant and in how they
-recover a mode at a root; :func:`solve` does everything else once: it finds
-the roots, then normalizes each mode in the displacement space.
+recover the modes at its roots; :func:`solve` does everything else once, for all
+roots together.  :func:`normalize_eigenpair`, ``solve_nullspace``, ``build_eigenfunction``
+and ``transition._mode_from_root`` are the one-root slices of that batched code.
 """
 
 from __future__ import annotations
@@ -75,10 +76,14 @@ def local_state_matrix(lam, xi: float) -> np.ndarray:
     ``lam`` may also be an array of wavenumbers; the result then holds one
     4x4 matrix per entry along its leading axes.
     """
-    lam = np.asarray(lam, dtype=float)
-    basis = _basis(lam * xi)
+    return _state_matrix(_powers(np.asarray(lam, dtype=float)), xi)
+
+
+def _state_matrix(powers: np.ndarray, xi) -> np.ndarray:
+    """:func:`local_state_matrix` from the wavenumbers' ``_powers``."""
+    basis = _basis(powers[..., 1] * xi)
     rows = np.moveaxis(np.array([_basis_rows(basis, k) for k in range(4)]), (0, 1), (-2, -1))
-    return _powers(lam)[..., :, None] * np.ascontiguousarray(rows)
+    return powers[..., :, None] * np.ascontiguousarray(rows)
 
 
 def coefficients_from_state(lam, state) -> np.ndarray:
@@ -88,15 +93,24 @@ def coefficients_from_state(lam, state) -> np.ndarray:
     leading axes.  The value fixes B + D, the slope A + C, and the second
     and third derivatives split the pairs, so the inverse is explicit.
     """
-    powers = _powers(np.asarray(lam, dtype=float))
+    return _from_state(_powers(np.asarray(lam, dtype=float)), state)
+
+
+def _from_state(powers: np.ndarray, state) -> np.ndarray:
+    """:func:`coefficients_from_state` from the wavenumbers' ``_powers``."""
     lam1, lam2, lam3 = powers[..., 1], powers[..., 2], powers[..., 3]
-    state = np.asarray(state, dtype=float)
-    s0, s1, s2, s3 = state[..., 0], state[..., 1], state[..., 2], state[..., 3]
+    s0, s1, s2, s3 = np.moveaxis(np.asarray(state, dtype=float), -1, 0)
     a = 0.5 * s1 / lam1 - 0.5 * s3 / lam3
     b = 0.5 * s0 - 0.5 * s2 / lam2
     c = 0.5 * s1 / lam1 + 0.5 * s3 / lam3
     d = 0.5 * s0 + 0.5 * s2 / lam2
     return np.stack([a, b, c, d], axis=-1)
+
+
+def _local_values(lam, scale, xi: np.ndarray, co: np.ndarray, order: int) -> np.ndarray:
+    """Order-th derivative of the rows ``co`` at phase ``lam * xi``; ``scale`` is lam**order."""
+    fa, fb, fc, fd = _basis_rows(_basis(lam * xi), order)
+    return scale * (co[:, 0] * fa + co[:, 1] * fb + co[:, 2] * fc + co[:, 3] * fd)
 
 
 @dataclass(frozen=True)
@@ -132,14 +146,11 @@ class PiecewiseForm:
         derivatives may jump.
         """
         xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
         xf = np.atleast_1d(xa)
         idx = self._intervals(xf, side)
         xi = xf - self.breakpoints[idx]
-        fa, fb, fc, fd = _basis_rows(_basis(self.lam * xi), order)
-        co = self.coefficients[idx]
-        out = self.lam**order * (co[:, 0] * fa + co[:, 1] * fb + co[:, 2] * fc + co[:, 3] * fd)
-        return float(out[0]) if scalar else out
+        out = _local_values(self.lam, self.lam**order, xi, self.coefficients[idx], order)
+        return float(out[0]) if xa.ndim == 0 else out
 
     def scaled(self, factor: float) -> "PiecewiseForm":
         return replace(self, coefficients=self.coefficients * factor)
@@ -176,29 +187,39 @@ def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
     """Rescale to unit displacement norm with a positive slope at the left end.
 
     When the left slope vanishes (possible only in degenerate constructions)
-    the sign falls back to the third derivative there.
+    the sign falls back to the third derivative there (one-pair :func:`_normalized`).
     """
-    values = pair.eval(rule.nodes)
-    norm = float(np.sqrt(rule.integrate(values**2)))
-    if norm == 0.0:
+    return _normalized([pair], [rule])[0]
+
+
+def _normalized(pairs: list[Eigenpair], rules: list[QuadratureRule]) -> list[Eigenpair]:
+    """:func:`normalize_eigenpair` of pairs on one partition, all evaluated in one call."""
+    first, lams = pairs[0].piecewise, np.array([pair.lam for pair in pairs])
+    n_rows, sizes = len(first.coefficients), [rule.nodes.size for rule in rules]
+    rows = np.concatenate([pair.piecewise.coefficients for pair in pairs])
+    nodes = np.concatenate([rule.nodes for rule in rules])
+    idx = first._intervals(nodes, "R")
+    co = rows[np.repeat(np.arange(len(pairs)) * n_rows, sizes) + idx]
+    values = _local_values(np.repeat(lams, sizes), 1.0, nodes - first.breakpoints[idx], co, 0)
+    # One dot product per pair over its own slice, as a single pair would take it.
+    parts = np.split(values**2, np.cumsum(sizes)[:-1])
+    norms = [float(np.sqrt(rule.integrate(part))) for rule, part in zip(rules, parts)]
+    if 0.0 in norms:
         raise ValueError("cannot normalize the zero function")
-    sign = 1.0
-    for order in (1, 3):
-        probe = float(pair.eval(0.0, order, "R"))
-        if probe != 0.0:
-            sign = 1.0 if probe > 0.0 else -1.0
-            break
-    return pair.scaled(sign / norm)
+    # phi'(0+), or phi'''(0+) where it vanishes, on each first interval (x = 0 is its left end).
+    x0 = 0.0 - first.breakpoints[0]
+    slope, third = (_local_values(lams, _powers(lams)[:, k], x0, rows[::n_rows], k) for k in (1, 3))
+    up = (np.where(slope != 0.0, slope, np.where(third != 0.0, third, 1.0)) > 0.0).tolist()
+    return [pair.scaled((1.0 if u else -1.0) / norm) for pair, u, norm in zip(pairs, up, norms)]
 
 
-def solve(problem, det, mode, count: int, lam_max: float | None = None) -> Spectrum:
-    """First ``count`` normalized eigenpairs of ``problem``.
+def solve(problem, det, recover, count: int, lam_max: float | None = None) -> Spectrum:
+    """First ``count`` eigenpairs of ``problem``, all recovered in one call and normalized together.
 
-    ``det(problem, lams)`` is a solver's characteristic determinant and
-    ``mode(problem, lam)`` its eigenpair at a root, at any scale and sign.
-    Each mode is normalized here to h(phi, phi) = 1 with phi'(0+) > 0.
+    ``det(problem, lams)`` is a solver's characteristic determinant and ``recover(problem,
+    lams)`` its eigenpairs, at any scale and sign, at the 1-D array of its roots.
     """
     roots = rootfind.first_roots(det, problem, count, lam_max)
-    pairs = [mode(problem, lam) for lam in roots]
+    pairs = recover(problem, np.array(roots))
     rules = [QuadratureRule.for_problem(problem, lam) for lam in roots]
-    return Spectrum(tuple(map(normalize_eigenpair, pairs, rules)))
+    return Spectrum(tuple(_normalized(pairs, rules)))

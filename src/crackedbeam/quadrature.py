@@ -44,17 +44,16 @@ class QuadratureRule:
         if len(bp) < 2 or any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing with length >= 2")
         ref_x, ref_w = _gauss_nodes()
-        xs, ws = [], []
-        for left, right in zip(bp, bp[1:]):
-            length = right - left
-            n_panels = max(1, ceil(abs(lam) * length / MAX_PHASE_PER_PANEL))
-            edges = np.linspace(left, right, n_panels + 1)
-            for a, b in zip(edges, edges[1:]):
-                half = 0.5 * (b - a)
-                xs.append(half * ref_x + 0.5 * (a + b))
-                ws.append(half * ref_w)
-        nodes = np.concatenate(xs)
-        weights = np.concatenate(ws)
+        lengths = np.diff(bp)
+        counts = [max(1, ceil(abs(lam) * h / MAX_PHASE_PER_PANEL)) for h in lengths.tolist()]
+        sub = np.repeat(np.arange(len(counts)), counts)
+        j = np.arange(len(sub)) - np.repeat(np.cumsum(counts) - counts, counts)
+        # The edges np.linspace(left, right, count + 1) puts in each subinterval:
+        # left + j * (length / count), and right, which is the next one's left.
+        edges = np.append(j * (lengths / counts)[sub] + np.array(bp[:-1])[sub], bp[-1])
+        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[:-1] + edges[1:])
+        nodes = (half[:, None] * ref_x + mid[:, None]).ravel()
+        weights = (half[:, None] * ref_w).ravel()
         nodes.setflags(write=False)
         weights.setflags(write=False)
         return cls(nodes=nodes, weights=weights)

@@ -40,14 +40,33 @@ from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it 
 DEGENERACY_RATIO = 1e-8
 
 
-def _jump_response(lam: float, xi: np.ndarray, order: int) -> np.ndarray:
-    """Order-th derivative of (sin + sinh)(lam u)/(2 lam) at u = xi >= 0.
-
-    This is the homogeneous solution whose state at 0 is (0, 1, 0, 0): the
-    pure unit slope jump.
-    """
-    sin_part, _, sinh_part, _ = _basis_rows(_basis(lam * xi), order)
-    return lam ** (order - 1) * 0.5 * (sin_part + sinh_part)
+def _stack_values(forms: list["ShifrinForm"], x: np.ndarray, orders, side: str) -> list[np.ndarray]:
+    """Derivatives at the 1-D points ``x`` of forms sharing their cracks, (n, len(x)) per order."""
+    lams = [form.lam for form in forms]
+    lam = np.array(lams)[:, None]
+    a, b, p, q = np.array([form.coefficients for form in forms]).T[:, :, None]
+    t = lam * x
+    smooth, decaying, growing = _basis(t), p * np.exp(-t), q * np.exp(-lam * math.pi + t)
+    x_i = np.asarray(forms[0].positions, dtype=float)[:, None]
+    active = x >= x_i if is_right_side(side) else x > x_i
+    jumps = _basis(lam[:, :, None] * np.where(active, x - x_i, 0.0))
+    deltas = np.array([form.deltas for form in forms])[:, :, None]
+    out = []
+    for order in orders:
+        d_sin, d_cos, _, _ = _basis_rows(smooth, order)
+        sign = -1.0 if order % 2 else 1.0
+        # Python powers: a form in a stack gets the bits it gets alone.
+        scale, z_scale = (np.array([v**k for v in lams])[:, None] for k in (order, order - 1))
+        values = scale * (a * d_cos + b * d_sin + sign * decaying + growing)
+        # Jump response (sin + sinh)(lam u)/(2 lam): state (0, 1, 0, 0) at u = 0, a unit slope jump.
+        z_sin, _, z_sinh, _ = _basis_rows(jumps, order)
+        response = z_scale[:, :, None] * 0.5 * (z_sin + z_sinh)
+        # Cracks are added one at a time, in order: every point then sees the
+        # same sums whether it is evaluated alone or in an array.
+        for term in np.moveaxis(np.where(active, deltas * response, 0.0), 1, 0):
+            values = values + term
+        out.append(values)
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,34 +94,13 @@ class ShifrinForm:
         object.__setattr__(self, "deltas", de)
         object.__setattr__(self, "coefficients", co)
 
-    def _smooth(self, x: np.ndarray, order: int) -> np.ndarray:
-        lam = self.lam
-        a, b, p, q = self.coefficients
-        t = lam * np.asarray(x, dtype=float)
-        d_sin, d_cos, _, _ = _basis_rows(_basis(t), order)
-        trig = a * d_cos + b * d_sin
-        left = p * np.exp(-t)
-        right = q * np.exp(-lam * math.pi + t)
-        sign = -1.0 if order % 2 else 1.0
-        return lam**order * (trig + sign * left + right)
-
     def eval(self, x, order: int = 0, side: str = "R"):
         """Derivative of phi at ``x``; orders 0..4, one-sided at cracks."""
         if order not in (0, 1, 2, 3, 4):
             raise ValueError(f"order {order} not in 0..4")
         xa = np.asarray(x, dtype=float)
-        scalar = xa.ndim == 0
-        xf = np.atleast_1d(xa).astype(float)
-        from_right = is_right_side(side)
-        x_i = np.asarray(self.positions, dtype=float)[:, None]
-        active = xf >= x_i if from_right else xf > x_i
-        response = _jump_response(self.lam, np.where(active, xf - x_i, 0.0), order)
-        out = self._smooth(xf, order)
-        # Cracks are added one at a time, in order: every point then sees the
-        # same sums whether it is evaluated alone or in an array.
-        for term in np.where(active, self.deltas[:, None] * response, 0.0):
-            out = out + term
-        return float(out[0]) if scalar else out
+        out = _stack_values([self], np.atleast_1d(xa).astype(float), (order,), side)[0][0]
+        return float(out[0]) if xa.ndim == 0 else out
 
     def scaled(self, factor: float) -> "ShifrinForm":
         return replace(
@@ -219,50 +217,55 @@ def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = N
 
 
 def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
-    """Unit-norm solution of U(lam) x = 0, of either sign.
+    """Unit-norm solution of U(lam) x = 0, of either sign: one-root slice of :func:`_nullspaces`."""
+    if lam <= 0.0:
+        raise ValueError("wavenumber must be positive")
+    return _nullspaces(problem, np.array([lam], dtype=float))[0]
 
-    Rows and columns are equilibrated first (neither changes the nullspace
-    direction once the column scaling is undone); this keeps every component
-    of the nullvector resolvable even when the exact solution spans many
-    orders of magnitude.  A second near-zero singular value is reported as a
-    degenerate eigenvalue, not an error.  The sign is fixed, with the final
-    scale, by :func:`crackedbeam.modes.normalize_eigenpair`.
+
+def _nullspaces(problem: BeamProblem, lams: np.ndarray) -> list[ShifrinForm]:
+    """Unit-norm nullvectors of U(lam), of either sign, at the 1-D ``lams``, by one stacked SVD.
+
+    Rows and columns are equilibrated first (neither changes the nullspace direction once
+    the column scaling is undone); this keeps every component of the nullvector resolvable
+    even when the exact solution spans many orders of magnitude.  A second near-zero
+    singular value is reported as a degenerate eigenvalue at that root, not an error.
     """
-    mat = _equilibrated(assemble_system(problem, lam))
-    col_scale = np.max(np.abs(mat), axis=0)
+    mats = _equilibrated(_system_stack(problem, lams))
+    col_scale = np.max(np.abs(mats), axis=-2, keepdims=True)
     col_scale = np.where(col_scale > 0.0, col_scale, 1.0)
-    _, sing, vt = np.linalg.svd(mat / col_scale)
-    vec = vt[-1] / col_scale
-    if len(sing) >= 2 and sing[-2] <= DEGENERACY_RATIO * sing[0]:
-        warnings.warn(
-            f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    vec = vec / np.linalg.norm(vec)
-    m = problem.m
-    return ShifrinForm(lam=lam, deltas=vec[:m], coefficients=vec[m:], positions=problem.positions)
+    _, sing, vt = np.linalg.svd(mats / col_scale)
+    forms, m, positions = [], problem.m, problem.positions
+    for lam, s, vec in zip(lams.tolist(), sing, vt[:, -1] / col_scale[:, 0]):
+        if s[-2] <= DEGENERACY_RATIO * s[0]:
+            msg = f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue"
+            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        vec = vec / np.linalg.norm(vec)  # per vector: a norm along a stack axis rounds differently
+        forms.append(ShifrinForm(lam, deltas=vec[:m], coefficients=vec[m:], positions=positions))
+    return forms
 
 
 def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:
-    """Convert a solved form into a piecewise-coefficient mode of the same scale.
+    """Piecewise-coefficient mode of a solved form, same scale; one-form :func:`_eigenpairs`."""
+    return _eigenpairs(problem, [form])[0]
 
-    The state (phi, phi', phi'', phi''') is taken at the right limit of each
-    interval's left endpoint, one array evaluation of the form per derivative
-    order, and inverted into local coefficients, so all later derivative
-    evaluations stay exact per subinterval.
+
+def _eigenpairs(problem: BeamProblem, forms: list[ShifrinForm]) -> list[Eigenpair]:
+    """Piecewise-coefficient modes of all ``forms``, each at its own scale.
+
+    The states (phi, phi', phi'', phi''') at the right limit of each interval's left end are
+    inverted into local coefficients, so later derivative evaluations stay exact per interval.
     """
     bp = problem.breakpoints
-    left = np.array(bp[:-1])
-    states = np.stack([form.eval(left, order, "R") for order in range(4)], axis=-1)
-    pw = PiecewiseForm(form.lam, bp, modes.coefficients_from_state(form.lam, states))
-    return Eigenpair(lam=form.lam, piecewise=pw, shifrin=form)
+    states = np.stack(_stack_values(forms, np.array(bp[:-1]), range(4), "R"), axis=-1)
+    rows = modes.coefficients_from_state(np.array([[form.lam] for form in forms]), states)
+    return [Eigenpair(f.lam, PiecewiseForm(f.lam, bp, co), f) for f, co in zip(forms, rows)]
 
 
-def _nullspace_mode(problem: BeamProblem, lam: float) -> Eigenpair:
-    return build_eigenfunction(problem, solve_nullspace(problem, lam))
+def _nullspace_modes(problem: BeamProblem, lams: np.ndarray) -> list[Eigenpair]:
+    return _eigenpairs(problem, _nullspaces(problem, lams))
 
 
 def compute_spectrum(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:
     """First ``count`` normalized modes: roots of char_det, then their nullspaces."""
-    return modes.solve(problem, char_det, _nullspace_mode, count, lam_max)
+    return modes.solve(problem, char_det, _nullspace_modes, count, lam_max)

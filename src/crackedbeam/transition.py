@@ -17,7 +17,7 @@ import numpy as np
 
 from . import modes, rootfind
 from .beam_model import BeamProblem
-from .modes import Eigenpair, PiecewiseForm, Spectrum, coefficients_from_state, local_state_matrix
+from .modes import Eigenpair, PiecewiseForm, Spectrum
 from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it here
 
 
@@ -28,12 +28,13 @@ def _interval_maps(problem: BeamProblem, lams: np.ndarray) -> tuple[np.ndarray, 
     1..m and the (n, 2, 4) rows mapping final-interval coefficients to
     (w(pi), w''(pi)).
     """
-    states = local_state_matrix(lams[:, None], np.diff(problem.breakpoints))
+    powers = modes._powers(lams[:, None])
+    states = modes._state_matrix(powers, np.diff(problem.breakpoints))
     jumps = np.tile(np.eye(4), (problem.m, 1, 1))
     jumps[:, 1, 2] = problem.flexibilities
     # Column k of the inverse state map at 0 holds the coefficients of unit state k;
     # C order, as in a one-wavenumber chain, keeps the products on the same code path.
-    inverse = np.swapaxes(coefficients_from_state(lams[:, None], np.eye(4)), -1, -2)
+    inverse = np.swapaxes(modes._from_state(powers, np.eye(4)), -1, -2)
     factors = np.ascontiguousarray(inverse)[:, None] @ jumps @ states[:, :-1]
     return factors, states[:, -1, [0, 2]]
 
@@ -94,22 +95,21 @@ def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = N
 
 
 def _mode_from_root(problem: BeamProblem, lam: float) -> Eigenpair:
-    """Per-interval coefficients of the mode at one located root, unnormalized."""
-    factors, end_rows = _interval_maps(problem, np.array([lam]))
-    _, _, vt = np.linalg.svd(_reduced_system(factors, end_rows)[0])
-    a1, c1 = vt[-1]
+    """Unnormalized mode at one located root: the one-root slice of :func:`_modes_from_roots`."""
+    return _modes_from_roots(problem, np.array([lam], dtype=float))[0]
 
-    coeffs = [np.array([a1, 0.0, c1, 0.0])]
-    for factor in factors[0]:
-        coeffs.append(factor @ coeffs[-1])
-    pw = PiecewiseForm(
-        lam=lam,
-        breakpoints=np.asarray(problem.breakpoints),
-        coefficients=np.vstack(coeffs),
-    )
-    return Eigenpair(lam=lam, piecewise=pw)
+
+def _modes_from_roots(problem: BeamProblem, lams: np.ndarray) -> list[Eigenpair]:
+    """Unnormalized modes at the 1-D roots ``lams``: one stacked SVD, then all chains at once."""
+    factors, end_rows = _interval_maps(problem, lams)
+    _, _, vt = np.linalg.svd(_reduced_system(factors, end_rows))
+    coeffs = [np.insert(vt[:, -1], [1, 2], 0.0, axis=1)]  # hinged start (A1, 0, C1, 0)
+    for i in range(problem.m):
+        coeffs.append((factors[:, i] @ coeffs[-1][:, :, None])[:, :, 0])
+    rows = zip(lams.tolist(), np.stack(coeffs, axis=1))
+    return [Eigenpair(lam, PiecewiseForm(lam, problem.breakpoints, co)) for lam, co in rows]
 
 
 def oracle_eigenpairs(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:
     """Spectrum computed wholly by the transition-matrix route."""
-    return modes.solve(problem, boundary_det, _mode_from_root, count, lam_max)
+    return modes.solve(problem, boundary_det, _modes_from_roots, count, lam_max)

@@ -23,6 +23,7 @@ from crackedbeam import (
     kernel_M,
     solve_nullspace,
 )
+from crackedbeam import shifrin
 from crackedbeam.paper import classical_coefficients
 from crackedbeam.transition import find_eigenvalues as transition_eigenvalues
 
@@ -349,6 +350,18 @@ class TestNullspace:
         for spectrum in (one_crack_spectrum, two_crack_spectrum):
             for pair in spectrum.pairs:
                 assert float(pair.eval(0.0, 1, "R")) > 0.0
+
+    def test_degeneracy_warning_names_every_flagged_root(self, two_crack_problem, monkeypatch):
+        # A ratio of 1 flags every root, so the stacked SVD must warn once per root.
+        monkeypatch.setattr(shifrin, "DEGENERACY_RATIO", 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spectrum = compute_spectrum(two_crack_problem, 3)
+        messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert messages == [
+            f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue"
+            for lam in spectrum.lambdas.tolist()
+        ]
 
 
 class TestShifrinForm:

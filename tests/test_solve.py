@@ -7,20 +7,29 @@ import math
 import numpy as np
 import pytest
 
-from crackedbeam import QuadratureRule, h_inner, modes, shifrin, transition
+from crackedbeam import QuadratureRule, h_inner, modes, normalize_eigenpair, shifrin, transition
 
-# Per solver: its spectrum entry point, determinant and raw (unnormalized) mode.
+# Per solver: its spectrum entry point, determinant and raw (unnormalized)
+# modes at an array of roots.
 SOLVERS = {
     "shifrin": (
         shifrin.compute_spectrum,
         shifrin.char_det,
-        lambda p, lam: shifrin.build_eigenfunction(p, shifrin.solve_nullspace(p, lam)),
+        shifrin._nullspace_modes,
     ),
     "transition": (
         transition.oracle_eigenpairs,
         transition.boundary_det,
-        transition._mode_from_root,
+        transition._modes_from_roots,
     ),
+}
+# Per solver: its roots and its raw mode at one root, through the per-root API.
+PER_ROOT = {
+    "shifrin": (
+        shifrin.find_eigenvalues,
+        lambda p, lam: shifrin.build_eigenfunction(p, shifrin.solve_nullspace(p, lam)),
+    ),
+    "transition": (transition.find_eigenvalues, transition._mode_from_root),
 }
 PROBLEMS = ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
 COUNT = 6
@@ -29,9 +38,33 @@ COUNT = 6
 def _spectra(request, name, solver, factor):
     """The solver's spectrum, and the one solved from its raw modes times ``factor``."""
     problem = request.getfixturevalue(name)
-    spectrum, det, mode = SOLVERS[solver]
-    rescaled = modes.solve(problem, det, lambda p, lam: mode(p, lam).scaled(factor), COUNT)
+    spectrum, det, recover = SOLVERS[solver]
+    rescaled = modes.solve(
+        problem, det, lambda p, lams: [pair.scaled(factor) for pair in recover(p, lams)], COUNT
+    )
     return problem, spectrum(problem, COUNT), rescaled
+
+
+def _bytes(pair) -> bytes:
+    """Every stored float of a pair: wavenumber, piecewise and jump-amplitude coefficients."""
+    out = np.float64(pair.lam).tobytes() + pair.piecewise.coefficients.tobytes()
+    if pair.shifrin is not None:
+        out += pair.shifrin.deltas.tobytes() + pair.shifrin.coefficients.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("count", [1, COUNT])
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_batched_modes_equal_the_per_root_path_bit_for_bit(request, name, solver, count):
+    problem = request.getfixturevalue(name)
+    find, mode = PER_ROOT[solver]
+    per_root = [
+        normalize_eigenpair(mode(problem, lam), QuadratureRule.for_problem(problem, lam))
+        for lam in find(problem, count)
+    ]
+    batched = SOLVERS[solver][0](problem, count).pairs
+    assert [_bytes(p) for p in batched] == [_bytes(p) for p in per_root]
 
 
 @pytest.mark.parametrize("solver", SOLVERS)

@@ -26,6 +26,7 @@ from crackedbeam import (
     v_inner,
 )
 from crackedbeam import cli, spectral, transition
+from crackedbeam.quadrature import MAX_PHASE_PER_PANEL, ORDER
 
 
 def sine(k: int) -> FunctionOnPartition:
@@ -375,6 +376,32 @@ class _CountingMode:
     def eval(self, x, order=0, side="R"):
         self.calls += 1
         return self.pair.eval(x, order, side)
+
+
+def _looped_rule(problem, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights panel by panel, the array rule's reference."""
+    ref_x, ref_w = np.polynomial.legendre.leggauss(ORDER)
+    xs, ws = [], []
+    bp = problem.breakpoints
+    for left, right in zip(bp, bp[1:]):
+        n_panels = max(1, math.ceil(abs(lam) * (right - left) / MAX_PHASE_PER_PANEL))
+        edges = np.linspace(left, right, n_panels + 1)
+        for a, b in zip(edges, edges[1:]):
+            half = 0.5 * (b - a)
+            xs.append(half * ref_x + 0.5 * (a + b))
+            ws.append(half * ref_w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+class TestQuadratureRule:
+    @pytest.mark.parametrize("lam", [0.5, 5.0, 40.0])
+    @pytest.mark.parametrize("name", ["uniform_problem", "thirty_crack_problem"])
+    def test_nodes_and_weights_equal_the_panel_loop(self, name, lam, request):
+        problem = request.getfixturevalue(name)
+        rule = QuadratureRule.for_problem(problem, lam)
+        nodes, weights = _looped_rule(problem, lam)
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
 
 
 class TestLoopReference:
