@@ -8,6 +8,8 @@ The function being scanned takes a 1-D array of wavenumbers and returns the
 array of its values, so that a determinant can be assembled for many
 wavenumbers in one pass.  The scan evaluates the grid in chunks and finds
 each chunk's zeros and sign changes at once, taking them in grid order.
+A known lower bound on the last requested root lets the first call take every
+chunk up to it, and later chunks follow one per call: the points stay the same.
 Bisection refines every bracket in lockstep: each call evaluates, per
 bracket, the run of midpoints bisection would visit if the root lay where
 the bracket's secant puts it, and the bracket halves through those values
@@ -18,6 +20,8 @@ of time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,20 +55,20 @@ MAX_WAVENUMBER = 1e100
 
 # Matrix entries one batched determinant call may hold in a stack (256 KiB of
 # doubles); with many cracks this caps the wavenumbers per stack, and with it
-# the peak memory of a solve.
+# the peak memory of a solve.  It also caps the points of one scan call.
 _STACK_ENTRIES = 2**15
 
 
 class RootCountError(RuntimeError):
-    """Scan exhausted its range before finding the requested number of roots."""
+    """Scan ran out of range short of ``requested`` roots; ``lost``: it passed their bound."""
 
-    def __init__(self, requested: int, found: list[float], lam_max: float):
+    def __init__(self, requested: int, found: list[float], lam_max: float, lost: bool = False):
         self.requested = requested
         self.found = found
         self.lam_max = lam_max
+        hint = "the determinant lost roots below the ceiling" if lost else "raise the scan ceiling"
         super().__init__(
-            f"found {len(found)} of {requested} requested roots below lambda = {lam_max}; "
-            "raise the scan ceiling"
+            f"found {len(found)} of {requested} requested roots below lambda = {lam_max}; {hint}"
         )
 
 
@@ -168,18 +172,18 @@ def blockwise(fn, lams, entries_per_lam: int):
     if (arr > MAX_WAVENUMBER).any():
         raise ValueError(f"wavenumber must be at most {MAX_WAVENUMBER:g}")
     flat = arr.reshape(-1)
-    out = np.empty(flat.size)
     block = max(1, _STACK_ENTRIES // entries_per_lam)
-    for start in range(0, flat.size, block):
-        out[start : start + block] = fn(flat[start : start + block])
+    parts = [fn(flat[i : i + block]) for i in range(0, flat.size, block)] or [np.empty(0)]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)  # one block: no copy
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def find_roots(f, count: int, lam_max: float, step: float = DEFAULT_STEP):
+def find_roots(f, count: int, lam_max: float, step: float = DEFAULT_STEP, bounds=(0.0, math.inf)):
     """First ``count`` positive roots of ``f`` below ``lam_max``.
 
     ``f`` maps a 1-D array of wavenumbers to the array of its values.  Scans
-    a uniform grid from one step and bisects every bracket.  Raises
+    a uniform grid from one step and bisects every bracket.  ``bounds`` holds
+    the count-th root: the first call scans up to its lower end.  Raises
     :class:`RootCountError` when the range runs out first; the exception
     carries the roots that were found.
     """
@@ -193,14 +197,15 @@ def find_roots(f, count: int, lam_max: float, step: float = DEFAULT_STEP):
     roots: list[float] = []
     brackets: list[tuple[int, float, float, float, float]] = []
     n_points = max(0, int(round((lam_max - step) / step))) + 1
+    # The first call ends with the chunk holding the lowest grid point >= bounds[0].
+    low = max(0, math.ceil((bounds[0] - step) / step))
+    start, stop = 0, min(n_points, _STACK_ENTRIES, _SCAN_CHUNK * (low // _SCAN_CHUNK + 1))
     # Each chunk is scanned behind the last point of the one before; ahead of
     # the grid that point is a zero, so the first grid point is a root only
     # where f vanishes.
     lams, vals = np.zeros(1), np.zeros(1)
-    for start in range(0, n_points, _SCAN_CHUNK):
-        if len(roots) >= count:
-            break
-        chunk = step + np.arange(start, min(start + _SCAN_CHUNK, n_points)) * step
+    while start < n_points and len(roots) < count:
+        chunk = step + np.arange(start, stop) * step
         lams = np.concatenate((lams[-1:], chunk))
         vals = np.concatenate((vals[-1:], np.asarray(f(chunk), dtype=float)))
         prev, val = vals[:-1], vals[1:]
@@ -209,13 +214,14 @@ def find_roots(f, count: int, lam_max: float, step: float = DEFAULT_STEP):
             if val[k] != 0.0:
                 brackets.append((len(roots), lams[k], lams[k + 1], prev[k], val[k]))
             roots.append(float(lams[k + 1]))
+        start, stop = stop, min(n_points, stop + _SCAN_CHUNK)
 
     if brackets:
         slots, *ends = zip(*brackets)
         for slot, root in zip(slots, bisect(f, *ends).tolist()):
             roots[slot] = root
     if len(roots) < count:
-        raise RootCountError(count, roots, lam_max)
+        raise RootCountError(count, roots, lam_max, lost=lams[-1] > bounds[1])
     # The empty list keeps the (roots, diagnostics) shape the benchmark's span hooks unpack.
     return roots, []
 
@@ -224,10 +230,12 @@ def first_roots(det, problem, count: int, lam_max: float | None = None):
     """First ``count`` roots of ``det(problem, lams)``.
 
     The scan ceiling defaults to ``count + m + 5`` for a problem with m
-    cracks.
+    cracks.  Interlacing with the uncracked beam's integer roots puts the
+    count-th root in [count - m, count].
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if lam_max is None:
         lam_max = count + problem.m + 5
-    return find_roots(lambda lams: det(problem, lams), count, lam_max)[0]
+    bounds = (count - problem.m, count)
+    return find_roots(lambda lams: det(problem, lams), count, lam_max, bounds=bounds)[0]

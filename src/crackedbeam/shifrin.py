@@ -17,8 +17,9 @@ still grow: the ladder entry of crack row j holds sinh(lam (x_j - x_i)) for
 every earlier crack i, and the right-support row holds sinh(lam (pi - x_i)),
 so entries grow with the distance from a crack to any later crack or to the
 right support, not with the spacing of adjacent cracks.  Row equilibration
-keeps the determinant representable all the same.  The paper's classical
-parametrization of the same mode lives in :mod:`crackedbeam.paper`.
+keeps the determinant representable all the same.  A stack of systems over n
+wavenumbers is filled entry-major, (m+4, m+4, n), and read as (n, m+4, m+4).
+The paper's classical parametrization of the mode lives in :mod:`crackedbeam.paper`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -109,15 +111,24 @@ class ShifrinForm:
 
 
 @functools.lru_cache(maxsize=64)
-def _ladder(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (j, i), i < j, of the jump-response ladder in the Delta block.
+def _layout(m: int) -> tuple[np.ndarray, ...]:
+    """(ends, starts, rows, ladder, ones): index arrays of U for m cracks.
 
-    Cached because building them costs about as much as the rest of a small
-    assembly; the arrays are read-only since every caller shares them.
-    """
+    The phases are lam times ``ext[ends] - ext[starts]``, ``ext = (x_1..x_m, pi, 0)``: the
+    ladder x_j - x_i (i < j, j in ``rows``), pi - x_j, x_j, then pi.  ``ladder`` and ``ones``
+    are flat entry indices.  Cached, as building them costs about as much as the rest of a
+    small assembly; read-only, since callers share them."""
+    size = m + 4
     rows, cols = np.tril_indices(m, -1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    cracks = np.arange(m)
+    ends = np.concatenate((rows, np.full(m, m), cracks, [m]))
+    starts = np.concatenate((cols, cracks, np.full(m, m + 1), [m + 1]))
+    unit = ([*cracks, m, m + 1, m + 2], [*cracks, m + 2, m, m + 3])  # (rows, cols) of the ones
+    ones = np.ravel_multi_index(unit, (size, size))
+    out = (ends, starts, rows, rows * size + cols, ones)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _system_stack(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
@@ -129,50 +140,39 @@ def _system_stack(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
     supports demand phi = phi'' = 0 at both ends, imposed as the +- index
     combinations so that no row carries the full-span hyperbolic growth.
 
-    Scalars per wavenumber go through ``math`` and Python powers, so every
-    entry is bit-identical to the one a single-wavenumber assembly makes.
+    One ``sin``, ``sinh`` and ``cos`` pass covers all phases; lam**2 and e**(-lam pi) use
+    Python pow and ``math.exp`` (numpy's round differently), so entries match n = 1 bitwise.
     """
-    m = problem.m
-    mat = np.zeros((lams.size, m + 4, m + 4))
-    xs = np.asarray(problem.positions)
-    theta = np.asarray(problem.flexibilities)
-    decay, lam2, cos_pi, sin_pi = np.array(
-        [
-            (math.exp(-lam * math.pi), lam**2, math.cos(lam * math.pi), math.sin(lam * math.pi))
-            for lam in lams.tolist()
-        ]
-    ).reshape(-1, 4).T
-    lam = lams[:, None]
+    m, n, size = problem.m, lams.size, problem.m + 4
+    ends, starts, rows, ladder, ones = _layout(m)
+    nl = len(rows)
+    ext, theta = np.array((*problem.positions, math.pi, 0.0)), np.array(problem.flexibilities)
+    phase = np.multiply.outer(ext[ends] - ext[starts], lams)
+    sin, sinh, cos = np.sin(phase), np.sinh(phase[: nl + m]), np.cos(phase[nl + m :])
+    t, pi_lam = phase[nl + m : -1], phase[-1]
+    theta_lam2 = np.multiply.outer(theta, np.fromiter(map(pow, lams.tolist(), repeat(2)), float, n))
+    decay = np.fromiter(map(math.exp, (-pi_lam).tolist()), float, n)
+    mat = np.zeros((size, size, n))
+    flat = mat.reshape(size * size, n)
+    flat[ones] = 1.0
 
-    # Unit diagonal in the Delta block, and theta_j z_i''(x_j) below it.
-    mat[:, :m, :m] = np.eye(m)
-    rows, cols = _ladder(m)
-    td = lam * (xs[rows] - xs[cols])
-    mat[:, rows, cols] = -theta[rows] * (lam * 0.5 * (np.sinh(td) - np.sin(td)))
-    t = lam * xs
-    theta_lam2 = theta * lam2[:, None]
-    mat[:, :m, m + 0] = theta_lam2 * np.cos(t)
-    mat[:, :m, m + 1] = theta_lam2 * np.sin(t)
-    mat[:, :m, m + 2] = -theta_lam2 * np.exp(-t)  # e**(-lam x_j)
-    mat[:, :m, m + 3] = -theta_lam2 * np.exp(-lam * math.pi + t)  # e**(-lam (pi - x_j))
+    # theta_j z_i''(x_j) below the unit diagonal of the Delta block.
+    flat[ladder] = -theta[rows][:, None] * (lams * 0.5 * (sinh[:nl] - sin[:nl]))
+    np.multiply(theta_lam2, cos[:m], out=mat[:m, m + 0])
+    np.multiply(theta_lam2, sin[nl + m : -1], out=mat[:m, m + 1])
+    np.multiply(-theta_lam2, np.exp(-t), out=mat[:m, m + 2])  # e**(-lam x_j)
+    np.multiply(-theta_lam2, np.exp(t - pi_lam), out=mat[:m, m + 3])  # e**(-lam (pi - x_j))
 
-    # Left support: (lam^2 phi + phi'')/(2 lam^2) kills the oscillatory part,
-    # (lam^2 phi - phi'')/(2 lam^2) kills the decaying part; jump responses
-    # are inactive at x = 0.
-    mat[:, m, m + 2] = 1.0
-    mat[:, m, m + 3] = decay
-    mat[:, m + 1, m + 0] = 1.0
-
-    # Right support, same combinations; z_i contributes its sinh (resp. sin)
-    # component only.
-    tg = lam * (math.pi - xs)
-    mat[:, m + 2, :m] = np.sinh(tg) / (2.0 * lam)
-    mat[:, m + 2, m + 2] = decay
-    mat[:, m + 2, m + 3] = 1.0
-    mat[:, m + 3, :m] = np.sin(tg) / (2.0 * lam)
-    mat[:, m + 3, m + 0] = cos_pi
-    mat[:, m + 3, m + 1] = sin_pi
-    return mat
+    # Supports: (lam^2 phi + phi'')/(2 lam^2) kills the oscillatory part and
+    # (lam^2 phi - phi'')/(2 lam^2) the decaying part.  Jump responses are
+    # inactive at x = 0; at x = pi, z_i contributes its sinh (resp. sin) part.
+    mat[m, m + 3] = mat[m + 2, m + 2] = decay
+    two_lam = 2.0 * lams
+    np.divide(sinh[nl:], two_lam, out=mat[m + 2, :m])
+    np.divide(sin[nl : nl + m], two_lam, out=mat[m + 3, :m])
+    mat[m + 3, m + 0] = cos[-1]
+    mat[m + 3, m + 1] = sin[-1]
+    return mat.transpose(2, 0, 1)
 
 
 def assemble_system(problem: BeamProblem, lam: float) -> np.ndarray:
@@ -192,8 +192,9 @@ def _equilibrated(mat: np.ndarray) -> np.ndarray:
 
     No row can vanish: every row of U(lam) holds an exact 1.0 except the
     last, whose largest entry is at least max(|cos lam pi|, |sin lam pi|).
+    On :func:`_system_stack`'s entry-major layout numpy reduces rows of wavenumbers.
     """
-    return mat / np.max(np.abs(mat), axis=-1)[..., None]
+    return mat / np.max(np.abs(mat), axis=-1, keepdims=True)
 
 
 def char_det(problem: BeamProblem, lams):

@@ -53,9 +53,16 @@ def transition_matrix(problem: BeamProblem, i: int, lam: float) -> np.ndarray:
     return _interval_maps(problem, np.array([lam], dtype=float))[0][0, i - 1]
 
 
-def _max_abs(stack: np.ndarray) -> np.ndarray:
-    """Max-abs entry of each matrix in a stack, shaped to divide it."""
-    return np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
+def _max_abs(stack: np.ndarray, axes) -> np.ndarray:
+    """``np.max(np.abs(stack), axis=axes, keepdims=True)`` by halving: the same bits, as a max
+    is exact, without numpy's row-by-row reduction of short axes (up to 4x slower here)."""
+    out = np.abs(stack)
+    for axis in axes:
+        lead = (slice(None),) * (axis % out.ndim)
+        while (size := out.shape[axis]) > 1:
+            half = (size + 1) // 2  # the halves overlap on odd lengths
+            out = np.maximum(out[lead + (slice(half),)], out[lead + (slice(size - half, size),)])
+    return out
 
 
 def _reduced_system(factors: np.ndarray, end_rows: np.ndarray) -> np.ndarray:
@@ -66,12 +73,12 @@ def _reduced_system(factors: np.ndarray, end_rows: np.ndarray) -> np.ndarray:
     matter.  Every chain factor is divided by its max-abs entry (a positive
     scalar, so zeros and signs survive) to keep growth like cosh in check.
     """
-    factors = factors / _max_abs(factors)
-    chain = end_rows / _max_abs(end_rows)
+    factors = factors / _max_abs(factors, (-2, -1))
+    chain = end_rows / _max_abs(end_rows, (-2, -1))
     for i in range(factors.shape[1] - 1, -1, -1):
         chain = chain @ factors[:, i]
     reduced = chain[:, :, [0, 2]]
-    scale = np.max(np.abs(reduced), axis=2, keepdims=True)
+    scale = _max_abs(reduced, (-1,))
     return reduced / np.where(scale > 0.0, scale, 1.0)
 
 

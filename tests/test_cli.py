@@ -310,6 +310,21 @@ class TestErrorPaths:
         assert body["error"]["type"] == "root_shortfall"
         assert body["error"]["found"] == 2
         assert body["error"]["requested"] == 5
+        assert body["error"]["message"].endswith("raise the scan ceiling")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_roots_lost_below_a_sufficient_ceiling_exit_3(self, capsys):
+        # Interlacing puts all 340 roots below 340, under the default ceiling of
+        # 346, but the determinant overflows from about 332.
+        code, out, err = run(capsys, "spectrum", ONE_CRACK, "--modes", "340")
+        assert code == 3
+        assert out == ""
+        body = json.loads(err)
+        assert body["error"]["type"] == "root_shortfall"
+        assert body["error"]["found"] == 332
+        assert body["error"]["requested"] == 340
+        assert "lost roots below the ceiling" in body["error"]["message"]
+        assert "raise the scan ceiling" not in body["error"]["message"]
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crackedbeam import BeamProblem, char_det, rootfind
+from crackedbeam import (
+    BeamProblem,
+    ValidationError,
+    boundary_det,
+    char_det,
+    find_eigenvalues,
+    load_problem_file,
+    rootfind,
+)
 from crackedbeam.rootfind import (
     _PATH_LEVELS,
     DEFAULT_STEP,
@@ -18,6 +27,9 @@ from crackedbeam.rootfind import (
     find_roots,
     first_roots,
 )
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+FIXTURE_NAMES = ("uniform", "one_crack", "two_crack", "node_crack", "steel_beam", "fault_injected")
 
 
 class Counted:
@@ -120,6 +132,20 @@ class TestFindRoots:
         assert err.requested == 5
         assert err.lam_max == 3.2
         assert np.allclose(err.found, [1.0, 2.0, 3.0], atol=1e-12)
+        assert str(err).endswith("raise the scan ceiling")
+
+    def test_shortfall_past_the_upper_bound_reports_lost_roots(self):
+        # A double root at 1.505 shows no sign change, though the ceiling is high enough.
+        def f(x):
+            return (x - 0.5) * (x - 1.505) ** 2
+
+        with pytest.raises(RootCountError) as info:
+            find_roots(f, 2, 3.0, bounds=(0.0, 2.0))
+        assert info.value.found == [0.5]
+        assert "lost roots below the ceiling" in str(info.value)
+        # A grid that stops below the bound may have missed the root above its end.
+        with pytest.raises(RootCountError, match="raise the scan ceiling"):
+            find_roots(f, 2, 1.9, bounds=(0.0, 2.0))
 
     def test_count_reached_on_a_chunks_last_point_scans_one_chunk(self):
         # Grid indices 126 and 127 are 1.27 and 1.28; 127 ends the first chunk.
@@ -205,6 +231,82 @@ class TestFindRoots:
         roots, _ = find_roots(f, 2, 8.0)
         assert np.allclose(roots, [math.pi / 2, 3 * math.pi / 2], atol=1e-14)
         assert all(batch.ndim == 1 for batch in f.batches)
+
+
+class TestMergedScan:
+    """first_roots evaluates the chunks below count - m in its first call."""
+
+    @staticmethod
+    def _both_scans(det, problem, count):
+        """(roots, batches) of first_roots, then of a chunk-by-chunk scan to the same ceiling."""
+        merged = Counted(lambda lams: det(problem, lams))
+        roots = first_roots(lambda _, lams: merged(lams), problem, count)
+        chunked = Counted(lambda lams: det(problem, lams))
+        reference, _ = find_roots(chunked, count, count + problem.m + 5)
+        return roots, merged.batches, reference, chunked.batches
+
+    @pytest.mark.parametrize("det", [char_det, boundary_det], ids=["char_det", "boundary_det"])
+    @pytest.mark.parametrize("count", [5, 20])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_scan_the_same_points_in_fewer_calls(self, name, count, det):
+        problem, _, _ = load_problem_file(FIXTURES / f"{name}.json")
+        roots, merged, reference, chunked = self._both_scans(det, problem, count)
+        assert roots == reference
+        assert len(merged) < len(chunked)
+        # The transfer determinant invents roots at high modes on one and two
+        # cracks (a known defect).  Where they end the chunk-by-chunk scan below
+        # count - m, the merged call has evaluated chunks that scan never
+        # reached; everywhere else the scan and bisection points are the same,
+        # in the same order.
+        obeys_bound = reference[-1] >= count - problem.m
+        assert obeys_bound or det is boundary_det
+        if obeys_bound:
+            assert np.concatenate(merged).tobytes() == np.concatenate(chunked).tobytes()
+
+    @pytest.mark.parametrize("count, merges", [(5, False), (35, True)])
+    def test_thirty_equal_cracks(self, count, merges):
+        # Below count = m + 2 the lower bound count - m lies in the first chunk.
+        positions = tuple(math.pi * j / 31 for j in range(1, 31))
+        problem = BeamProblem(positions=positions, flexibilities=(0.2,) * 30)
+        roots, merged, reference, chunked = self._both_scans(char_det, problem, count)
+        assert roots == reference
+        assert np.concatenate(merged).tobytes() == np.concatenate(chunked).tobytes()
+        if merges:
+            assert merged[0].size == 512
+            assert len(merged) < len(chunked)
+        else:
+            assert [b.size for b in merged] == [b.size for b in chunked]
+
+    @pytest.mark.parametrize(
+        "low, size",
+        # Grid point 1.28 (index 127) ends chunk 0 and 1.29 starts chunk 1; 32.0
+        # (index 3199) ends chunk 24.  The cap holds the first call at 256 chunks.
+        [(1.28, 128), (1.2800001, 256), (-3.0, 128), (32.0, 3200), (32.000001, 3328), (1e6, 32768)],
+    )
+    def test_first_call_ends_at_the_chunk_holding_the_lower_bound(self, low, size):
+        f = Counted(lambda x: x - 400.0)
+        find_roots(f, 1, 401.0, bounds=(low, math.inf))
+        assert f.batches[0].size == size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        positions=st.lists(
+            st.floats(0.0, math.pi, exclude_min=True, exclude_max=True), max_size=6, unique=True
+        ),
+        exponents=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+    )
+    def test_interlacing_bounds_every_root(self, positions, exponents):
+        # k - m <= lambda_k <= k, which the merged scan and the shortfall message rely on;
+        # equality holds for modes with a node at every crack.
+        thetas = tuple(10.0**e for e in exponents[: len(positions)])
+        try:
+            problem = BeamProblem(positions=tuple(sorted(positions)), flexibilities=thetas)
+        except ValidationError:
+            assume(False)
+        k = np.arange(1.0, 11.0)
+        roots = np.array(find_eigenvalues(problem, 10))
+        assert np.all(k - problem.m <= roots * (1.0 + 1e-12))
+        assert np.all(roots <= k * (1.0 + 1e-12))
 
 
 class TestBisect:

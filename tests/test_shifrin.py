@@ -33,6 +33,11 @@ def mid_crack() -> BeamProblem:
     return BeamProblem(positions=(math.pi / 2,), flexibilities=(0.5,))
 
 
+@pytest.fixture(scope="module")
+def three_cracks() -> BeamProblem:
+    return BeamProblem(positions=(0.4, 1.9, 2.8), flexibilities=(2.0, 0.05, 0.7))
+
+
 class TestJumpBasis:
     def test_midpoint_value(self, mid_crack):
         # ((pi/2 - pi)/pi) * (pi/2) = -pi/4
@@ -187,6 +192,18 @@ class TestSystemMatrix:
         for lam in (0.3, 1.7, 5.2, 11.9, 23.4):
             assert np.array_equal(assemble_system(problem, lam), _looped_system(problem, lam))
 
+    def test_batched_assembly_keeps_python_rounding_of_squares_and_decay(self, two_crack_problem):
+        # numpy's square and exp round some wavenumbers differently from lam**2 and
+        # math.exp; the stack must take Python's, as the one-wavenumber loop does.
+        grid = np.linspace(0.05, 40.0, 20001)
+        phases = grid * math.pi
+        squares = np.array([lam**2 for lam in grid.tolist()]) != grid * grid
+        decays = np.array([math.exp(-x) for x in phases.tolist()]) != np.exp(-phases)
+        lams = np.concatenate((grid[squares][:40], grid[decays][:40], [0.3, 1.7]))
+        stack = shifrin._system_stack(two_crack_problem, lams)
+        for row, lam in zip(stack, lams.tolist()):
+            assert np.array_equal(row, _looped_system(two_crack_problem, lam))
+
     def test_size_and_unit_delta_diagonal(self):
         problem = BeamProblem(positions=(0.9, 2.0), flexibilities=(0.4, 0.8))
         system = assemble_system(problem, 1.7)
@@ -285,6 +302,30 @@ class TestCharDet:
         mat = assemble_system(two_crack_problem, lam)
         scaled = mat / np.max(np.abs(mat), axis=1)[:, None]
         assert char_det(two_crack_problem, lam) == float(np.linalg.det(scaled))
+
+
+class TestEquilibration:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "uniform_problem",
+            "one_crack_problem",
+            "two_crack_problem",
+            "three_cracks",
+            "thirty_crack_problem",
+        ],
+    )
+    @pytest.mark.parametrize("size", [1, 5, 128])
+    def test_entry_major_stack_equilibrates_and_factors_as_c_ordered(self, name, size, request):
+        # The row maxima, the equilibrated entries and their determinants on the
+        # stack's entry-major layout equal, bit for bit, those of a C-ordered copy.
+        problem = request.getfixturevalue(name)
+        stack = shifrin._system_stack(problem, np.linspace(0.3, 23.4, size))
+        ordered = np.ascontiguousarray(stack)
+        expected = ordered / np.max(np.abs(ordered), axis=-1, keepdims=True)
+        scaled = shifrin._equilibrated(stack)
+        assert scaled.tobytes() == expected.tobytes()
+        assert np.linalg.det(scaled).tobytes() == np.linalg.det(expected).tobytes()
 
 
 class TestFindEigenvalues:

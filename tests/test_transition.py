@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crackedbeam import BeamProblem, boundary_det, char_det, oracle_eigenpairs, transition_matrix
+from crackedbeam import (
+    BeamProblem,
+    boundary_det,
+    char_det,
+    oracle_eigenpairs,
+    transition,
+    transition_matrix,
+)
 from crackedbeam.modes import coefficients_from_state, local_state_matrix
 
 
@@ -114,6 +121,39 @@ def _looped_boundary_det(problem: BeamProblem, lam: float) -> float:
     scale = np.max(np.abs(reduced), axis=1)
     scale = np.where(scale > 0.0, scale, 1.0)
     return float(np.linalg.det(reduced / scale[:, None]))
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize(
+        "shape, axes",
+        [
+            ((5, 3, 4, 4), (-2, -1)),
+            ((5, 0, 4, 4), (-2, -1)),
+            ((0, 2, 4), (-2, -1)),
+            ((7, 2, 2), (-1,)),
+            ((7, 34, 34), (-1,)),
+            ((3, 9, 5), (-2,)),
+            ((4, 2, 1), (-1,)),
+        ],
+    )
+    def test_any_shape_and_layout_equals_numpy_max(self, shape, axes):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        transposed = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+        for view in (stack, transposed):
+            expected = np.max(np.abs(view), axis=axes, keepdims=True)
+            assert transition._max_abs(view, axes).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 30])
+    def test_equals_numpy_max_bit_for_bit(self, m):
+        # m = 0 has an empty stack of factors.
+        positions = tuple(math.pi * j / (m + 1) for j in range(1, m + 1))
+        problem = BeamProblem(positions=positions, flexibilities=(0.4,) * m)
+        factors, end_rows = transition._interval_maps(problem, np.linspace(0.3, 23.4, 7))
+        assert factors.shape == (7, m, 4, 4)
+        for stack in (factors, end_rows):
+            expected = np.max(np.abs(stack), axis=(-2, -1), keepdims=True)
+            assert transition._max_abs(stack, (-2, -1)).tobytes() == expected.tobytes()
 
 
 class TestBoundaryDet:
