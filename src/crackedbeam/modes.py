@@ -47,7 +47,8 @@ def _basis_rows(basis: tuple[np.ndarray, ...], order: int) -> tuple[np.ndarray, 
 
     The derivative is taken in the phase: the caller applies the lam**order
     scale.  This is the one such table; the state map, the piecewise mode,
-    the jump response and the smooth part of the jump-amplitude form read it.
+    the jump response, the smooth part of the jump-amplitude form and the
+    paper's kernel M_i read it.
     """
     sin_t, cos_t, sinh_t, cosh_t = basis
     r = order % 4

@@ -40,9 +40,7 @@ class QuadratureRule:
         ``lam`` sets the oscillation scale: each subinterval is split so no
         panel sees more than MAX_PHASE_PER_PANEL radians of phase.
         """
-        bp = tuple(float(b) for b in problem.breakpoints)
-        if len(bp) < 2 or any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing with length >= 2")
+        bp = problem.breakpoints
         ref_x, ref_w = _gauss_nodes()
         lengths = np.diff(bp)
         counts = [max(1, ceil(abs(lam) * h / MAX_PHASE_PER_PANEL)) for h in lengths.tolist()]

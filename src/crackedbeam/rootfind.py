@@ -229,13 +229,13 @@ def find_roots(f, count: int, lam_max: float, step: float = DEFAULT_STEP, bounds
 def first_roots(det, problem, count: int, lam_max: float | None = None):
     """First ``count`` roots of ``det(problem, lams)``.
 
-    The scan ceiling defaults to ``count + m + 5`` for a problem with m
-    cracks.  Interlacing with the uncracked beam's integer roots puts the
-    count-th root in [count - m, count].
+    Interlacing with the uncracked beam's integer roots puts the count-th
+    root in [count - m, count] for a problem with m cracks, so the scan
+    ceiling defaults to ``count + 1``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if lam_max is None:
-        lam_max = count + problem.m + 5
+        lam_max = count + 1
     bounds = (count - problem.m, count)
     return find_roots(lambda lams: det(problem, lams), count, lam_max, bounds=bounds)[0]

@@ -48,7 +48,9 @@ def _stack_values(forms: list["ShifrinForm"], x: np.ndarray, orders, side: str) 
     lam = np.array(lams)[:, None]
     a, b, p, q = np.array([form.coefficients for form in forms]).T[:, :, None]
     t = lam * x
-    smooth, decaying, growing = _basis(t), p * np.exp(-t), q * np.exp(-lam * math.pi + t)
+    # Only the sin and cos rows are read; sinh and cosh would overflow past lam*x = 710.
+    smooth = (np.sin(t), np.cos(t), None, None)
+    decaying, growing = p * np.exp(-t), q * np.exp(-lam * math.pi + t)
     x_i = np.asarray(forms[0].positions, dtype=float)[:, None]
     active = x >= x_i if is_right_side(side) else x > x_i
     jumps = _basis(lam[:, :, None] * np.where(active, x - x_i, 0.0))

@@ -203,6 +203,9 @@ class TestCrackSpec:
         assert single.resolve_theta(beam) == pytest.approx(flexibility_single_sided(0.2, 0.5))
 
 
+PHYSICAL = {"L": 2.0, "E": 1.0, "rho": 1.0, "A": 1.0, "I": 1.0, "H": 0.5}
+
+
 class TestLoadProblem:
     def test_nondimensional_document(self):
         doc = {"nondimensional": True, "cracks": [{"x": 1.0, "theta": 0.3}]}
@@ -235,3 +238,33 @@ class TestLoadProblem:
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(ValidationError):
             load_problem(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"beam": [1.0], "cracks": []}, "beam block must be an object"),
+            ({"beam": {**PHYSICAL, "H": 0.0}, "cracks": []}, "must be positive: height"),
+            ({"cracks": [{"x": 1.0, "theta": -0.1}]}, "flexibility -0.1 must be nonnegative"),
+            (
+                {"beam": PHYSICAL, "cracks": [{"xi": 1.0, "mu": 0.2, "sided": "triple"}]},
+                "requires sided = 'single' or 'double'",
+            ),
+            ({"cracks": [{"x": 1.0, "mu": 0.2}]}, "depth_ratio needs a physical beam section"),
+            ({"beam": PHYSICAL, "cracks": [{"x": 1.0, "theta": 0.1}]}, "reference position x"),
+            ({"beam": PHYSICAL, "cracks": [{"xi": 2.5, "theta": 0.1}]}, r"outside \(0, 2.0\)"),
+            ({"cracks": [1.0]}, "crack 1 must be an object"),
+            (
+                {"beam": PHYSICAL, "cracks": [{"xi": 1.0, "theta": {"mu": 0.2, "depth": 1}}]},
+                "unknown theta keys depth",
+            ),
+            ({"nondimensional": False, "cracks": []}, "physical problems need a beam block"),
+        ],
+    )
+    def test_each_input_check_names_its_fault(self, doc, message):
+        with pytest.raises(ValidationError, match=message):
+            load_problem(doc)
+
+    def test_zero_wavenumber_has_no_frequency(self):
+        beam = PhysicalBeam(length=2.0, young_modulus=1.0, density=1.0, area=1.0, inertia=1.0)
+        with pytest.raises(ValidationError, match="wavenumbers must be positive"):
+            natural_frequencies(beam, [0.0])

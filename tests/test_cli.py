@@ -315,7 +315,7 @@ class TestErrorPaths:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_roots_lost_below_a_sufficient_ceiling_exit_3(self, capsys):
         # Interlacing puts all 340 roots below 340, under the default ceiling of
-        # 346, but the determinant overflows from about 332.
+        # 341, but the determinant overflows from about 332.
         code, out, err = run(capsys, "spectrum", ONE_CRACK, "--modes", "340")
         assert code == 3
         assert out == ""
@@ -323,6 +323,7 @@ class TestErrorPaths:
         assert body["error"]["type"] == "root_shortfall"
         assert body["error"]["found"] == 332
         assert body["error"]["requested"] == 340
+        assert "below lambda = 341; " in body["error"]["message"]
         assert "lost roots below the ceiling" in body["error"]["message"]
         assert "raise the scan ceiling" not in body["error"]["message"]
 

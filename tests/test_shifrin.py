@@ -100,8 +100,9 @@ KERNEL_LAMS = [0.6, 0.9, 1.3, 1.7, 2.1]
 
 class TestKernel:
     def test_vanishes_at_origin(self, mid_crack):
-        for order in (0, 1, 2, 3):
-            assert kernel_M(mid_crack, 1, 0.0, 1.3, order=order) == 0.0
+        for lam in KERNEL_LAMS:
+            for order in (0, 1, 2, 3):
+                assert kernel_M(mid_crack, 1, 0.0, lam, order=order) == 0.0
 
     @pytest.mark.parametrize("problem, i", KERNEL_CONFIGS)
     @pytest.mark.parametrize("lam", KERNEL_LAMS)
@@ -111,7 +112,9 @@ class TestKernel:
         xi = problem.positions[i - 1]
         for x in KERNEL_XS:
             for order, kern in ((0, lambda u: np.sinh(u) - np.sin(u)),
-                                (2, lambda u: lam**2 * (np.sinh(u) + np.sin(u)))):
+                                (1, lambda u: lam * (np.cosh(u) - np.cos(u))),
+                                (2, lambda u: lam**2 * (np.sinh(u) + np.sin(u))),
+                                (3, lambda u: lam**3 * (np.cosh(u) + np.cos(u)))):
                 expected, _ = quad(
                     lambda s: kern(lam * (x - s)) * basis_eval(problem, i, s),
                     0.0,
