@@ -5,9 +5,9 @@ Between consecutive cracks every mode is an exact combination
 wavenumber.  Storing those four coefficients per subinterval keeps all
 derivative evaluations exact and free of cancellation, which matters for
 residual checks at the fourth derivative.  The derivatives of those four
-functions come from one table, :func:`_basis_rows`, and the state map
-(w, w', w'', w''') <-> (A, B, C, D) and its explicit inverse at the left end
-are stated once here for both solvers.  A mode is read through
+functions come from one table, :func:`_basis_rows`.  Each solver writes its
+own coefficients from the addition formulas; nothing evaluates a state
+(w, w', w'', w''') and inverts it.  A mode is read through
 ``eval(x, order, side)`` alone, at a point or an array of points.
 
 The solvers differ only in their characteristic determinant and in how they
@@ -46,9 +46,9 @@ def _basis_rows(basis: tuple[np.ndarray, ...], order: int) -> tuple[np.ndarray, 
     """Order-th derivative of (sin, cos, sinh, cosh), given their values ``basis``.
 
     The derivative is taken in the phase: the caller applies the lam**order
-    scale.  This is the one such table; the state map, the piecewise mode,
-    the jump response, the smooth part of the jump-amplitude form and the
-    paper's kernel M_i read it.
+    scale.  This is the one such table; the piecewise mode, the jump
+    response, the smooth part of the jump-amplitude form and the paper's
+    kernel M_i read it.
     """
     sin_t, cos_t, sinh_t, cosh_t = basis
     r = order % 4
@@ -62,50 +62,6 @@ def _basis_rows(basis: tuple[np.ndarray, ...], order: int) -> tuple[np.ndarray, 
         trig = (-cos_t, sin_t)
     hyp = (sinh_t, cosh_t) if order % 2 == 0 else (cosh_t, sinh_t)
     return trig[0], trig[1], hyp[0], hyp[1]
-
-
-def _powers(lam: np.ndarray) -> np.ndarray:
-    """lam**0 .. lam**3 for every entry, as Python floats compute them; shape (..., 4)."""
-    # x**0 and x**1 are exactly 1.0 and x; only the squares and cubes need pow.
-    flat = [[1.0, x, x**2, x**3] for x in lam.ravel().tolist()]
-    return np.array(flat).reshape(lam.shape + (4,))
-
-
-def local_state_matrix(lam, xi: float) -> np.ndarray:
-    """Matrix sending local coefficients (A,B,C,D) to (w, w', w'', w''') at xi.
-
-    ``lam`` may also be an array of wavenumbers; the result then holds one
-    4x4 matrix per entry along its leading axes.
-    """
-    return _state_matrix(_powers(np.asarray(lam, dtype=float)), xi)
-
-
-def _state_matrix(powers: np.ndarray, xi) -> np.ndarray:
-    """:func:`local_state_matrix` from the wavenumbers' ``_powers``."""
-    basis = _basis(powers[..., 1] * xi)
-    rows = np.moveaxis(np.array([_basis_rows(basis, k) for k in range(4)]), (0, 1), (-2, -1))
-    return powers[..., :, None] * np.ascontiguousarray(rows)
-
-
-def coefficients_from_state(lam, state) -> np.ndarray:
-    """Invert the local state map at xi = 0, for one state or a stack (..., 4).
-
-    ``lam`` is one wavenumber or an array broadcasting against the stack's
-    leading axes.  The value fixes B + D, the slope A + C, and the second
-    and third derivatives split the pairs, so the inverse is explicit.
-    """
-    return _from_state(_powers(np.asarray(lam, dtype=float)), state)
-
-
-def _from_state(powers: np.ndarray, state) -> np.ndarray:
-    """:func:`coefficients_from_state` from the wavenumbers' ``_powers``."""
-    lam1, lam2, lam3 = powers[..., 1], powers[..., 2], powers[..., 3]
-    s0, s1, s2, s3 = np.moveaxis(np.asarray(state, dtype=float), -1, 0)
-    a = 0.5 * s1 / lam1 - 0.5 * s3 / lam3
-    b = 0.5 * s0 - 0.5 * s2 / lam2
-    c = 0.5 * s1 / lam1 + 0.5 * s3 / lam3
-    d = 0.5 * s0 + 0.5 * s2 / lam2
-    return np.stack([a, b, c, d], axis=-1)
 
 
 def _local_values(lam, scale, xi: np.ndarray, co: np.ndarray, order: int) -> np.ndarray:
@@ -207,9 +163,10 @@ def _normalized(pairs: list[Eigenpair], rules: list[QuadratureRule]) -> list[Eig
     norms = [float(np.sqrt(rule.integrate(part))) for rule, part in zip(rules, parts)]
     if 0.0 in norms:
         raise ValueError("cannot normalize the zero function")
-    # phi'(0+), or phi'''(0+) where it vanishes, on each first interval (x = 0 is its left end).
+    # phi'(0+), or phi'''(0+) where it vanishes, on each first interval (x = 0 is its left end),
+    # without the scale lam**k: a positive factor never changes a sign.
     x0 = 0.0 - first.breakpoints[0]
-    slope, third = (_local_values(lams, _powers(lams)[:, k], x0, rows[::n_rows], k) for k in (1, 3))
+    slope, third = (_local_values(lams, 1.0, x0, rows[::n_rows], k) for k in (1, 3))
     up = (np.where(slope != 0.0, slope, np.where(third != 0.0, third, 1.0)) > 0.0).tolist()
     return [pair.scaled((1.0 if u else -1.0) / norm) for pair, u, norm in zip(pairs, up, norms)]
 

@@ -73,9 +73,12 @@ def kernel_M(problem: BeamProblem, i: int, x, lam: float, order: int = 0):
     ``M_i(x) = integral_0^x (sinh(lam (x-s)) - sin(lam (x-s))) w_i(s) ds``.
     Since w_i(0) = 0 and w_i'' is a unit point mass at x_i, two integrations
     by parts give ``M_i(x) = w_i'(0) K(x) + H(x - x_i) K(x - x_i)`` with
-    ``K(u) = (sin(lam u) + sinh(lam u) - 2 lam u) / lam**2``.  Every order of K
-    comes from the derivative table and is exactly 0 at u = 0, so the step H
-    is applied by clamping x - x_i at 0.
+    ``K(u) = (sin(lam u) + sinh(lam u) - 2 lam u) / lam**2``.  Every order r of K
+    is exactly 0 at u = 0, so the step H is applied by clamping x - x_i at 0.
+    From |lam u| = 1 up, K comes from the derivative table.  Below, that
+    difference cancels (the value loses about 4 log10(1/|lam u|) digits), so K
+    is summed from its Taylor series ``2 sum_{k>=1} t**(4k+1-r) / (4k+1-r)!`` at
+    t = lam u, whose terms share one sign.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order {order} not in 0..3")
@@ -85,8 +88,15 @@ def kernel_M(problem: BeamProblem, i: int, x, lam: float, order: int = 0):
     xa = np.asarray(x, dtype=float)
 
     def kernel(u):
-        d_sin, _, d_sinh, _ = _basis_rows(_basis(lam * u), order)
-        return lam ** (order - 2) * (d_sin + d_sinh - (2.0 * lam * u, 2.0, 0.0, 0.0)[order])
+        t = lam * u
+        d_sin, _, d_sinh, _ = _basis_rows(_basis(t), order)
+        closed = d_sin + d_sinh - (2.0 * t, 2.0, 0.0, 0.0)[order]
+        small = np.abs(t) < 1.0
+        ts = np.where(small, t, 0.0)
+        # Five terms: the first one dropped is below 1e-20 of the first one kept.
+        powers = [4 * k + 1 - order for k in range(1, 6)]
+        series = sum(2.0 * ts**n / math.factorial(n) for n in powers)
+        return lam ** (order - 2) * np.where(small, series, closed)
 
     out = basis.left_slope * kernel(xa) + kernel(np.maximum(xa - basis.breakpoint, 0.0))
     return float(out) if xa.ndim == 0 else out

@@ -19,6 +19,8 @@ so entries grow with the distance from a crack to any later crack or to the
 right support, not with the spacing of adjacent cracks.  Row equilibration
 keeps the determinant representable all the same.  A stack of systems over n
 wavenumbers is filled entry-major, (m+4, m+4, n), and read as (n, m+4, m+4).
+A solved form becomes per-interval coefficients term by term, through the
+addition formulas for each global term and each jump response.
 The paper's classical parametrization of the mode lives in :mod:`crackedbeam.paper`.
 """
 
@@ -40,37 +42,6 @@ from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it 
 # Second-smallest singular value below this fraction of the largest flags a
 # numerically multiple eigenvalue.
 DEGENERACY_RATIO = 1e-8
-
-
-def _stack_values(forms: list["ShifrinForm"], x: np.ndarray, orders, side: str) -> list[np.ndarray]:
-    """Derivatives at the 1-D points ``x`` of forms sharing their cracks, (n, len(x)) per order."""
-    lams = [form.lam for form in forms]
-    lam = np.array(lams)[:, None]
-    a, b, p, q = np.array([form.coefficients for form in forms]).T[:, :, None]
-    t = lam * x
-    # Only the sin and cos rows are read; sinh and cosh would overflow past lam*x = 710.
-    smooth = (np.sin(t), np.cos(t), None, None)
-    decaying, growing = p * np.exp(-t), q * np.exp(-lam * math.pi + t)
-    x_i = np.asarray(forms[0].positions, dtype=float)[:, None]
-    active = x >= x_i if is_right_side(side) else x > x_i
-    jumps = _basis(lam[:, :, None] * np.where(active, x - x_i, 0.0))
-    deltas = np.array([form.deltas for form in forms])[:, :, None]
-    out = []
-    for order in orders:
-        d_sin, d_cos, _, _ = _basis_rows(smooth, order)
-        sign = -1.0 if order % 2 else 1.0
-        # Python powers: a form in a stack gets the bits it gets alone.
-        scale, z_scale = (np.array([v**k for v in lams])[:, None] for k in (order, order - 1))
-        values = scale * (a * d_cos + b * d_sin + sign * decaying + growing)
-        # Jump response (sin + sinh)(lam u)/(2 lam): state (0, 1, 0, 0) at u = 0, a unit slope jump.
-        z_sin, _, z_sinh, _ = _basis_rows(jumps, order)
-        response = z_scale[:, :, None] * 0.5 * (z_sin + z_sinh)
-        # Cracks are added one at a time, in order: every point then sees the
-        # same sums whether it is evaluated alone or in an array.
-        for term in np.moveaxis(np.where(active, deltas * response, 0.0), 1, 0):
-            values = values + term
-        out.append(values)
-    return out
 
 
 @dataclass(frozen=True)
@@ -103,8 +74,22 @@ class ShifrinForm:
         if order not in (0, 1, 2, 3, 4):
             raise ValueError(f"order {order} not in 0..4")
         xa = np.asarray(x, dtype=float)
-        out = _stack_values([self], np.atleast_1d(xa).astype(float), (order,), side)[0][0]
-        return float(out[0]) if xa.ndim == 0 else out
+        xf = np.atleast_1d(xa)
+        lam, (a, b, p, q) = self.lam, self.coefficients
+        t = lam * xf
+        # Only the sin and cos rows are read; sinh and cosh would overflow past lam*x = 710.
+        d_sin, d_cos, _, _ = _basis_rows((np.sin(t), np.cos(t), None, None), order)
+        sign = -1.0 if order % 2 else 1.0
+        smooth = a * d_cos + b * d_sin + sign * p * np.exp(-t) + q * np.exp(-lam * math.pi + t)
+        values = lam**order * smooth
+        x_i = np.asarray(self.positions, dtype=float)[:, None]
+        active = xf >= x_i if is_right_side(side) else xf > x_i
+        # Jump response (sin + sinh)(lam u)/(2 lam): state (0, 1, 0, 0) at u = 0, a unit slope jump.
+        z_sin, _, z_sinh, _ = _basis_rows(_basis(lam * np.where(active, xf - x_i, 0.0)), order)
+        response = lam ** (order - 1) * 0.5 * (z_sin + z_sinh)
+        for term in np.where(active, self.deltas[:, None] * response, 0.0):
+            values = values + term
+        return float(values[0]) if xa.ndim == 0 else values
 
     def scaled(self, factor: float) -> "ShifrinForm":
         return replace(
@@ -256,12 +241,27 @@ def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:
 def _eigenpairs(problem: BeamProblem, forms: list[ShifrinForm]) -> list[Eigenpair]:
     """Piecewise-coefficient modes of all ``forms``, each at its own scale.
 
-    The states (phi, phi', phi'', phi''') at the right limit of each interval's left end are
-    inverted into local coefficients, so later derivative evaluations stay exact per interval.
+    Interval k, with left end a, takes its (sin, cos, sinh, cosh) coefficients of lam (x - a)
+    term by term from the addition formulas: A cos + B sin gives
+    (B cos lam a - A sin lam a, A cos lam a + B sin lam a), P and Q give
+    (Q e**(-lam (pi - a)) - P e**(-lam a), Q e**(-lam (pi - a)) + P e**(-lam a)), and each
+    crack x_i <= a, added in order, gives Delta_i / (2 lam) (cos d, sin d, cosh d, sinh d)
+    with d = lam (a - x_i).
     """
     bp = problem.breakpoints
-    states = np.stack(_stack_values(forms, np.array(bp[:-1]), range(4), "R"), axis=-1)
-    rows = modes.coefficients_from_state(np.array([[form.lam] for form in forms]), states)
+    left = np.array(bp[:-1])
+    lams = np.array([form.lam for form in forms])[:, None]
+    a, b, p, q = np.array([form.coefficients for form in forms]).T[:, :, None]
+    t = lams * left
+    sin_a, cos_a = np.sin(t), np.cos(t)
+    decaying, growing = p * np.exp(-t), q * np.exp(-lams * (math.pi - left))
+    oscillating = (b * cos_a - a * sin_a, a * cos_a + b * sin_a)
+    rows = np.stack((*oscillating, growing - decaying, growing + decaying), axis=-1)
+    halves = np.array([form.deltas for form in forms]) / (2.0 * lams)
+    for i in range(problem.m):
+        d = lams * (left[i + 1 :] - left[i + 1])
+        terms = (np.cos(d), np.sin(d), np.cosh(d), np.sinh(d))
+        rows[:, i + 1 :] += halves[:, i, None, None] * np.stack(terms, axis=-1)
     return [Eigenpair(f.lam, PiecewiseForm(f.lam, bp, co), f) for f, co in zip(forms, rows)]
 
 

@@ -1,14 +1,14 @@
 """Independent eigen-solver that propagates local coefficients across cracks.
 
 On each subinterval the mode is A sin + B cos + C sinh + D cosh of the local
-coordinate.  A 4x4 transition matrix carries the coefficient vector across a
-crack by evaluating the end state, adding the spring's slope jump, and
-re-anchoring the local origin.  Hinged supports kill two of the four
-starting coefficients, so the two end conditions close a 2x2 system whose
-determinant vanishes exactly at the eigenvalues.
+coordinate.  A 4x4 transition matrix, written in closed form, carries the
+coefficient vector across a crack: the addition formulas re-anchor the local
+origin, and the spring's slope jump adds a rank-one kick.  Hinged supports
+kill two of the four starting coefficients, so the two end conditions close a
+2x2 system whose determinant vanishes exactly at the eigenvalues.
 
-This solver shares no assembly code with the jump-amplitude solver; the two
-agreeing is a genuine cross-check.
+This solver shares no assembly or mode-recovery code with the jump-amplitude
+solver; the two agreeing is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -22,29 +22,37 @@ from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it 
 
 
 def _interval_maps(problem: BeamProblem, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrices and end rows for every wavenumber of ``lams``.
+    """Transition matrices and end rows for every wavenumber of ``lams``, in closed form.
 
     Returns the (n, m, 4, 4) stack of transition matrices across cracks
     1..m and the (n, 2, 4) rows mapping final-interval coefficients to
-    (w(pi), w''(pi)).
+    (w(pi), w''(pi)).  With (s, c, sh, ch) the basis at the phase t = lam*h_i of
+    interval i, the map is the origin shift plus the spring's rank-one kick:
+    theta_i w''(h_i) = theta_i lam^2 (-s, -c, sh, ch) . coefficients is a slope
+    jump, which the new interval carries as (1, 0, 1, 0) / (2 lam).
     """
-    powers = modes._powers(lams[:, None])
-    states = modes._state_matrix(powers, np.diff(problem.breakpoints))
-    jumps = np.tile(np.eye(4), (problem.m, 1, 1))
-    jumps[:, 1, 2] = problem.flexibilities
-    # Column k of the inverse state map at 0 holds the coefficients of unit state k;
-    # C order, as in a one-wavenumber chain, keeps the products on the same code path.
-    inverse = np.swapaxes(modes._from_state(powers, np.eye(4)), -1, -2)
-    factors = np.ascontiguousarray(inverse)[:, None] @ jumps @ states[:, :-1]
-    return factors, states[:, -1, [0, 2]]
+    phase = np.multiply.outer(lams, np.diff(problem.breakpoints))
+    basis = np.stack(modes._basis(phase), axis=-1)
+    s, c, sh, ch = np.moveaxis(basis[:, :-1], -1, 0)
+    kick = np.multiply.outer(0.5 * lams, problem.flexibilities)
+    zero = np.zeros_like(kick)
+    rows = (
+        (c - kick * s, -s - kick * c, kick * sh, kick * ch),
+        (s, c, zero, zero),
+        (-kick * s, -kick * c, ch + kick * sh, sh + kick * ch),
+        (zero, zero, sh, ch),
+    )
+    factors = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    end = basis[:, -1]
+    moment = (lams * lams)[:, None] * end * (-1.0, -1.0, 1.0, 1.0)
+    return factors, np.stack((end, moment), axis=1)
 
 
 def transition_matrix(problem: BeamProblem, i: int, lam: float) -> np.ndarray:
     """Map coefficients on interval i to coefficients on interval i+1.
 
-    Built as (state-to-coefficients at 0) o (slope jump) o (state at the
-    interval length): continuity of value, moment and shear is the identity
-    part, and the spring adds theta_i times the moment to the slope.
+    Continuity of value, moment and shear re-anchors the local origin by the
+    addition formulas, and the spring adds theta_i times the moment to the slope.
     """
     if not 1 <= i <= problem.m:
         raise IndexError(f"crack index {i} out of range 1..{problem.m}")

@@ -7,12 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crackedbeam import (
     BeamProblem,
     PiecewiseForm,
+    ValidationError,
     assemble_system,
     basis_eval,
     build_eigenfunction,
@@ -26,6 +27,9 @@ from crackedbeam import (
 from crackedbeam import shifrin
 from crackedbeam.paper import classical_coefficients
 from crackedbeam.transition import find_eigenvalues as transition_eigenvalues
+
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +157,26 @@ class TestKernel:
             kernel_M(mid_crack, 1, 1.0, 1.3, order=4)
         with pytest.raises(ValueError):
             kernel_M(mid_crack, 1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("position", [0.7, math.pi / 2, 2.6])
+    @pytest.mark.parametrize("lam", [0.1, 0.6, 2.0])
+    def test_relative_accuracy_before_the_crack(self, position, lam):
+        # On (0, x_i), M_i = w_i'(0) K has no zero, so every value is held to a relative
+        # bound, down to lam x = 1e-4 where the closed form of K cancels completely.
+        import mpmath as mp
+
+        problem = BeamProblem(positions=(position,), flexibilities=(0.3,))
+        xs = np.concatenate((np.geomspace(1e-3, position, 12, endpoint=False), [0.01]))
+        with mp.workdps(50):
+            slope = (mp.mpf(position) - mp.pi) / mp.pi
+            for order in range(4):
+                got = kernel_M(problem, 1, xs, lam, order=order)
+                for x, value in zip(xs.tolist(), got.tolist()):
+                    t = mp.mpf(lam) * mp.mpf(x)
+                    sin, cos, sinh, cosh = mp.sin(t), mp.cos(t), mp.sinh(t), mp.cosh(t)
+                    k = (sin + sinh - 2 * t, cos + cosh - 2, sinh - sin, cosh - cos)[order]
+                    expected = slope * mp.mpf(lam) ** (order - 2) * k
+                    assert abs(value - expected) <= 1e-13 * abs(expected)
 
 
 def _looped_system(problem: BeamProblem, lam: float) -> np.ndarray:
@@ -493,19 +517,22 @@ class TestEigenpairs:
 
 
 def _looped_eigenfunction(problem, form):
-    """Unnormalized coefficients from per-point one-sided states, the array build's reference."""
+    """Unnormalized coefficients written interval by interval from the addition formulas,
+    crack terms added in order: the array build's reference, bit for bit."""
     lam = form.lam
+    a, b, p, q = form.coefficients.tolist()
     rows = []
     for left in problem.breakpoints[:-1]:
-        s0, s1, s2, s3 = (float(form.eval(left, order, "R")) for order in range(4))
-        rows.append(
-            [
-                0.5 * s1 / lam - 0.5 * s3 / lam**3,
-                0.5 * s0 - 0.5 * s2 / lam**2,
-                0.5 * s1 / lam + 0.5 * s3 / lam**3,
-                0.5 * s0 + 0.5 * s2 / lam**2,
-            ]
-        )
+        sin_a, cos_a = float(np.sin(lam * left)), float(np.cos(lam * left))
+        decaying = p * float(np.exp(-(lam * left)))
+        growing = q * float(np.exp(-lam * (math.pi - left)))
+        row = [b * cos_a - a * sin_a, a * cos_a + b * sin_a, growing - decaying, growing + decaying]
+        for delta, x_i in zip(form.deltas.tolist(), problem.positions):
+            if x_i <= left:
+                d = lam * (left - x_i)
+                terms = (float(f(d)) for f in (np.cos, np.sin, np.cosh, np.sinh))
+                row = [r + delta / (2.0 * lam) * v for r, v in zip(row, terms)]
+        rows.append(row)
     return PiecewiseForm(lam=lam, breakpoints=problem.breakpoints, coefficients=rows).coefficients
 
 
@@ -513,7 +540,7 @@ class TestBuildEigenfunction:
     @pytest.mark.parametrize(
         "name", ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
     )
-    def test_array_build_matches_pointwise_states(self, name, request):
+    def test_array_build_matches_interval_loop(self, name, request):
         problem = request.getfixturevalue(name)
         for lam in find_eigenvalues(problem, 4):
             form = solve_nullspace(problem, lam)
@@ -521,3 +548,36 @@ class TestBuildEigenfunction:
             looped = _looped_eigenfunction(problem, form)
             assert built.shape == (problem.m + 1, 4)
             assert np.array_equal(built, looped)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        positions=st.lists(
+            st.floats(0.0, math.pi, exclude_min=True, exclude_max=True), max_size=6, unique=True
+        ),
+        exponents=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+    )
+    def test_piecewise_form_matches_jump_amplitude_form(self, positions, exponents):
+        # The coefficients are written from the addition formulas, not read off the
+        # form, so agreeing at every interval's left end checks the two independently.
+        # Both sum the same terms, which grow like cosh(lam (x - x_i)) and may cancel
+        # to a mode far smaller than its unit nullvector; each sum then rounds to a
+        # few ulps of its terms, so 16 eps of their sum is allowed on top of 1e-9 of
+        # the order's largest value at the breakpoints.
+        thetas = tuple(10.0**e for e in exponents[: len(positions)])
+        try:
+            problem = BeamProblem(positions=tuple(sorted(positions)), flexibilities=thetas)
+        except ValidationError:
+            assume(False)
+        bp = np.array(problem.breakpoints)
+        left, x_i = bp[:-1], np.array(problem.positions)[:, None]
+        for lam in find_eigenvalues(problem, 5):
+            form = solve_nullspace(problem, lam)
+            pair = build_eigenfunction(problem, form)
+            a, b, p, q = np.abs(form.coefficients)
+            smooth = a + b + p * np.exp(-lam * left) + q * np.exp(-lam * (math.pi - left))
+            growth = np.where(left >= x_i, np.cosh(lam * np.maximum(left - x_i, 0.0)), 0.0)
+            terms = smooth + np.abs(form.deltas) @ growth / lam
+            for order in range(4):
+                expected = form.eval(bp, order, "R")
+                bound = 1e-9 * np.max(np.abs(expected)) + 16 * EPS * lam**order * terms
+                assert np.all(np.abs(pair.eval(left, order, "R") - expected[:-1]) <= bound)

@@ -6,55 +6,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from crackedbeam import (
     BeamProblem,
+    PiecewiseForm,
     boundary_det,
     char_det,
     oracle_eigenpairs,
     transition,
     transition_matrix,
 )
-from crackedbeam.modes import coefficients_from_state, local_state_matrix
-
-
-class TestStateMap:
-    @given(
-        coeffs=st.tuples(*[st.floats(-5.0, 5.0) for _ in range(4)]),
-        lam=st.floats(0.2, 8.0),
-    )
-    def test_roundtrip_is_identity(self, coeffs, lam):
-        vec = np.asarray(coeffs)
-        state = local_state_matrix(lam, 0.0) @ vec
-        back = coefficients_from_state(lam, state)
-        assert np.allclose(back, vec, atol=1e-12 * max(1.0, np.max(np.abs(vec))))
-
-    def test_roundtrip_over_a_stack_of_wavenumbers(self):
-        # Column k of local_state_matrix is the state of unit coefficient k,
-        # so inverting every column of every matrix gives the identity.
-        lams = np.linspace(0.2, 40.0, 25)
-        states = np.swapaxes(local_state_matrix(lams, 0.0), -1, -2)
-        back = coefficients_from_state(lams[:, None], states)
-        assert np.allclose(back, np.eye(4), rtol=0.0, atol=1e-14)
-        # The stack gives exactly what one wavenumber at a time gives.
-        for lam, stacked, state in zip(lams, back, states):
-            assert np.array_equal(stacked, coefficients_from_state(lam, state))
-
-    def test_state_matrix_structure_at_origin(self):
-        lam = 1.7
-        mat = local_state_matrix(lam, 0.0)
-        # [w, w', w'', w'''] of (sin, cos, sinh, cosh)(lam xi) at xi = 0
-        expected = np.array(
-            [
-                [0.0, 1.0, 0.0, 1.0],
-                [lam, 0.0, lam, 0.0],
-                [0.0, -lam**2, 0.0, lam**2],
-                [-(lam**3), 0.0, lam**3, 0.0],
-            ]
-        )
-        assert np.allclose(mat, expected, atol=1e-15)
 
 
 class TestTransitionMatrix:
@@ -85,37 +46,48 @@ class TestTransitionMatrix:
         t = transition_matrix(problem, 1, lam)
         rng = np.random.default_rng(7)
         coeffs = rng.standard_normal(4)
-        state_left = local_state_matrix(lam, 1.3) @ coeffs
-        state_right = local_state_matrix(lam, 0.0) @ (t @ coeffs)
-        assert state_right[0] == pytest.approx(state_left[0], rel=1e-12, abs=1e-12)
-        assert state_right[2] == pytest.approx(state_left[2], rel=1e-12, abs=1e-12)
-        assert state_right[3] == pytest.approx(state_left[3], rel=1e-12, abs=1e-12)
-        assert state_right[1] - state_left[1] == pytest.approx(
-            0.7 * state_left[2], rel=1e-12, abs=1e-12
-        )
+        form = PiecewiseForm(lam, (0.0, 1.3, math.pi), [coeffs, t @ coeffs])
+        left = [form.eval(1.3, k, "L") for k in range(4)]
+        right = [form.eval(1.3, k, "R") for k in range(4)]
+        assert right[0] == pytest.approx(left[0], rel=1e-12, abs=1e-12)
+        assert right[2] == pytest.approx(left[2], rel=1e-12, abs=1e-12)
+        assert right[3] == pytest.approx(left[3], rel=1e-12, abs=1e-12)
+        assert right[1] - left[1] == pytest.approx(0.7 * left[2], rel=1e-12, abs=1e-12)
+
+    def test_rejects_crack_index_and_wavenumber_out_of_range(self, two_crack_problem):
+        for i in (0, two_crack_problem.m + 1):
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                transition_matrix(two_crack_problem, i, 1.5)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                transition_matrix(two_crack_problem, 1, lam)
 
 
 def _looped_boundary_det(problem: BeamProblem, lam: float) -> float:
-    """The transfer chain for one wavenumber, one 4x4 factor at a time: the
-    reference for the batched chain, which must reproduce it bit for bit."""
+    """The transfer chain for one wavenumber, each 4x4 factor written entry by entry in
+    closed form: the reference for the batched chain, which must reproduce it bit for bit."""
 
-    def state(xi):
-        t = np.asarray(lam * xi)
-        s, c, sh, ch = (float(f(t)) for f in (np.sin, np.cos, np.sinh, np.cosh))
-        rows = [(s, c, sh, ch), (c, -s, ch, sh), (-s, -c, sh, ch), (-c, s, ch, sh)]
-        return np.array([[lam**k * v for v in row] for k, row in enumerate(rows)])
+    def basis(h):
+        return (float(f(lam * h)) for f in (np.sin, np.cos, np.sinh, np.cosh))
 
-    il, il2, il3 = 0.5 / lam, 0.5 / lam**2, 0.5 / lam**3
-    inverse = np.array(
-        [[0.0, il, 0.0, -il3], [0.5, 0.0, -il2, 0.0], [0.0, il, 0.0, il3], [0.5, 0.0, il2, 0.0]]
-    )
     bp = problem.breakpoints
-    chain = state(bp[-1] - bp[-2])[[0, 2]]
+    s, c, sh, ch = basis(bp[-1] - bp[-2])
+    lam2 = lam * lam
+    chain = np.array([[s, c, sh, ch], [lam2 * -s, lam2 * -c, lam2 * sh, lam2 * ch]])
     chain = chain / np.max(np.abs(chain))
     for i in range(problem.m, 0, -1):
-        jump = np.eye(4)
-        jump[1, 2] = problem.flexibilities[i - 1]
-        factor = inverse @ jump @ state(bp[i] - bp[i - 1])
+        # Origin shift by the addition formulas, plus the spring's kick
+        # (theta lam / 2) (1, 0, 1, 0)^T (-s, -c, sh, ch).
+        s, c, sh, ch = basis(bp[i] - bp[i - 1])
+        kick = 0.5 * lam * problem.flexibilities[i - 1]
+        factor = np.array(
+            [
+                [c - kick * s, -s - kick * c, kick * sh, kick * ch],
+                [s, c, 0.0, 0.0],
+                [-kick * s, -kick * c, ch + kick * sh, sh + kick * ch],
+                [0.0, 0.0, sh, ch],
+            ]
+        )
         chain = chain @ (factor / np.max(np.abs(factor)))
     reduced = chain[:, [0, 2]]
     scale = np.max(np.abs(reduced), axis=1)
