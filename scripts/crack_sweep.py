@@ -9,33 +9,26 @@ deepens, fastest for modes with high curvature at the crack.  Run with
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from crackedbeam import BeamProblem, compute_spectrum
 
-
-@dataclass(frozen=True)
-class SweepConfig:
-    position: float = 1.0
-    modes: int = 4
-    thetas: tuple[float, ...] = field(
-        default=(0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
-    )
+# Crack flexibilities swept, from the uncracked beam up.
+THETAS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
 
 
-def run(config: SweepConfig) -> None:
-    baseline = np.array([float(k) for k in range(1, config.modes + 1)])
-    header = "theta    " + "  ".join(f"lam_{k}/k" for k in range(1, config.modes + 1))
+def run(position: float, modes: int) -> None:
+    baseline = np.array([float(k) for k in range(1, modes + 1)])
+    header = "theta    " + "  ".join(f"lam_{k}/k" for k in range(1, modes + 1))
     print(header)
     print("-" * len(header))
-    for theta in config.thetas:
+    for theta in THETAS:
         if theta == 0.0:
             lams = baseline
         else:
-            problem = BeamProblem(positions=(config.position,), flexibilities=(theta,))
-            lams = compute_spectrum(problem, config.modes).lambdas
+            problem = BeamProblem(positions=(position,), flexibilities=(theta,))
+            lams = compute_spectrum(problem, modes).lambdas
         ratios = "  ".join(f"{lam / k:.6f}" for k, lam in zip(baseline, lams))
         print(f"{theta:<7.2f}  {ratios}")
 
@@ -45,7 +38,7 @@ def main() -> None:
     parser.add_argument("--position", type=float, default=1.0, help="crack location in (0, pi)")
     parser.add_argument("--modes", type=int, default=4)
     args = parser.parse_args()
-    run(SweepConfig(position=args.position, modes=args.modes))
+    run(args.position, args.modes)
 
 
 if __name__ == "__main__":

@@ -17,10 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import shifrin, spectral, transition
+from . import beam_model, shifrin, spectral, transition
 from .beam_model import BeamProblem, ValidationError, finite_real, load_problem_file
-from .modes import normalize_eigenpair
-from .quadrature import QuadratureRule
+from .modes import normalize_modes
 from .rootfind import DEFAULT_STEP, MAX_WAVENUMBER, MIN_WAVENUMBER, RootCountError
 
 EXIT_OK = 0
@@ -111,44 +110,38 @@ def _write(args: argparse.Namespace, text: str) -> None:
             fh.write(text)
 
 
-def _solve_lambdas(problem: BeamProblem, args: argparse.Namespace):
-    """Wavenumbers by the configured solver; 'both' returns the checked pair."""
-    if args.solver in ("shifrin", "both"):
-        lam_s = shifrin.find_eigenvalues(problem, args.modes, lam_max=args.lambda_max)
-    if args.solver in ("transition", "both"):
-        lam_t = transition.find_eigenvalues(problem, args.modes, lam_max=args.lambda_max)
-    if args.solver == "shifrin":
-        return lam_s, None
-    if args.solver == "transition":
-        return lam_t, None
-    _check("cross_solver_lambda", max(abs(a - b) for a, b in zip(lam_s, lam_t)))
-    return lam_s, lam_t
+def _solve(problem: BeamProblem, args: argparse.Namespace, modes: bool = False):
+    """The configured solver's wavenumbers, or its spectrum with ``modes``, and the oracle's.
 
-
-def _spectrum_for_output(problem: BeamProblem, args: argparse.Namespace):
-    """Mode shapes by the configured solver, cross-checked for 'both'."""
-    if args.solver == "transition":
-        return transition.oracle_eigenpairs(problem, args.modes, lam_max=args.lambda_max)
-    spectrum = shifrin.compute_spectrum(problem, args.modes, lam_max=args.lambda_max)
-    if args.solver == "both":
-        oracle = transition.oracle_eigenpairs(problem, args.modes, lam_max=args.lambda_max)
-        for name, worst in spectral.cross_solver_gaps(spectrum, oracle).items():
-            _check(name, worst)
-    return spectrum
+    The oracle's result comes second under 'both', which runs the jump-amplitude
+    solver first and checks the two through :mod:`spectral`; otherwise it is None.
+    """
+    if modes:
+        jump, oracle = shifrin.compute_spectrum, transition.oracle_eigenpairs
+    else:
+        jump, oracle = shifrin.find_eigenvalues, transition.find_eigenvalues
+    solvers = {"shifrin": [jump], "transition": [oracle], "both": [jump, oracle]}[args.solver]
+    results = [solve(problem, args.modes, lam_max=args.lambda_max) for solve in solvers]
+    if len(results) == 1:
+        return results[0], None
+    if modes:
+        gaps = spectral.cross_solver_gaps(*results)
+    else:
+        gaps = {"cross_solver_lambda": max(spectral.wavenumber_gaps(*results))}
+    for name, worst in gaps.items():
+        _check(name, worst)
+    return tuple(results)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     problem, _, _ = load_problem_file(args.input)
-    lams, oracle = _solve_lambdas(problem, args)
+    lams, oracle = _solve(problem, args)
     columns = ["k", "lambda", "lambda4"]
-    if args.solver == "both":
+    rows = [[k, lam, lam**4] for k, lam in enumerate(lams, start=1)]
+    if oracle is not None:
         columns.append("agreement")
-    rows = []
-    for k, lam in enumerate(lams, start=1):
-        row = [k, lam, lam**4]
-        if args.solver == "both":
-            row.append(abs(lam - oracle[k - 1]))
-        rows.append(row)
+        for row, gap in zip(rows, spectral.wavenumber_gaps(lams, oracle).tolist()):
+            row.append(gap)
     _write(args, _emit_table(args, columns, rows))
     return EXIT_OK
 
@@ -171,7 +164,7 @@ def _mode_rows(problem: BeamProblem, pair, k: int, samples: int) -> list[list]:
 
 def cmd_modes(args: argparse.Namespace) -> int:
     problem, _, _ = load_problem_file(args.input)
-    spectrum = _spectrum_for_output(problem, args)
+    spectrum, _ = _solve(problem, args, modes=True)
     rows = []
     for k, pair in enumerate(spectrum.pairs, start=1):
         rows.extend(_mode_rows(problem, pair, k, args.samples))
@@ -183,11 +176,9 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
     problem, beam, _ = load_problem_file(args.input)
     if beam is None:
         raise ValidationError("frequencies need a physical beam block in the input")
-    lams, _ = _solve_lambdas(problem, args)
-    rows = []
-    for k, lam in enumerate(lams, start=1):
-        omega = lam**2 * beam.frequency_scale
-        rows.append([k, lam, omega, omega / (2.0 * math.pi)])
+    lams, _ = _solve(problem, args)
+    omegas = beam_model.natural_frequencies(beam, lams).tolist()
+    rows = [[k, lam, w, w / (2.0 * math.pi)] for k, (lam, w) in enumerate(zip(lams, omegas), 1)]
     _write(args, _emit_table(args, ["k", "lambda", "omega", "f_hz"], rows))
     return EXIT_OK
 
@@ -240,8 +231,7 @@ def _perturbed_mode(problem: BeamProblem, doc: dict, spectrum):
     form = spectrum.pairs[int(mode) - 1].shifrin
     pair = shifrin.build_eigenfunction(problem, replace(form, deltas=form.deltas + offsets))
     pairs = list(spectrum.pairs)
-    rule = QuadratureRule.for_problem(problem, lam=form.lam)
-    pairs[int(mode) - 1] = normalize_eigenpair(pair, rule)
+    pairs[int(mode) - 1] = normalize_modes(problem, [pair])[0]
     return replace(spectrum, pairs=tuple(pairs))
 
 

@@ -12,8 +12,8 @@ own coefficients from the addition formulas; nothing evaluates a state
 
 The solvers differ only in their characteristic determinant and in how they
 recover the modes at its roots; :func:`solve` does everything else once, for all
-roots together.  :func:`normalize_eigenpair`, ``solve_nullspace``, ``build_eigenfunction``
-and ``transition._mode_from_root`` are the one-root slices of that batched code.
+roots together.  :func:`normalize_eigenpair`, ``solve_nullspace`` and ``build_eigenfunction``
+are the one-root slices of that batched code.
 """
 
 from __future__ import annotations
@@ -171,6 +171,11 @@ def _normalized(pairs: list[Eigenpair], rules: list[QuadratureRule]) -> list[Eig
     return [pair.scaled((1.0 if u else -1.0) / norm) for pair, u, norm in zip(pairs, up, norms)]
 
 
+def normalize_modes(problem, pairs: list[Eigenpair]) -> list[Eigenpair]:
+    """Every mode of ``problem`` normalized on the quadrature rule of its own wavenumber."""
+    return _normalized(pairs, [QuadratureRule.for_problem(problem, pair.lam) for pair in pairs])
+
+
 def solve(problem, det, recover, count: int, lam_max: float | None = None) -> Spectrum:
     """First ``count`` eigenpairs of ``problem``, all recovered in one call and normalized together.
 
@@ -178,6 +183,4 @@ def solve(problem, det, recover, count: int, lam_max: float | None = None) -> Sp
     lams)`` its eigenpairs, at any scale and sign, at the 1-D array of its roots.
     """
     roots = rootfind.first_roots(det, problem, count, lam_max)
-    pairs = recover(problem, np.array(roots))
-    rules = [QuadratureRule.for_problem(problem, lam) for lam in roots]
-    return Spectrum(tuple(_normalized(pairs, rules)))
+    return Spectrum(tuple(normalize_modes(problem, recover(problem, np.array(roots)))))

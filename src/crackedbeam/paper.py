@@ -21,6 +21,7 @@ import numpy as np
 
 from .beam_model import BeamProblem
 from .modes import _basis, _basis_rows, is_right_side
+from .rootfind import wavenumbers
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ def kernel_M(problem: BeamProblem, i: int, x, lam: float, order: int = 0):
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order {order} not in 0..3")
-    if lam <= 0.0:
-        raise ValueError("wavenumber must be positive")
+    lam = float(wavenumbers(lam))
     basis = jump_basis(problem, i)
     xa = np.asarray(x, dtype=float)
 

@@ -155,22 +155,30 @@ def bisect(f, a, b, fa, fb, tol: float = BISECT_TOL):
     return out[0] if scalar else np.array(out)
 
 
+def wavenumbers(lams) -> np.ndarray:
+    """``lams`` as a float array: the one check of the range every determinant, system and kernel
+    accepts.  NaN or an entry outside [MIN_WAVENUMBER, MAX_WAVENUMBER] raises ValueError."""
+    arr = np.asarray(lams, dtype=float)
+    if not ((arr >= MIN_WAVENUMBER) & (arr <= MAX_WAVENUMBER)).all():
+        if np.isnan(arr).any():
+            raise ValueError("wavenumber must not be NaN")
+        if (arr <= 0.0).any():
+            raise ValueError("wavenumber must be positive")
+        if (arr < MIN_WAVENUMBER).any():
+            raise ValueError(f"wavenumber must be at least {MIN_WAVENUMBER:g}")
+        raise ValueError(f"wavenumber must be at most {MAX_WAVENUMBER:g}")
+    return arr
+
+
 def blockwise(fn, lams, entries_per_lam: int):
-    """Evaluate ``fn`` on the wavenumbers ``lams``, a bounded slice at a time.
+    """Evaluate ``fn`` on the :func:`wavenumbers` ``lams``, a bounded slice at a time.
 
     ``fn`` maps a 1-D array of wavenumbers to the 1-D array of its values and
     builds ``entries_per_lam`` stack entries for each; slices are sized to
     keep that within ``_STACK_ENTRIES``.  A scalar ``lams`` gives a float,
-    an array gives an array of its shape; a nonpositive wavenumber, or one
-    below ``MIN_WAVENUMBER`` or above ``MAX_WAVENUMBER``, raises ValueError.
+    an array gives an array of its shape.
     """
-    arr = np.asarray(lams, dtype=float)
-    if (arr < MIN_WAVENUMBER).any():
-        if (arr <= 0.0).any():
-            raise ValueError("wavenumber must be positive")
-        raise ValueError(f"wavenumber must be at least {MIN_WAVENUMBER:g}")
-    if (arr > MAX_WAVENUMBER).any():
-        raise ValueError(f"wavenumber must be at most {MAX_WAVENUMBER:g}")
+    arr = wavenumbers(lams)
     flat = arr.reshape(-1)
     block = max(1, _STACK_ENTRIES // entries_per_lam)
     parts = [fn(flat[i : i + block]) for i in range(0, flat.size, block)] or [np.empty(0)]
@@ -185,12 +193,15 @@ def find_roots(f, count: int, lam_max: float, step: float = DEFAULT_STEP, bounds
     a uniform grid from one step and bisects every bracket.  ``bounds`` holds
     the count-th root: the first call scans up to its lower end.  Raises
     :class:`RootCountError` when the range runs out first; the exception
-    carries the roots that were found.
+    carries the roots that were found; a ``lam_max`` whose grid steps cannot
+    be counted (infinite, NaN, or too far for a double) raises ValueError.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if step <= 0.0:
         raise ValueError("step must be positive")
+    if not math.isfinite((lam_max - step) / step):
+        raise ValueError(f"cannot count the scan steps of {step:g} up to lam_max = {lam_max:g}")
 
     # Exact zeros go straight into ``roots``; a bracket holds the place of
     # its root until the lockstep bisection below fills it in.

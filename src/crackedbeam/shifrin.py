@@ -169,9 +169,7 @@ def assemble_system(problem: BeamProblem, lam: float) -> np.ndarray:
     boundary block holds, in order, the left and right support combinations
     (lam^2 phi + phi'')/(2 lam^2) and (lam^2 phi - phi'')/(2 lam^2).
     """
-    if lam <= 0.0:
-        raise ValueError("wavenumber must be positive")
-    return _system_stack(problem, np.array([lam], dtype=float))[0]
+    return _system_stack(problem, rootfind.wavenumbers([lam]))[0]
 
 
 def _equilibrated(mat: np.ndarray) -> np.ndarray:
@@ -206,9 +204,7 @@ def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = N
 
 def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
     """Unit-norm solution of U(lam) x = 0, of either sign: one-root slice of :func:`_nullspaces`."""
-    if lam <= 0.0:
-        raise ValueError("wavenumber must be positive")
-    return _nullspaces(problem, np.array([lam], dtype=float))[0]
+    return _nullspaces(problem, rootfind.wavenumbers([lam]))[0]
 
 
 def _nullspaces(problem: BeamProblem, lams: np.ndarray) -> list[ShifrinForm]:

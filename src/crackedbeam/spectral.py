@@ -188,11 +188,16 @@ def residual_report(pair, problem: BeamProblem) -> ResidualReport:
     )
 
 
+def wavenumber_gaps(lams, other) -> np.ndarray:
+    """Per-mode gap between two solvers' wavenumbers, |lams[k] - other[k]|."""
+    return np.abs(np.subtract(lams, other))
+
+
 def cross_solver_gaps(spectrum, oracle) -> dict[str, float]:
     """Largest wavenumber gap and largest sampled mode difference of two spectra."""
     grid = np.linspace(0.0, math.pi, CROSS_GRID_POINTS)
     return {
-        "cross_solver_lambda": float(np.max(np.abs(spectrum.lambdas - oracle.lambdas))),
+        "cross_solver_lambda": float(np.max(wavenumber_gaps(spectrum.lambdas, oracle.lambdas))),
         "cross_solver_modes": max(
             float(np.max(np.abs(ps.eval(grid) - pt.eval(grid))))
             for ps, pt in zip(spectrum.pairs, oracle.pairs)

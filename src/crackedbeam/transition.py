@@ -56,9 +56,7 @@ def transition_matrix(problem: BeamProblem, i: int, lam: float) -> np.ndarray:
     """
     if not 1 <= i <= problem.m:
         raise IndexError(f"crack index {i} out of range 1..{problem.m}")
-    if lam <= 0.0:
-        raise ValueError("wavenumber must be positive")
-    return _interval_maps(problem, np.array([lam], dtype=float))[0][0, i - 1]
+    return _interval_maps(problem, rootfind.wavenumbers([lam]))[0][0, i - 1]
 
 
 def _max_abs(stack: np.ndarray, axes) -> np.ndarray:
@@ -107,11 +105,6 @@ def boundary_det(problem: BeamProblem, lams):
 def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:
     """First ``count`` eigenvalue wavenumbers by scanning boundary_det."""
     return rootfind.first_roots(boundary_det, problem, count, lam_max)
-
-
-def _mode_from_root(problem: BeamProblem, lam: float) -> Eigenpair:
-    """Unnormalized mode at one located root: the one-root slice of :func:`_modes_from_roots`."""
-    return _modes_from_roots(problem, np.array([lam], dtype=float))[0]
 
 
 def _modes_from_roots(problem: BeamProblem, lams: np.ndarray) -> list[Eigenpair]:

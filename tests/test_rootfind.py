@@ -13,11 +13,17 @@ from hypothesis import strategies as st
 from crackedbeam import (
     BeamProblem,
     ValidationError,
+    assemble_system,
     boundary_det,
     char_det,
+    compute_spectrum,
     find_eigenvalues,
+    kernel_M,
     load_problem_file,
+    oracle_eigenpairs,
     rootfind,
+    solve_nullspace,
+    transition_matrix,
 )
 from crackedbeam.rootfind import (
     _PATH_LEVELS,
@@ -30,6 +36,16 @@ from crackedbeam.rootfind import (
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 FIXTURE_NAMES = ("uniform", "one_crack", "two_crack", "node_crack", "steel_beam", "fault_injected")
+
+# Every function that takes wavenumbers, at one wavenumber of a problem with a crack.
+WAVENUMBER_ENTRY_POINTS = {
+    "char_det": char_det,
+    "boundary_det": boundary_det,
+    "assemble_system": assemble_system,
+    "solve_nullspace": solve_nullspace,
+    "transition_matrix": lambda p, lam: transition_matrix(p, 1, lam),
+    "kernel_M": lambda p, lam: kernel_M(p, 1, 0.5, lam),
+}
 
 
 class Counted:
@@ -231,6 +247,36 @@ class TestFindRoots:
         roots, _ = find_roots(f, 2, 8.0)
         assert np.allclose(roots, [math.pi / 2, 3 * math.pi / 2], atol=1e-14)
         assert all(batch.ndim == 1 for batch in f.batches)
+
+
+    @pytest.mark.parametrize("lam_max", [math.inf, math.nan, 1e308])
+    def test_uncountable_ceiling_raises_value_error(self, one_crack_problem, lam_max):
+        with pytest.raises(ValueError, match="lam_max"):
+            find_roots(np.cos, 1, lam_max)
+        for solve in (compute_spectrum, oracle_eigenpairs):
+            with pytest.raises(ValueError, match="lam_max"):
+                solve(one_crack_problem, 5, lam_max=lam_max)
+
+
+class TestWavenumberRange:
+    @pytest.mark.parametrize(
+        "lam, message",
+        [(math.nan, "must not be NaN"), (1e-200, "at least 1e-100"), (1e200, "at most 1e\\+100")],
+    )
+    @pytest.mark.parametrize("name", WAVENUMBER_ENTRY_POINTS)
+    def test_every_entry_point_rejects_alike(self, one_crack_problem, name, lam, message):
+        with pytest.raises(ValueError, match=message):
+            WAVENUMBER_ENTRY_POINTS[name](one_crack_problem, lam)
+
+    def test_nan_is_named_before_any_other_fault(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            rootfind.wavenumbers([-1.0, 1e-300, math.nan, 1e300])
+
+    def test_range_ends_pass_unchanged(self):
+        ends = [rootfind.MIN_WAVENUMBER, 1, rootfind.MAX_WAVENUMBER]
+        out = rootfind.wavenumbers(ends)
+        assert out.dtype == float
+        assert out.tolist() == ends
 
 
 class TestMergedScan:

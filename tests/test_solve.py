@@ -29,7 +29,10 @@ PER_ROOT = {
         shifrin.find_eigenvalues,
         lambda p, lam: shifrin.build_eigenfunction(p, shifrin.solve_nullspace(p, lam)),
     ),
-    "transition": (transition.find_eigenvalues, transition._mode_from_root),
+    "transition": (
+        transition.find_eigenvalues,
+        lambda p, lam: transition._modes_from_roots(p, np.array([lam]))[0],
+    ),
 }
 PROBLEMS = ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
 COUNT = 6
