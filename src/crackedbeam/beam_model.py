@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rootfind import wavenumbers
+
 # Springs softer than this are indistinguishable from an uncracked section
 # at working precision and are dropped from the model.
 THETA_MIN = 1e-12
@@ -287,9 +289,10 @@ def natural_frequencies(beam: PhysicalBeam, lambdas) -> np.ndarray:
 
     The k-th natural frequency is ``lambda_k**2 * (pi/L)**2 * sqrt(EI/(rho A))``.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValidationError("wavenumbers must be positive")
+    try:
+        lam = wavenumbers(lambdas)
+    except ValueError as exc:
+        raise ValidationError(f"wavenumbers must be positive and in range: {exc}") from None
     return lam**2 * beam.frequency_scale
 
 

@@ -1,14 +1,13 @@
 """Mode-shape containers and the solve pipeline shared by both solvers.
 
-Between consecutive cracks every mode is an exact combination
-``A sin + B cos + C sinh + D cosh`` of the local coordinate scaled by the
-wavenumber.  Storing those four coefficients per subinterval keeps all
-derivative evaluations exact and free of cancellation, which matters for
-residual checks at the fourth derivative.  The derivatives of those four
-functions come from one table, :func:`_basis_rows`.  Each solver writes its
-own coefficients from the addition formulas; nothing evaluates a state
-(w, w', w'', w''') and inverts it.  A mode is read through
-``eval(x, order, side)`` alone, at a point or an array of points.
+On each interval [a, b] between consecutive cracks, with u = x - a and h = b - a, a mode
+is ``A cos(lam u) + B sin(lam u) + P e**(-lam u) + Q e**(-lam (h - u))``: the jump-amplitude
+solver's bounded basis applied to one interval.  No basis function exceeds 1 on its interval,
+so a value sums no large terms that cancel, and derivatives are exact: the trigonometric pair
+reads the one (cos, sin) table :func:`_trig_rows`, and the exponentials only change sign.
+Each solver writes its own coefficients from the addition formulas; nothing evaluates a
+state (w, w', w'', w''') and inverts it.  A mode is read through ``eval(x, order, side)``
+alone, at a point or an array of points.
 
 The solvers differ only in their characteristic determinant and in how they
 recover the modes at its roots; :func:`solve` does everything else once, for all
@@ -18,6 +17,7 @@ are the one-root slices of that batched code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -37,46 +37,34 @@ def is_right_side(side: str) -> bool:
     return side == "R"
 
 
-def _basis(t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(sin, cos, sinh, cosh) at phase ``t = lam*xi``."""
-    return np.sin(t), np.cos(t), np.sinh(t), np.cosh(t)
+def _trig_rows(t, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-th derivative of (cos, sin) at phase ``t``, taken in the phase (the caller applies
+    lam**order): the one trig table, read by the modes, the jump-amplitude form and kernel M_i."""
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    if order % 2:
+        cos_t, sin_t = -sin_t, cos_t  # a quarter turn: (cos, sin)' = (-sin, cos)
+    return (-cos_t, -sin_t) if order % 4 >= 2 else (cos_t, sin_t)
 
 
-def _basis_rows(basis: tuple[np.ndarray, ...], order: int) -> tuple[np.ndarray, ...]:
-    """Order-th derivative of (sin, cos, sinh, cosh), given their values ``basis``.
-
-    The derivative is taken in the phase: the caller applies the lam**order
-    scale.  This is the one such table; the piecewise mode, the jump
-    response, the smooth part of the jump-amplitude form and the paper's
-    kernel M_i read it.
-    """
-    sin_t, cos_t, sinh_t, cosh_t = basis
-    r = order % 4
-    if r == 0:
-        trig = (sin_t, cos_t)
-    elif r == 1:
-        trig = (cos_t, -sin_t)
-    elif r == 2:
-        trig = (-sin_t, -cos_t)
-    else:
-        trig = (-cos_t, sin_t)
-    hyp = (sinh_t, cosh_t) if order % 2 == 0 else (cosh_t, sinh_t)
-    return trig[0], trig[1], hyp[0], hyp[1]
-
-
-def _local_values(lam, scale, xi: np.ndarray, co: np.ndarray, order: int) -> np.ndarray:
-    """Order-th derivative of the rows ``co`` at phase ``lam * xi``; ``scale`` is lam**order."""
-    fa, fb, fc, fd = _basis_rows(_basis(lam * xi), order)
-    return scale * (co[:, 0] * fa + co[:, 1] * fb + co[:, 2] * fc + co[:, 3] * fd)
+def _local_values(lam, scale, u, h, co: np.ndarray, order: int) -> np.ndarray:
+    """Order-th derivative of the rows ``co`` at local coordinate ``u`` on intervals of length
+    ``h``; ``scale`` is lam**order.  Each row holds (A, B, P, Q) of cos(lam u), sin(lam u),
+    e**(-lam u) and e**(-lam (h - u))."""
+    t = lam * u
+    d_cos, d_sin = _trig_rows(t, order)
+    decaying = -np.exp(-t) if order % 2 else np.exp(-t)
+    rising = np.exp(lam * (u - h))
+    return scale * (co[:, 0] * d_cos + co[:, 1] * d_sin + co[:, 2] * decaying + co[:, 3] * rising)
 
 
 @dataclass(frozen=True)
 class PiecewiseForm:
-    """Closed-form mode shape: four local coefficients per subinterval.
+    """Closed-form mode shape: four bounded-basis coefficients per subinterval.
 
     ``breakpoints`` has length m+2 (supports plus crack positions) and
-    ``coefficients`` is (m+1, 4) with rows (A, B, C, D) for interval i in the
-    local coordinate ``x - breakpoints[i]``.
+    ``coefficients`` is (m+1, 4).  Row i holds (A, B, P, Q) of cos(lam u),
+    sin(lam u), e**(-lam u) and e**(-lam (h - u)) on interval i, where
+    ``u = x - breakpoints[i]`` and h is the interval's length.
     """
 
     lam: float
@@ -91,10 +79,14 @@ class PiecewiseForm:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", co)
 
+    @functools.cached_property
+    def _lengths(self) -> np.ndarray:
+        return np.diff(self.breakpoints)
+
     def _intervals(self, x: np.ndarray, side: str) -> np.ndarray:
         mode = "right" if is_right_side(side) else "left"
-        idx = np.searchsorted(self.breakpoints, x, side=mode) - 1
-        return np.clip(idx, 0, len(self.coefficients) - 1)
+        # Counting crack positions alone puts points beyond either support in an end interval.
+        return np.searchsorted(self.breakpoints[1:-1], x, side=mode)
 
     def eval(self, x, order: int = 0, side: str = "R"):
         """Derivative of the mode at ``x``; right-continuous at cracks.
@@ -105,8 +97,8 @@ class PiecewiseForm:
         xa = np.asarray(x, dtype=float)
         xf = np.atleast_1d(xa)
         idx = self._intervals(xf, side)
-        xi = xf - self.breakpoints[idx]
-        out = _local_values(self.lam, self.lam**order, xi, self.coefficients[idx], order)
+        u, h = xf - self.breakpoints[idx], self._lengths[idx]
+        out = _local_values(self.lam, self.lam**order, u, h, self.coefficients[idx], order)
         return float(out[0]) if xa.ndim == 0 else out
 
     def scaled(self, factor: float) -> "PiecewiseForm":
@@ -157,7 +149,8 @@ def _normalized(pairs: list[Eigenpair], rules: list[QuadratureRule]) -> list[Eig
     nodes = np.concatenate([rule.nodes for rule in rules])
     idx = first._intervals(nodes, "R")
     co = rows[np.repeat(np.arange(len(pairs)) * n_rows, sizes) + idx]
-    values = _local_values(np.repeat(lams, sizes), 1.0, nodes - first.breakpoints[idx], co, 0)
+    bp, lengths = first.breakpoints, first._lengths
+    values = _local_values(np.repeat(lams, sizes), 1.0, nodes - bp[idx], lengths[idx], co, 0)
     # One dot product per pair over its own slice, as a single pair would take it.
     parts = np.split(values**2, np.cumsum(sizes)[:-1])
     norms = [float(np.sqrt(rule.integrate(part))) for rule, part in zip(rules, parts)]
@@ -165,8 +158,8 @@ def _normalized(pairs: list[Eigenpair], rules: list[QuadratureRule]) -> list[Eig
         raise ValueError("cannot normalize the zero function")
     # phi'(0+), or phi'''(0+) where it vanishes, on each first interval (x = 0 is its left end),
     # without the scale lam**k: a positive factor never changes a sign.
-    x0 = 0.0 - first.breakpoints[0]
-    slope, third = (_local_values(lams, 1.0, x0, rows[::n_rows], k) for k in (1, 3))
+    x0 = 0.0 - bp[0]
+    slope, third = (_local_values(lams, 1.0, x0, lengths[0], rows[::n_rows], k) for k in (1, 3))
     up = (np.where(slope != 0.0, slope, np.where(third != 0.0, third, 1.0)) > 0.0).tolist()
     return [pair.scaled((1.0 if u else -1.0) / norm) for pair, u, norm in zip(pairs, up, norms)]
 

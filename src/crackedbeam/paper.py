@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam_model import BeamProblem
-from .modes import _basis, _basis_rows, is_right_side
+from .modes import _trig_rows, is_right_side
 from .rootfind import wavenumbers
 
 
@@ -76,10 +76,10 @@ def kernel_M(problem: BeamProblem, i: int, x, lam: float, order: int = 0):
     by parts give ``M_i(x) = w_i'(0) K(x) + H(x - x_i) K(x - x_i)`` with
     ``K(u) = (sin(lam u) + sinh(lam u) - 2 lam u) / lam**2``.  Every order r of K
     is exactly 0 at u = 0, so the step H is applied by clamping x - x_i at 0.
-    From |lam u| = 1 up, K comes from the derivative table.  Below, that
-    difference cancels (the value loses about 4 log10(1/|lam u|) digits), so K
-    is summed from its Taylor series ``2 sum_{k>=1} t**(4k+1-r) / (4k+1-r)!`` at
-    t = lam u, whose terms share one sign.
+    From |lam u| = 1 up, K is the (cos, sin) table's row plus sinh or cosh, by
+    the parity of r.  Below, that difference cancels (the value loses about
+    4 log10(1/|lam u|) digits), so K is summed from its Taylor series
+    ``2 sum_{k>=1} t**(4k+1-r) / (4k+1-r)!`` at t = lam u, whose terms share one sign.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order {order} not in 0..3")
@@ -89,8 +89,8 @@ def kernel_M(problem: BeamProblem, i: int, x, lam: float, order: int = 0):
 
     def kernel(u):
         t = lam * u
-        d_sin, _, d_sinh, _ = _basis_rows(_basis(t), order)
-        closed = d_sin + d_sinh - (2.0 * t, 2.0, 0.0, 0.0)[order]
+        d_sinh = (np.sinh if order % 2 == 0 else np.cosh)(t)
+        closed = _trig_rows(t, order)[1] + d_sinh - (2.0 * t, 2.0, 0.0, 0.0)[order]
         small = np.abs(t) < 1.0
         ts = np.where(small, t, 0.0)
         # Five terms: the first one dropped is below 1e-20 of the first one kept.

@@ -19,7 +19,7 @@ so entries grow with the distance from a crack to any later crack or to the
 right support, not with the spacing of adjacent cracks.  Row equilibration
 keeps the determinant representable all the same.  A stack of systems over n
 wavenumbers is filled entry-major, (m+4, m+4, n), and read as (n, m+4, m+4).
-A solved form becomes per-interval coefficients term by term, through the
+A solved form becomes per-interval bounded-basis coefficients term by term, through the
 addition formulas for each global term and each jump response.
 The paper's classical parametrization of the mode lives in :mod:`crackedbeam.paper`.
 """
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import modes, rootfind
 from .beam_model import BeamProblem
-from .modes import Eigenpair, PiecewiseForm, Spectrum, _basis, _basis_rows, is_right_side
+from .modes import Eigenpair, PiecewiseForm, Spectrum, _local_values, _trig_rows, is_right_side
 from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it here
 
 # Second-smallest singular value below this fraction of the largest flags a
@@ -75,18 +75,14 @@ class ShifrinForm:
             raise ValueError(f"order {order} not in 0..4")
         xa = np.asarray(x, dtype=float)
         xf = np.atleast_1d(xa)
-        lam, (a, b, p, q) = self.lam, self.coefficients
-        t = lam * xf
-        # Only the sin and cos rows are read; sinh and cosh would overflow past lam*x = 710.
-        d_sin, d_cos, _, _ = _basis_rows((np.sin(t), np.cos(t), None, None), order)
-        sign = -1.0 if order % 2 else 1.0
-        smooth = a * d_cos + b * d_sin + sign * p * np.exp(-t) + q * np.exp(-lam * math.pi + t)
-        values = lam**order * smooth
+        lam = self.lam
+        values = _local_values(lam, lam**order, xf, math.pi, self.coefficients[None], order)
         x_i = np.asarray(self.positions, dtype=float)[:, None]
         active = xf >= x_i if is_right_side(side) else xf > x_i
         # Jump response (sin + sinh)(lam u)/(2 lam): state (0, 1, 0, 0) at u = 0, a unit slope jump.
-        z_sin, _, z_sinh, _ = _basis_rows(_basis(lam * np.where(active, xf - x_i, 0.0)), order)
-        response = lam ** (order - 1) * 0.5 * (z_sin + z_sinh)
+        t = lam * np.where(active, xf - x_i, 0.0)
+        z_sinh = (np.sinh if order % 2 == 0 else np.cosh)(t)
+        response = lam ** (order - 1) * 0.5 * (_trig_rows(t, order)[1] + z_sinh)
         for term in np.where(active, self.deltas[:, None] * response, 0.0):
             values = values + term
         return float(values[0]) if xa.ndim == 0 else values
@@ -237,26 +233,25 @@ def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:
 def _eigenpairs(problem: BeamProblem, forms: list[ShifrinForm]) -> list[Eigenpair]:
     """Piecewise-coefficient modes of all ``forms``, each at its own scale.
 
-    Interval k, with left end a, takes its (sin, cos, sinh, cosh) coefficients of lam (x - a)
-    term by term from the addition formulas: A cos + B sin gives
-    (B cos lam a - A sin lam a, A cos lam a + B sin lam a), P and Q give
-    (Q e**(-lam (pi - a)) - P e**(-lam a), Q e**(-lam (pi - a)) + P e**(-lam a)), and each
-    crack x_i <= a, added in order, gives Delta_i / (2 lam) (cos d, sin d, cosh d, sinh d)
-    with d = lam (a - x_i).
+    Interval k, [a, b], takes its coefficients of cos, sin, e**(-lam u) and e**(-lam (b - a - u)),
+    u = x - a, term by term from the addition formulas: A cos + B sin gives
+    (A cos lam a + B sin lam a, B cos lam a - A sin lam a), P and Q give P e**(-lam a) and
+    Q e**(-lam (pi - b)), and each crack x_i <= a, added in order, gives
+    Delta_i / (2 lam) (sin d, cos d, -e**(-d) / 2, e**(lam (b - x_i)) / 2) with d = lam (a - x_i).
     """
     bp = problem.breakpoints
-    left = np.array(bp[:-1])
+    left, right = np.array(bp[:-1]), np.array(bp[1:])
     lams = np.array([form.lam for form in forms])[:, None]
     a, b, p, q = np.array([form.coefficients for form in forms]).T[:, :, None]
     t = lams * left
     sin_a, cos_a = np.sin(t), np.cos(t)
-    decaying, growing = p * np.exp(-t), q * np.exp(-lams * (math.pi - left))
-    oscillating = (b * cos_a - a * sin_a, a * cos_a + b * sin_a)
-    rows = np.stack((*oscillating, growing - decaying, growing + decaying), axis=-1)
+    decaying, rising = p * np.exp(-t), q * np.exp(-lams * (math.pi - right))
+    rows = np.stack((a * cos_a + b * sin_a, b * cos_a - a * sin_a, decaying, rising), axis=-1)
     halves = np.array([form.deltas for form in forms]) / (2.0 * lams)
     for i in range(problem.m):
         d = lams * (left[i + 1 :] - left[i + 1])
-        terms = (np.cos(d), np.sin(d), np.cosh(d), np.sinh(d))
+        reach = np.exp(lams * (right[i + 1 :] - left[i + 1]))
+        terms = (np.sin(d), np.cos(d), -0.5 * np.exp(-d), 0.5 * reach)
         rows[:, i + 1 :] += halves[:, i, None, None] * np.stack(terms, axis=-1)
     return [Eigenpair(f.lam, PiecewiseForm(f.lam, bp, co), f) for f, co in zip(forms, rows)]
 

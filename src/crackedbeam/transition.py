@@ -1,11 +1,11 @@
 """Independent eigen-solver that propagates local coefficients across cracks.
 
-On each subinterval the mode is A sin + B cos + C sinh + D cosh of the local
-coordinate.  A 4x4 transition matrix, written in closed form, carries the
-coefficient vector across a crack: the addition formulas re-anchor the local
-origin, and the spring's slope jump adds a rank-one kick.  Hinged supports
-kill two of the four starting coefficients, so the two end conditions close a
-2x2 system whose determinant vanishes exactly at the eigenvalues.
+On each subinterval the chain writes the mode as A sin + B cos + C sinh + D cosh of the
+local coordinate.  A 4x4 transition matrix, written in closed form, carries the
+coefficient vector across a crack: the addition formulas re-anchor the local origin, and
+the spring's slope jump adds a rank-one kick.  Hinged supports kill two of the four
+starting coefficients, so the two end conditions close a 2x2 system whose determinant
+vanishes exactly at the eigenvalues.  Recovered modes are stored in the bounded basis.
 
 This solver shares no assembly or mode-recovery code with the jump-amplitude
 solver; the two agreeing is a genuine cross-check.
@@ -32,7 +32,7 @@ def _interval_maps(problem: BeamProblem, lams: np.ndarray) -> tuple[np.ndarray, 
     jump, which the new interval carries as (1, 0, 1, 0) / (2 lam).
     """
     phase = np.multiply.outer(lams, np.diff(problem.breakpoints))
-    basis = np.stack(modes._basis(phase), axis=-1)
+    basis = np.stack([f(phase) for f in (np.sin, np.cos, np.sinh, np.cosh)], axis=-1)
     s, c, sh, ch = np.moveaxis(basis[:, :-1], -1, 0)
     kick = np.multiply.outer(0.5 * lams, problem.flexibilities)
     zero = np.zeros_like(kick)
@@ -49,7 +49,7 @@ def _interval_maps(problem: BeamProblem, lams: np.ndarray) -> tuple[np.ndarray, 
 
 
 def transition_matrix(problem: BeamProblem, i: int, lam: float) -> np.ndarray:
-    """Map coefficients on interval i to coefficients on interval i+1.
+    """Map the chain's (sin, cos, sinh, cosh) coefficients on interval i to interval i+1.
 
     Continuity of value, moment and shear re-anchors the local origin by the
     addition formulas, and the spring adds theta_i times the moment to the slope.
@@ -108,13 +108,17 @@ def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = N
 
 
 def _modes_from_roots(problem: BeamProblem, lams: np.ndarray) -> list[Eigenpair]:
-    """Unnormalized modes at the 1-D roots ``lams``: one stacked SVD, then all chains at once."""
+    """Unnormalized modes at the 1-D roots ``lams``: one stacked SVD, then all chains at once.
+    Chain coefficients (A, B, C, D) are stored as (B, A, (D - C)/2, (C + D) e**(lam h)/2)."""
     factors, end_rows = _interval_maps(problem, lams)
     _, _, vt = np.linalg.svd(_reduced_system(factors, end_rows))
     coeffs = [np.insert(vt[:, -1], [1, 2], 0.0, axis=1)]  # hinged start (A1, 0, C1, 0)
     for i in range(problem.m):
         coeffs.append((factors[:, i] @ coeffs[-1][:, :, None])[:, :, 0])
-    rows = zip(lams.tolist(), np.stack(coeffs, axis=1))
+    sin_co, cos_co, sinh_co, cosh_co = np.moveaxis(np.stack(coeffs, axis=1), -1, 0)
+    reach = np.exp(np.multiply.outer(lams, np.diff(problem.breakpoints)))
+    bounded = (cos_co, sin_co, 0.5 * (cosh_co - sinh_co), 0.5 * (sinh_co + cosh_co) * reach)
+    rows = zip(lams.tolist(), np.stack(bounded, axis=-1))
     return [Eigenpair(lam, PiecewiseForm(lam, problem.breakpoints, co)) for lam, co in rows]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,3 +269,15 @@ class TestLoadProblem:
         beam = PhysicalBeam(length=2.0, young_modulus=1.0, density=1.0, area=1.0, inertia=1.0)
         with pytest.raises(ValidationError, match="wavenumbers must be positive"):
             natural_frequencies(beam, [0.0])
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [(math.nan, "NaN"), (1e-300, "at least 1e-100"), (1e200, "at most 1e\\+100")],
+    )
+    def test_frequencies_take_the_solvers_wavenumber_range(self, lam, message):
+        # These gave nan, 0 and inf (with an overflow warning) before the solvers' range applied.
+        beam = PhysicalBeam(length=2.0, young_modulus=1.0, density=1.0, area=1.0, inertia=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                natural_frequencies(beam, [2.0, lam])

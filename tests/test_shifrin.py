@@ -521,16 +521,18 @@ def _looped_eigenfunction(problem, form):
     crack terms added in order: the array build's reference, bit for bit."""
     lam = form.lam
     a, b, p, q = form.coefficients.tolist()
+    bp = problem.breakpoints
     rows = []
-    for left in problem.breakpoints[:-1]:
+    for left, right in zip(bp[:-1], bp[1:]):
         sin_a, cos_a = float(np.sin(lam * left)), float(np.cos(lam * left))
         decaying = p * float(np.exp(-(lam * left)))
-        growing = q * float(np.exp(-lam * (math.pi - left)))
-        row = [b * cos_a - a * sin_a, a * cos_a + b * sin_a, growing - decaying, growing + decaying]
+        rising = q * float(np.exp(-lam * (math.pi - right)))
+        row = [a * cos_a + b * sin_a, b * cos_a - a * sin_a, decaying, rising]
         for delta, x_i in zip(form.deltas.tolist(), problem.positions):
             if x_i <= left:
                 d = lam * (left - x_i)
-                terms = (float(f(d)) for f in (np.cos, np.sin, np.cosh, np.sinh))
+                reach = float(np.exp(lam * (right - x_i)))
+                terms = (float(np.sin(d)), float(np.cos(d)), -0.5 * float(np.exp(-d)), 0.5 * reach)
                 row = [r + delta / (2.0 * lam) * v for r, v in zip(row, terms)]
         rows.append(row)
     return PiecewiseForm(lam=lam, breakpoints=problem.breakpoints, coefficients=rows).coefficients
