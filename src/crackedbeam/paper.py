@@ -5,9 +5,9 @@ piecewise linear with a unit slope jump at crack i and zero at both supports,
 and writes the smooth part with cos, sin, cosh, sinh plus the convolutions
 ``(lam/2) Delta_i M_i`` of w_i against sinh - sin.  These are elementary:
 ``M_i(x) = w_i'(0) K(x) + H(x - x_i) K(x - x_i)``, where ``(lam/2) K(u)`` is
-the solver's jump response ``(sin + sinh)(lam u) / (2 lam)`` minus its linear
-part u.  The classical terms grow like e**(lam*pi), so
-:mod:`crackedbeam.shifrin` solves in a bounded equivalent basis instead.
+the classical response ``(sin + sinh)(lam u) / (2 lam)`` minus its linear part u.
+The classical terms grow like e**(lam*pi), so :mod:`crackedbeam.shifrin` solves
+with the bounded response g instead.
 This module keeps the classical pieces; they check the two parametrizations
 against each other and against the paper.
 """
@@ -107,13 +107,12 @@ def classical_coefficients(form) -> np.ndarray:
 
     They belong to the split
     phi = (classical four-term part) + (lam/2) sum Delta_i M_i + sum Delta_i w_i.
-    The jump response z_i differs from w_i + (lam/2) M_i by the global
-    homogeneous term -w_i'(0) (sin + sinh)(lam x)/(2 lam), which is what
-    the conversion folds back in.
+    The solver's response g(x - x_i) differs from w_i + (lam/2) M_i by two global
+    homogeneous terms, which the conversion folds back in:
+    -w_i'(0) (sin + sinh)(lam x) / (2 lam) and -(sin + exp)(lam (x - x_i)) / (4 lam).
     """
-    a, b, p, q = form.coefficients
-    decay = math.exp(-form.lam * math.pi)
-    spill = sum(
-        delta * (x_i - math.pi) / math.pi for delta, x_i in zip(form.deltas, form.positions)
-    ) / (2.0 * form.lam)
-    return np.array([a, b - spill, p + q * decay, -p + q * decay - spill])
+    lam, (a, b, p, q) = form.lam, form.coefficients
+    x, quarter = np.asarray(form.positions, dtype=float), form.deltas / (4.0 * lam)
+    decay, spill = math.exp(-lam * math.pi), form.deltas @ (x - math.pi) / (2.0 * lam * math.pi)
+    sin, cos, exp = quarter @ np.sin(lam * x), quarter @ np.cos(lam * x), quarter @ np.exp(-lam * x)
+    return np.array([a + sin, b - spill - cos, p + q * decay - exp, -p + q * decay - spill - exp])

@@ -49,8 +49,9 @@ _PATH_LEVELS = 10
 # divides by zero.
 MIN_WAVENUMBER = 1e-100
 
-# Largest wavenumber a determinant accepts.  Its cube must be finite: from
-# about 5.6e102 the cube overflows in the state map.
+# Largest wavenumber a determinant accepts: both hold lam**2 (as theta lam**2 and lam * lam),
+# which overflows from about 1.3e154.  The transfer chain's cosh overflows sooner, where lam
+# times an interval's length passes about 710, and its determinant is nan there.
 MAX_WAVENUMBER = 1e100
 
 # Matrix entries one batched determinant call may hold in a stack (256 KiB of

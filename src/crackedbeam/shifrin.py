@@ -3,24 +3,19 @@
 The mode is written as
 
     phi = A cos(lam x) + B sin(lam x) + P e**(-lam x) + Q e**(-lam (pi - x))
-          + sum_i Delta_i z_i(x),
-    z_i(x) = H(x - x_i) (sin + sinh)(lam (x - x_i)) / (2 lam),
+          + sum_i Delta_i g(x - x_i),
+    g(u) = (sin(lam |u|) - e**(-lam |u|)) / (4 lam),
 
-where z_i has exactly a unit slope jump at x_i and continuous value, moment
-and shear, so Delta_i = J[phi'](x_i).  The crack laws and the hinged
-supports then form an (m+4) x (m+4) linear system in (Delta_1..Delta_m) and
-(A, B, P, Q), the paper's Modified Shifrin system, whose determinant
-vanishes exactly at the eigenvalues.  Boundary rows use the combinations
-(lam^2 phi +- phi'')/(2 lam^2), which separate the decaying and oscillatory
-parts, so the four smooth-part columns stay bounded.  The jump responses
-still grow: the ladder entry of crack row j holds sinh(lam (x_j - x_i)) for
-every earlier crack i, and the right-support row holds sinh(lam (pi - x_i)),
-so entries grow with the distance from a crack to any later crack or to the
-right support, not with the spacing of adjacent cracks.  Row equilibration
-keeps the determinant representable all the same.  A stack of systems over n
-wavenumbers is filled entry-major, (m+4, m+4, n), and read as (n, m+4, m+4).
-A solved form becomes per-interval bounded-basis coefficients term by term, through the
-addition formulas for each global term and each jump response.
+where g has exactly a unit slope jump at 0 and continuous value, moment and
+shear, so Delta_i = J[phi'](x_i).  The crack laws and the hinged supports then
+form an (m+4) x (m+4) linear system in (Delta_1..Delta_m) and (A, B, P, Q), the
+paper's Modified Shifrin system, whose determinant vanishes exactly at the
+eigenvalues.  Boundary rows use the combinations (lam^2 phi +- phi'')/(2 lam^2),
+which separate the decaying and oscillatory parts.  Every term is a sine, a
+cosine or a decaying exponential of a distance, so no entry, mode coefficient
+or value grows with the distance between cracks.  A stack of systems over n
+wavenumbers is filled entry-major, (m+4, m+4, n), and read as (n, m+4, m+4).  A solved
+form becomes per-interval bounded-basis coefficients term by term (addition formulas).
 The paper's classical parametrization of the mode lives in :mod:`crackedbeam.paper`.
 """
 
@@ -50,7 +45,7 @@ class ShifrinForm:
 
     ``deltas`` are the slope-jump amplitudes J[phi'](x_i).  ``coefficients``
     holds (A, B, P, Q) multiplying cos(lam x), sin(lam x), e**(-lam x) and
-    e**(-lam (pi - x)); the classical cosh/sinh pair is available through
+    e**(-lam (pi - x)); the paper's classical four coefficients are available through
     :func:`crackedbeam.paper.classical_coefficients`.
     """
 
@@ -73,42 +68,42 @@ class ShifrinForm:
         """Derivative of phi at ``x``; orders 0..4, one-sided at cracks."""
         if order not in (0, 1, 2, 3, 4):
             raise ValueError(f"order {order} not in 0..4")
+        right = is_right_side(side)
         xa = np.asarray(x, dtype=float)
         xf = np.atleast_1d(xa)
         lam = self.lam
         values = _local_values(lam, lam**order, xf, math.pi, self.coefficients[None], order)
         x_i = np.asarray(self.positions, dtype=float)[:, None]
-        active = xf >= x_i if is_right_side(side) else xf > x_i
-        # Jump response (sin + sinh)(lam u)/(2 lam): state (0, 1, 0, 0) at u = 0, a unit slope jump.
-        t = lam * np.where(active, xf - x_i, 0.0)
-        z_sinh = (np.sinh if order % 2 == 0 else np.cosh)(t)
-        response = lam ** (order - 1) * 0.5 * (_trig_rows(t, order)[1] + z_sinh)
-        for term in np.where(active, self.deltas[:, None] * response, 0.0):
+        # g is even in u = x - x_i, so order r carries sign(u)**r; ``side`` picks it at u = 0.
+        t = lam * np.abs(xf - x_i)
+        response = lam ** (order - 1) / 4 * (_trig_rows(t, order)[1] - (-1) ** order * np.exp(-t))
+        if order % 2:
+            response = np.where(xf >= x_i if right else xf > x_i, response, -response)
+        for term in self.deltas[:, None] * response:
             values = values + term
         return float(values[0]) if xa.ndim == 0 else values
 
     def scaled(self, factor: float) -> "ShifrinForm":
-        return replace(
-            self, deltas=self.deltas * factor, coefficients=self.coefficients * factor
-        )
+        return replace(self, deltas=self.deltas * factor, coefficients=self.coefficients * factor)
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(m: int) -> tuple[np.ndarray, ...]:
-    """(ends, starts, rows, ladder, ones): index arrays of U for m cracks.
+def _layout(problem: BeamProblem) -> tuple[np.ndarray, ...]:
+    """(distances, theta, pairs, ones): the wavenumber-free parts of U for one problem.
 
-    The phases are lam times ``ext[ends] - ext[starts]``, ``ext = (x_1..x_m, pi, 0)``: the
-    ladder x_j - x_i (i < j, j in ``rows``), pi - x_j, x_j, then pi.  ``ladder`` and ``ones``
-    are flat entry indices.  Cached, as building them costs about as much as the rest of a
-    small assembly; read-only, since callers share them."""
-    size = m + 4
-    rows, cols = np.tril_indices(m, -1)
-    cracks = np.arange(m)
+    The phases are lam times ``distances``: each crack pair x_j - x_i once (i <= j, so the
+    diagonal is distance 0), then pi - x_j, x_j and pi.  ``theta`` is a column,
+    ``pairs[j, i]`` the pair of Delta-block entry (j, i), and ``ones`` the flat indices of
+    the unit entries.  Cached, and read-only since callers share them."""
+    m, size = problem.m, problem.m + 4
+    (rows, cols), cracks = np.tril_indices(m), np.arange(m)
+    ext = np.array((*problem.positions, math.pi, 0.0))
     ends = np.concatenate((rows, np.full(m, m), cracks, [m]))
     starts = np.concatenate((cols, cracks, np.full(m, m + 1), [m + 1]))
-    unit = ([*cracks, m, m + 1, m + 2], [*cracks, m + 2, m, m + 3])  # (rows, cols) of the ones
-    ones = np.ravel_multi_index(unit, (size, size))
-    out = (ends, starts, rows, rows * size + cols, ones)
+    pairs = np.zeros((m, m), dtype=np.intp)
+    pairs[rows, cols] = pairs[cols, rows] = np.arange(len(rows))
+    ones = np.ravel_multi_index(([m, m + 1, m + 2], [m + 2, m, m + 3]), (size, size))
+    out = (ext[ends] - ext[starts], np.array(problem.flexibilities)[:, None], pairs, ones)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -117,42 +112,42 @@ def _layout(m: int) -> tuple[np.ndarray, ...]:
 def _system_stack(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
     """U(lam) for every wavenumber of the 1-D array ``lams``: shape (n, m+4, m+4).
 
-    Crack row j states ``Delta_j = theta_j * phi''(x_j)`` with phi'' expanded
-    into the unknowns; the jump-response ladder is lower triangular in the
-    Delta block with an exact unit diagonal since z_j''(x_j+) = 0.  Hinged
-    supports demand phi = phi'' = 0 at both ends, imposed as the +- index
-    combinations so that no row carries the full-span hyperbolic growth.
-
-    One ``sin``, ``sinh`` and ``cos`` pass covers all phases; lam**2 and e**(-lam pi) use
-    Python pow and ``math.exp`` (numpy's round differently), so entries match n = 1 bitwise.
+    Crack row j states ``Delta_j = theta_j * phi''(x_j)`` with phi'' expanded into the
+    unknowns: g''(u) = -(lam / 4) (sin + exp(-.))(lam |u|) fills the dense Delta block, whose
+    diagonal is 1 + theta_j lam / 4.  Hinged supports demand phi = phi'' = 0 at both ends,
+    imposed as the +- combinations.  One ``sin`` and one ``exp`` pass cover all phases and
+    one ``cos`` pass x_j and pi; lam**2 and e**(-lam pi) use Python pow and ``math.exp``
+    (numpy's round differently), so entries match n = 1 bitwise.
     """
     m, n, size = problem.m, lams.size, problem.m + 4
-    ends, starts, rows, ladder, ones = _layout(m)
-    nl = len(rows)
-    ext, theta = np.array((*problem.positions, math.pi, 0.0)), np.array(problem.flexibilities)
-    phase = np.multiply.outer(ext[ends] - ext[starts], lams)
-    sin, sinh, cos = np.sin(phase), np.sinh(phase[: nl + m]), np.cos(phase[nl + m :])
-    t, pi_lam = phase[nl + m : -1], phase[-1]
-    theta_lam2 = np.multiply.outer(theta, np.fromiter(map(pow, lams.tolist(), repeat(2)), float, n))
-    decay = np.fromiter(map(math.exp, (-pi_lam).tolist()), float, n)
+    distances, theta, pairs, ones = _layout(problem)
+    k = len(distances) - 2 * m - 1  # crack pairs
+    phase = np.multiply.outer(distances, lams)
+    sin, cos, neg_exp = np.sin(phase), np.cos(phase[k + m :]), np.negative(phase[:-1])
+    np.negative(np.exp(neg_exp, out=neg_exp), out=neg_exp)  # -e**(-lam d)
+    theta_lam2 = theta * np.fromiter(map(pow, lams.tolist(), repeat(2)), float, n)
+    decay_pi = np.fromiter(map(math.exp, (-phase[-1]).tolist()), float, n)
     mat = np.zeros((size, size, n))
     flat = mat.reshape(size * size, n)
     flat[ones] = 1.0
 
-    # theta_j z_i''(x_j) below the unit diagonal of the Delta block.
-    flat[ladder] = -theta[rows][:, None] * (lams * 0.5 * (sinh[:nl] - sin[:nl]))
+    # -theta_j g''(x_j - x_i) for every crack pair, each evaluated once, and the unit diagonal.
+    weight = (sin[:k] - neg_exp[:k]) * (0.25 * lams)
+    np.multiply(weight.take(pairs, axis=0), theta[:, None], out=mat[:m, :m])
+    diagonal = flat[: m * (size + 1) : size + 1]
+    np.add(diagonal, 1.0, out=diagonal)
     np.multiply(theta_lam2, cos[:m], out=mat[:m, m + 0])
-    np.multiply(theta_lam2, sin[nl + m : -1], out=mat[:m, m + 1])
-    np.multiply(-theta_lam2, np.exp(-t), out=mat[:m, m + 2])  # e**(-lam x_j)
-    np.multiply(-theta_lam2, np.exp(t - pi_lam), out=mat[:m, m + 3])  # e**(-lam (pi - x_j))
+    np.multiply(theta_lam2, sin[k + m : -1], out=mat[:m, m + 1])
+    to_supports = neg_exp[k:].reshape(2, m, n)  # -e**(-lam d) for d = pi - x_j, then x_j
+    np.multiply(theta_lam2, to_supports, out=mat[:m, m + 2 :][:, ::-1].transpose(1, 0, 2))
 
-    # Supports: (lam^2 phi + phi'')/(2 lam^2) kills the oscillatory part and
-    # (lam^2 phi - phi'')/(2 lam^2) the decaying part.  Jump responses are
-    # inactive at x = 0; at x = pi, z_i contributes its sinh (resp. sin) part.
-    mat[m, m + 3] = mat[m + 2, m + 2] = decay
-    two_lam = 2.0 * lams
-    np.divide(sinh[nl:], two_lam, out=mat[m + 2, :m])
-    np.divide(sin[nl : nl + m], two_lam, out=mat[m + 3, :m])
+    # Supports: (lam^2 phi + phi'')/(2 lam^2) kills the oscillatory part and (lam^2 phi -
+    # phi'')/(2 lam^2) the decaying part.  Crack i adds -e**(-lam d) / (4 lam) to the first
+    # and sin(lam d) / (4 lam) to the second, d = x_i (rows m, m+1) or pi - x_i (m+2, m+3).
+    four_lam = 4.0 * lams
+    np.divide(to_supports, four_lam, out=mat[m::2][::-1, :m])
+    np.divide(sin[k:-1].reshape(2, m, n), four_lam, out=mat[m + 1 :: 2][::-1, :m])
+    mat[m, m + 3] = mat[m + 2, m + 2] = decay_pi
     mat[m + 3, m + 0] = cos[-1]
     mat[m + 3, m + 1] = sin[-1]
     return mat.transpose(2, 0, 1)
@@ -171,9 +166,9 @@ def assemble_system(problem: BeamProblem, lam: float) -> np.ndarray:
 def _equilibrated(mat: np.ndarray) -> np.ndarray:
     """Rows divided by their max-abs entry, for one matrix or a stack of them.
 
-    No row can vanish: every row of U(lam) holds an exact 1.0 except the
-    last, whose largest entry is at least max(|cos lam pi|, |sin lam pi|).
-    On :func:`_system_stack`'s entry-major layout numpy reduces rows of wavenumbers.
+    No row can vanish: a crack row's diagonal is 1 + theta_j lam / 4, the next three rows
+    hold an exact 1.0, and the last row's largest entry is at least max(|cos lam pi|,
+    |sin lam pi|).  On :func:`_system_stack`'s entry-major layout numpy reduces rows of wavenumbers.
     """
     return mat / np.max(np.abs(mat), axis=-1, keepdims=True)
 
@@ -182,9 +177,9 @@ def char_det(problem: BeamProblem, lams):
     """Row-equilibrated determinant of U(lam); zero exactly at eigenvalues.
 
     ``lams`` is one wavenumber (the result is a float) or an array of them
-    (the result has its shape).  Equilibration keeps the magnitude
-    representable despite hyperbolic growth and preserves the sign, which is
-    all bracketing needs.
+    (the result has its shape).  Equilibration evens out the crack rows, whose
+    entries scale like theta_j lam^2, and preserves the sign, which is all
+    bracketing needs.
     """
     return rootfind.blockwise(
         lambda block: np.linalg.det(_equilibrated(_system_stack(problem, block))),
@@ -236,8 +231,10 @@ def _eigenpairs(problem: BeamProblem, forms: list[ShifrinForm]) -> list[Eigenpai
     Interval k, [a, b], takes its coefficients of cos, sin, e**(-lam u) and e**(-lam (b - a - u)),
     u = x - a, term by term from the addition formulas: A cos + B sin gives
     (A cos lam a + B sin lam a, B cos lam a - A sin lam a), P and Q give P e**(-lam a) and
-    Q e**(-lam (pi - b)), and each crack x_i <= a, added in order, gives
-    Delta_i / (2 lam) (sin d, cos d, -e**(-d) / 2, e**(lam (b - x_i)) / 2) with d = lam (a - x_i).
+    Q e**(-lam (pi - b)).  With d = lam (a - x_i), a crack x_i <= a gives
+    Delta_i / (4 lam) (sin d, cos d, -e**(-d), 0) and a crack x_i >= b gives
+    Delta_i / (4 lam) (-sin d, -cos d, 0, -e**(-lam (x_i - b))).  Every crack reaches every
+    interval, with no factor above 1, and the cracks are added in order.
     """
     bp = problem.breakpoints
     left, right = np.array(bp[:-1]), np.array(bp[1:])
@@ -247,12 +244,15 @@ def _eigenpairs(problem: BeamProblem, forms: list[ShifrinForm]) -> list[Eigenpai
     sin_a, cos_a = np.sin(t), np.cos(t)
     decaying, rising = p * np.exp(-t), q * np.exp(-lams * (math.pi - right))
     rows = np.stack((a * cos_a + b * sin_a, b * cos_a - a * sin_a, decaying, rising), axis=-1)
-    halves = np.array([form.deltas for form in forms]) / (2.0 * lams)
-    for i in range(problem.m):
-        d = lams * (left[i + 1 :] - left[i + 1])
-        reach = np.exp(lams * (right[i + 1 :] - left[i + 1]))
-        terms = (np.sin(d), np.cos(d), -0.5 * np.exp(-d), 0.5 * reach)
-        rows[:, i + 1 :] += halves[:, i, None, None] * np.stack(terms, axis=-1)
+    x_i, lams = np.array(problem.positions)[:, None], lams[:, :, None]
+    after, d = left >= x_i, lams * (left - x_i)  # (form, crack, interval)
+    sign = np.where(after, 1.0, -1.0)
+    reach = -np.exp(lams * np.where(after, x_i - left, right - x_i))
+    sin_d, cos_d = sign * np.sin(d), sign * np.cos(d)
+    terms = np.stack((sin_d, cos_d, np.where(after, reach, 0), np.where(after, 0, reach)), axis=-1)
+    quarters = np.array([form.deltas for form in forms]) / (4.0 * lams[:, :, 0])
+    for i, term in enumerate(terms.swapaxes(0, 1)):
+        rows += quarters[:, i, None, None] * term
     return [Eigenpair(f.lam, PiecewiseForm(f.lam, bp, co), f) for f, co in zip(forms, rows)]
 
 
