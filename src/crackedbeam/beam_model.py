@@ -104,8 +104,8 @@ def flexibility_single_sided(mu: float, height: float) -> float:
 def _check_depth(mu: float, height: float) -> None:
     if not 0.0 <= mu <= MU_MAX:
         raise ValidationError(f"relative crack depth {mu} outside [0, {MU_MAX}]")
-    if height <= 0.0:
-        raise ValidationError(f"section height {height} must be positive")
+    if not 0.0 < height < math.inf:
+        raise ValidationError(f"section height {height} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ EXIT_VALIDATION = 2
 EXIT_NO_ROOTS = 3
 EXIT_VERIFY = 4
 
-# Most grid points one det-scan evaluates; a scan holds every row in memory
-# until it writes them.
+# Most grid points one det-scan evaluates, and most samples per mode; both hold
+# every row in memory until they write them.
 _MAX_SCAN_POINTS = 100_000
 
 #: Verification thresholds; residual families are relative to the report's
@@ -228,10 +228,10 @@ def _perturbed_mode(problem: BeamProblem, doc: dict, spectrum):
     if not isinstance(offsets, list) or len(offsets) != problem.m:
         raise ValidationError("debug_perturb_delta offsets must list one value per crack")
     offsets = [finite_real(v, "debug_perturb_delta offset") for v in offsets]
-    form = spectrum.pairs[int(mode) - 1].shifrin
-    pair = shifrin.build_eigenfunction(problem, replace(form, deltas=form.deltas + offsets))
-    pairs = list(spectrum.pairs)
-    pairs[int(mode) - 1] = normalize_modes(problem, [pair])[0]
+    k, pairs = int(mode) - 1, list(spectrum.pairs)
+    form = pairs[k].shifrin
+    pairs[k] = shifrin.build_eigenfunction(problem, replace(form, deltas=form.deltas + offsets))
+    pairs[k] = normalize_modes(problem, pairs)[k]  # on the spectrum's one rule
     return replace(spectrum, pairs=tuple(pairs))
 
 
@@ -330,6 +330,8 @@ def main(argv=None) -> int:
             raise ValidationError("need at least one mode")
         if getattr(args, "samples", 2) < 2:
             raise ValidationError("need at least two sample points")
+        if getattr(args, "samples", 2) > _MAX_SCAN_POINTS:
+            raise ValidationError(f"--samples must be at most {_MAX_SCAN_POINTS}")
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(_error_body("validation", str(exc)))

@@ -9,10 +9,10 @@ Each solver writes its own coefficients from the addition formulas; nothing eval
 state (w, w', w'', w''') and inverts it.  A mode is read through ``eval(x, order, side)``
 alone, at a point or an array of points.
 
-The solvers differ only in their characteristic determinant and in how they
-recover the modes at its roots; :func:`solve` does everything else once, for all
-roots together.  :func:`normalize_eigenpair`, ``solve_nullspace`` and ``build_eigenfunction``
-are the one-root slices of that batched code.
+The solvers differ only in their characteristic determinant and in how they recover the
+modes at its roots; :func:`solve` does everything else once, for all roots together, and
+normalizes them on the one quadrature rule of the highest root.  :func:`normalize_eigenpair`,
+``solve_nullspace`` and ``build_eigenfunction`` are the one-root slices of that batched code.
 """
 
 from __future__ import annotations
@@ -138,35 +138,32 @@ def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
     When the left slope vanishes (possible only in degenerate constructions)
     the sign falls back to the third derivative there (one-pair :func:`_normalized`).
     """
-    return _normalized([pair], [rule])[0]
+    return _normalized([pair], rule)[0]
 
 
-def _normalized(pairs: list[Eigenpair], rules: list[QuadratureRule]) -> list[Eigenpair]:
-    """:func:`normalize_eigenpair` of pairs on one partition, all evaluated in one call."""
-    first, lams = pairs[0].piecewise, np.array([pair.lam for pair in pairs])
-    n_rows, sizes = len(first.coefficients), [rule.nodes.size for rule in rules]
-    rows = np.concatenate([pair.piecewise.coefficients for pair in pairs])
-    nodes = np.concatenate([rule.nodes for rule in rules])
-    idx = first._intervals(nodes, "R")
-    co = rows[np.repeat(np.arange(len(pairs)) * n_rows, sizes) + idx]
+def _normalized(pairs: list[Eigenpair], rule: QuadratureRule) -> list[Eigenpair]:
+    """:func:`normalize_eigenpair` of pairs on one partition, all on the nodes of ``rule``."""
+    first = pairs[0].piecewise
     bp, lengths = first.breakpoints, first._lengths
-    values = _local_values(np.repeat(lams, sizes), 1.0, nodes - bp[idx], lengths[idx], co, 0)
-    # One dot product per pair over its own slice, as a single pair would take it.
-    parts = np.split(values**2, np.cumsum(sizes)[:-1])
-    norms = [float(np.sqrt(rule.integrate(part))) for rule, part in zip(rules, parts)]
+    idx = first._intervals(rule.nodes, "R")
+    u, h = rule.nodes - bp[idx], lengths[idx]
+    # One mode at a time, as a single pair takes it; a stack of all modes holds modes x nodes.
+    values = (_local_values(p.lam, 1.0, u, h, p.piecewise.coefficients[idx], 0) for p in pairs)
+    norms = [float(np.sqrt(rule.integrate(v * v))) for v in values]
     if 0.0 in norms:
         raise ValueError("cannot normalize the zero function")
     # phi'(0+), or phi'''(0+) where it vanishes, on each first interval (x = 0 is its left end),
     # without the scale lam**k: a positive factor never changes a sign.
-    x0 = 0.0 - bp[0]
-    slope, third = (_local_values(lams, 1.0, x0, lengths[0], rows[::n_rows], k) for k in (1, 3))
+    lams = np.array([pair.lam for pair in pairs])
+    rows = np.array([pair.piecewise.coefficients[0] for pair in pairs])
+    slope, third = (_local_values(lams, 1.0, 0.0 - bp[0], lengths[0], rows, k) for k in (1, 3))
     up = (np.where(slope != 0.0, slope, np.where(third != 0.0, third, 1.0)) > 0.0).tolist()
     return [pair.scaled((1.0 if u else -1.0) / norm) for pair, u, norm in zip(pairs, up, norms)]
 
 
 def normalize_modes(problem, pairs: list[Eigenpair]) -> list[Eigenpair]:
-    """Every mode of ``problem`` normalized on the quadrature rule of its own wavenumber."""
-    return _normalized(pairs, [QuadratureRule.for_problem(problem, pair.lam) for pair in pairs])
+    """Every mode of ``problem`` normalized on the one quadrature rule of its top wavenumber."""
+    return _normalized(pairs, QuadratureRule.for_problem(problem, max(pair.lam for pair in pairs)))
 
 
 def solve(problem, det, recover, count: int, lam_max: float | None = None) -> Spectrum:

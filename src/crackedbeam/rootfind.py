@@ -27,9 +27,9 @@ import numpy as np
 
 DEFAULT_STEP = 0.01
 # Bisect until the bracket collapses at floating-point resolution; residuals
-# of reconstructed modes inherit the wavenumber error amplified by hyperbolic
-# growth, so the root should be as tight as doubles allow (well inside the
-# 1e-12 contract).
+# of reconstructed modes inherit the wavenumber error, amplified in the transfer
+# chain by its hyperbolic growth (the jump-amplitude modes are bounded), so the
+# root should be as tight as doubles allow (well inside the 1e-12 contract).
 BISECT_TOL = 0.0
 
 # Grid points evaluated per call during the scan.  Larger chunks cost little

@@ -215,7 +215,7 @@ def verify(problem: BeamProblem, spectrum, oracle) -> dict[str, float]:
     ``oracle``, another solver's spectrum of the same length.
     """
     pairs = spectrum.pairs
-    rule = QuadratureRule.for_problem(problem, lam=max(spectrum.lambdas.max(), 1.0))
+    rule = QuadratureRule.for_problem(problem, lam=spectrum.lambdas.max())
     reports = [residual_report(p, problem) for p in pairs]
     worst = {family: max(r.worst()[family] / r.scale for r in reports) for family in FAMILIES}
     worst["ode_residual"] = max(r.ode_residual / r.lam**4 for r in reports)

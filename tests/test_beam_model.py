@@ -73,6 +73,13 @@ class TestFlexibilityPolynomials:
         with pytest.raises(ValidationError):
             flexibility_double_sided(0.2, 0.0)
 
+    @pytest.mark.parametrize("law", [flexibility_double_sided, flexibility_single_sided])
+    @pytest.mark.parametrize("height", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height_rejected(self, law, height):
+        # A NaN height used to pass the positivity test and return NaN; inf returned inf.
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            law(0.2, height)
+
     @given(mu=st.floats(0.0, 0.99), h=st.floats(1e-3, 10.0))
     def test_double_sided_nonnegative_and_linear_in_height(self, mu, h):
         base = flexibility_double_sided(mu, h)

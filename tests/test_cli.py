@@ -355,6 +355,12 @@ class TestErrorPaths:
             (("spectrum", ONE_CRACK, "--modes", "0"), None, "need at least one mode"),
             (("modes", ONE_CRACK, "--samples", "1"), None, "need at least two sample points"),
             (
+                # Rejected before any row is allocated, like a det-scan past the same cap.
+                ("modes", ONE_CRACK, "--samples", str(cli._MAX_SCAN_POINTS + 1)),
+                None,
+                f"--samples must be at most {cli._MAX_SCAN_POINTS}",
+            ),
+            (
                 ("det-scan", ONE_CRACK, "--lambda-min", "0"),
                 None,
                 "scan must start at a positive wavenumber",
@@ -462,6 +468,7 @@ class TestErrorPaths:
         ids=[
             "modes",
             "samples",
+            "samples-over-cap",
             "lambda-min",
             "step",
             "spectrum-lambda-max-nan",

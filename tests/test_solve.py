@@ -83,12 +83,26 @@ def _bytes(pair) -> bytes:
 def test_batched_modes_equal_the_per_root_path_bit_for_bit(request, name, solver, count):
     problem = request.getfixturevalue(name)
     find, mode = PER_ROOT[solver]
-    per_root = [
-        normalize_eigenpair(mode(problem, lam), QuadratureRule.for_problem(problem, lam))
-        for lam in find(problem, count)
-    ]
+    roots = find(problem, count)
+    rule = QuadratureRule.for_problem(problem, max(roots))  # the solve's one rule
+    per_root = [normalize_eigenpair(mode(problem, lam), rule) for lam in roots]
     batched = SOLVERS[solver][0](problem, count).pairs
     assert [_bytes(p) for p in batched] == [_bytes(p) for p in per_root]
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_a_solve_builds_one_quadrature_rule(request, monkeypatch, name, solver):
+    problem = request.getfixturevalue(name)
+    original, lams = QuadratureRule.for_problem.__func__, []
+
+    def counted(cls, problem, lam):
+        lams.append(lam)
+        return original(cls, problem, lam)
+
+    monkeypatch.setattr(QuadratureRule, "for_problem", classmethod(counted))
+    spectrum = SOLVERS[solver][0](problem, COUNT)
+    assert lams == [spectrum.lambdas.max()]
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
