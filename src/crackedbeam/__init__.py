@@ -3,8 +3,8 @@
 Cracks are massless rotational springs: the slope jumps by the flexibility
 times the local bending moment while displacement, moment, and shear stay
 continuous.  Two independent solvers are provided, one condensing the
-problem into jump amplitudes at the cracks and one propagating local
-solution coefficients across them, plus the inner products and residual
+problem into jump amplitudes at the cracks and one carrying the minors of
+the hinged-start plane across them, plus the inner products and residual
 checks that certify computed modes against every defining condition.
 """
 

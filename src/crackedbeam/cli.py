@@ -28,8 +28,10 @@ EXIT_NO_ROOTS = 3
 EXIT_VERIFY = 4
 
 # Most grid points one det-scan evaluates, and most samples per mode; both hold
-# every row in memory until they write them.
+# every row in memory until they write them, a modes row about 600 bytes, so a
+# modes run is also capped at _MAX_MODE_ROWS rows in all.
 _MAX_SCAN_POINTS = 100_000
+_MAX_MODE_ROWS = 1_000_000
 
 #: Verification thresholds; residual families are relative to the report's
 #: curvature scale and the ODE residual is relative to lambda**4.
@@ -332,6 +334,8 @@ def main(argv=None) -> int:
             raise ValidationError("need at least two sample points")
         if getattr(args, "samples", 2) > _MAX_SCAN_POINTS:
             raise ValidationError(f"--samples must be at most {_MAX_SCAN_POINTS}")
+        if args.command == "modes" and args.modes * args.samples > _MAX_MODE_ROWS:
+            raise ValidationError(f"--modes times --samples must be at most {_MAX_MODE_ROWS}")
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(_error_body("validation", str(exc)))

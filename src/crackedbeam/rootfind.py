@@ -26,10 +26,9 @@ import math
 import numpy as np
 
 DEFAULT_STEP = 0.01
-# Bisect until the bracket collapses at floating-point resolution; residuals
-# of reconstructed modes inherit the wavenumber error, amplified in the transfer
-# chain by its hyperbolic growth (the jump-amplitude modes are bounded), so the
-# root should be as tight as doubles allow (well inside the 1e-12 contract).
+# Bisect until the bracket collapses at floating-point resolution: residuals of
+# recovered modes inherit the wavenumber error, so the root should be as tight
+# as doubles allow (well inside the 1e-12 contract).
 BISECT_TOL = 0.0
 
 # Grid points evaluated per call during the scan.  Larger chunks cost little
@@ -44,14 +43,12 @@ _SCAN_CHUNK = 128
 # slower than 10 or 12 (the perfbench sweep and dense_cracks workloads).
 _PATH_LEVELS = 10
 
-# Smallest wavenumber a determinant accepts.  Its cube must be a normal
-# double: below about 1e-103 the cube underflows and the transfer matrix
-# divides by zero.
+# Smallest wavenumber a determinant accepts: below about 1e-154 its square is no
+# normal double, and the paper's kernel M_i and the jump-amplitude nullspace overflow.
 MIN_WAVENUMBER = 1e-100
 
-# Largest wavenumber a determinant accepts: both hold lam**2 (as theta lam**2 and lam * lam),
-# which overflows from about 1.3e154.  The transfer chain's cosh overflows sooner, where lam
-# times an interval's length passes about 710, and its determinant is nan there.
+# Largest wavenumber a determinant accepts: the jump-amplitude system holds lam**2 (as
+# theta lam**2 and lam * lam), which overflows from about 1.3e154.
 MAX_WAVENUMBER = 1e100
 
 # Matrix entries one batched determinant call may hold in a stack (256 KiB of

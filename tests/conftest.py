@@ -6,11 +6,23 @@ test consumes the same handful of reference problems.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
 from crackedbeam import BeamProblem, compute_spectrum
+
+
+@pytest.fixture(scope="session")
+def reference_script():
+    """``scripts/reference_roots.py``, the mpmath reference, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reference_roots.py"
+    spec = importlib.util.spec_from_file_location("reference_roots", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -361,6 +361,12 @@ class TestErrorPaths:
                 f"--samples must be at most {cli._MAX_SCAN_POINTS}",
             ),
             (
+                # Rows are capped per run as well, before any mode is solved.
+                ("modes", ONE_CRACK, "--modes", "11", "--samples", str(cli._MAX_SCAN_POINTS)),
+                None,
+                f"--modes times --samples must be at most {cli._MAX_MODE_ROWS}",
+            ),
+            (
                 ("det-scan", ONE_CRACK, "--lambda-min", "0"),
                 None,
                 "scan must start at a positive wavenumber",
@@ -469,6 +475,7 @@ class TestErrorPaths:
             "modes",
             "samples",
             "samples-over-cap",
+            "rows-over-cap",
             "lambda-min",
             "step",
             "spectrum-lambda-max-nan",
@@ -510,7 +517,7 @@ class TestErrorPaths:
             capsys, "det-scan", ONE_CRACK, "--lambda-min", "1e-100", "--lambda-max", "1e-100"
         )
         assert code == 0
-        assert out.splitlines()[1] == "1e-100,0,2,0"
+        assert out.splitlines()[1] == "1e-100,0,0,0"
 
     @pytest.mark.parametrize(
         "document",

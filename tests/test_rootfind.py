@@ -299,15 +299,10 @@ class TestMergedScan:
         roots, merged, reference, chunked = self._both_scans(det, problem, count)
         assert roots == reference
         assert len(merged) < len(chunked)
-        # The transfer determinant invents roots at high modes on one and two
-        # cracks (a known defect).  Where they end the chunk-by-chunk scan below
-        # count - m, the merged call has evaluated chunks that scan never
-        # reached; everywhere else the scan and bisection points are the same,
-        # in the same order.
-        obeys_bound = reference[-1] >= count - problem.m
-        assert obeys_bound or det is boundary_det
-        if obeys_bound:
-            assert np.concatenate(merged).tobytes() == np.concatenate(chunked).tobytes()
+        # Interlacing puts the last root at or above count - m, so the scan and bisection
+        # points are the same, in the same order.
+        assert reference[-1] >= count - problem.m
+        assert np.concatenate(merged).tobytes() == np.concatenate(chunked).tobytes()
 
     @pytest.mark.parametrize("count, merges", [(5, False), (35, True)])
     def test_thirty_equal_cracks(self, count, merges):
