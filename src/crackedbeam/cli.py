@@ -20,7 +20,7 @@ import numpy as np
 from . import beam_model, shifrin, spectral, transition
 from .beam_model import BeamProblem, ValidationError, finite_real, load_problem_file
 from .modes import normalize_modes
-from .rootfind import DEFAULT_STEP, MAX_WAVENUMBER, MIN_WAVENUMBER, RootCountError
+from .rootfind import MAX_WAVENUMBER, MIN_WAVENUMBER, RootCountError, wavenumbers
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -94,14 +94,6 @@ def _emit_table(args: argparse.Namespace, columns: list[str], rows: list[list]) 
         "rows": [[_round15(v) if isinstance(v, float) else v for v in row] for row in rows],
     }
     return json.dumps(body, indent=2) + "\n"
-
-
-def _scan_steps(lo: float, hi: float, step: float) -> float:
-    """Grid steps from ``lo`` to ``hi``; ValidationError if too many for a double."""
-    steps = (hi - lo) / step
-    if math.isinf(steps):
-        raise ValidationError("--lambda-max spans too many scan steps")
-    return steps
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -195,9 +187,10 @@ def cmd_det_scan(args: argparse.Namespace) -> int:
         raise ValidationError("scan range is reversed")
     if args.step <= 0.0:
         raise ValidationError("scan step must be positive")
-    n_points = int(round(_scan_steps(args.lambda_min, args.lambda_max, args.step))) + 1
-    if n_points > _MAX_SCAN_POINTS:
+    steps = (args.lambda_max - args.lambda_min) / args.step
+    if math.isinf(steps) or round(steps) + 1 > _MAX_SCAN_POINTS:
         raise ValidationError("--lambda-max spans too many scan steps")
+    n_points = int(round(steps)) + 1
     last = args.lambda_min + (n_points - 1) * args.step  # up to half a step past --lambda-max
     if max(args.lambda_max, last) > MAX_WAVENUMBER:
         raise ValidationError(f"scan must end at a wavenumber of at most {MAX_WAVENUMBER:g}")
@@ -276,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, solver: bool = True, fmt: bool = True) -> None:
         p.add_argument("input", help="JSON problem file")
         p.add_argument("--modes", type=int, default=5, help="number of modes (default 5)")
-        p.add_argument("--lambda-max", type=float, default=None, help="scan ceiling")
+        p.add_argument("--lambda-max", type=float, default=None, help="ceiling on the roots")
         if solver:
             p.add_argument(
                 "--solver",
@@ -327,7 +320,10 @@ def main(argv=None) -> int:
             if value is not None:
                 setattr(args, name, finite_real(value, "--" + name.replace("_", "-")))
         if args.command != "det-scan" and args.lambda_max is not None:
-            _scan_steps(DEFAULT_STEP, args.lambda_max, DEFAULT_STEP)
+            try:
+                wavenumbers(args.lambda_max)
+            except ValueError as exc:
+                raise ValidationError(f"--lambda-max: {exc}") from None
         if getattr(args, "modes", 1) < 1:
             raise ValidationError("need at least one mode")
         if getattr(args, "samples", 2) < 2:

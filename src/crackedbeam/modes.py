@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import rootfind
 from .quadrature import QuadratureRule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -166,11 +165,7 @@ def normalize_modes(problem, pairs: list[Eigenpair]) -> list[Eigenpair]:
     return _normalized(pairs, QuadratureRule.for_problem(problem, max(pair.lam for pair in pairs)))
 
 
-def solve(problem, det, recover, count: int, lam_max: float | None = None) -> Spectrum:
-    """First ``count`` eigenpairs of ``problem``, all recovered in one call and normalized together.
-
-    ``det(problem, lams)`` is a solver's characteristic determinant and ``recover(problem,
-    lams)`` its eigenpairs, at any scale and sign, at the 1-D array of its roots.
-    """
-    roots = rootfind.first_roots(det, problem, count, lam_max)
+def solve(problem, recover, roots) -> Spectrum:
+    """Eigenpairs of ``problem`` at its ``roots``, recovered by one call of a solver's
+    ``recover(problem, lams)`` (at any scale and sign) and normalized together."""
     return Spectrum(tuple(normalize_modes(problem, recover(problem, np.array(roots)))))

@@ -1,39 +1,22 @@
-"""Sign-change scanning and bisection for characteristic determinants.
+"""Root isolation by an exact count of roots, and lockstep bisection.
 
-Eigenvalues are simple zeros of a smooth real function of the wavenumber, so
-a fixed-step scan followed by bisection is reliable as long as the step is
-well below the eigenvalue spacing (which is near 1 for hinged beams).
-
-The function being scanned takes a 1-D array of wavenumbers and returns the
-array of its values, so that a determinant can be assembled for many
-wavenumbers in one pass.  The scan evaluates the grid in chunks and finds
-each chunk's zeros and sign changes at once, taking them in grid order.
-A known lower bound on the last requested root lets the first call take every
-chunk up to it, and later chunks follow one per call: the points stay the same.
-Bisection refines every bracket in lockstep: each call evaluates, per
-bracket, the run of midpoints bisection would visit if the root lay where
-the bracket's secant puts it, and the bracket halves through those values
-for as long as the prediction holds.  Both give exactly the roots a
-point-by-point scan would, since each bracket sees the same midpoints and
-the same values; the secant only decides which points are evaluated ahead
-of time.
+A count N(lam) of the roots below lam puts them in unit windows, and halving a window on the
+count parts roots however close they lie.  Each one-root window is then a bracket that
+bisection refines to floating-point resolution, all brackets in lockstep: each call evaluates,
+per bracket, the midpoints bisection would visit if the root lay where the bracket's secant
+puts it, and the bracket halves through them while that prediction holds.  So the roots are
+those of bracket-by-bracket bisection; the secant only decides which points are evaluated
+ahead of time.  Every function here takes a 1-D array of wavenumbers to the array of values.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-DEFAULT_STEP = 0.01
 # Bisect until the bracket collapses at floating-point resolution: residuals of
 # recovered modes inherit the wavenumber error, so the root should be as tight
 # as doubles allow (well inside the 1e-12 contract).
 BISECT_TOL = 0.0
-
-# Grid points evaluated per call during the scan.  Larger chunks cost little
-# per point but waste more evaluations past the last requested root.
-_SCAN_CHUNK = 128
 
 # Most midpoints of each bracket's secant-predicted path per bisection call.
 # A call costs a fixed overhead plus a little per wavenumber, and the
@@ -53,18 +36,19 @@ MAX_WAVENUMBER = 1e100
 
 # Matrix entries one batched determinant call may hold in a stack (256 KiB of
 # doubles); with many cracks this caps the wavenumbers per stack, and with it
-# the peak memory of a solve.  It also caps the points of one scan call.
+# the peak memory of a solve.
 _STACK_ENTRIES = 2**15
 
 
 class RootCountError(RuntimeError):
-    """Scan ran out of range short of ``requested`` roots; ``lost``: it passed their bound."""
+    """Fewer than ``requested`` roots below ``lam_max``; ``found`` holds the first of them.
+    ``lost``: the count places more below it, but they could not be isolated or bracketed."""
 
     def __init__(self, requested: int, found: list[float], lam_max: float, lost: bool = False):
         self.requested = requested
         self.found = found
         self.lam_max = lam_max
-        hint = "the determinant lost roots below the ceiling" if lost else "raise the scan ceiling"
+        hint = "the solve lost roots below the ceiling" if lost else "raise the scan ceiling"
         super().__init__(
             f"found {len(found)} of {requested} requested roots below lambda = {lam_max}; {hint}"
         )
@@ -184,67 +168,53 @@ def blockwise(fn, lams, entries_per_lam: int):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def find_roots(f, count: int, lam_max: float, step: float = DEFAULT_STEP, bounds=(0.0, math.inf)):
-    """First ``count`` positive roots of ``f`` below ``lam_max``.
+def _off_integers(lams: np.ndarray) -> np.ndarray:
+    """``lams``, each moved just below where it is an integer: the count is singular there."""
+    return np.where(lams == np.round(lams), lams * (1.0 - 2.0**-30), lams)
 
-    ``f`` maps a 1-D array of wavenumbers to the array of its values.  Scans
-    a uniform grid from one step and bisects every bracket.  ``bounds`` holds
-    the count-th root: the first call scans up to its lower end.  Raises
-    :class:`RootCountError` when the range runs out first; the exception
-    carries the roots that were found; a ``lam_max`` whose grid steps cannot
-    be counted (infinite, NaN, or too far for a double) raises ValueError.
+
+def find_roots(f, count: int, lam_max: float, counter):
+    """First ``count`` positive roots of ``f`` below ``lam_max``, isolated by ``counter``.
+
+    ``counter`` gives the number of roots below each wavenumber, NaN where it cannot tell, and
+    the count-th root must lie below count + 0.5, as interlacing puts a hinged beam's.  One
+    call counts at 0.5, 1.5 ... count + 0.5, cut at ``lam_max``; windows holding several
+    roots, or starting at 0, where no determinant can be evaluated, are halved on the count in
+    lockstep, and each one-root window is bisected on ``f``.  :class:`RootCountError` carries
+    the roots below the first window that failed: a count that is NaN or falls, roots one
+    double apart, or ``f`` of one sign across a one-root window.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if not math.isfinite((lam_max - step) / step):
-        raise ValueError(f"cannot count the scan steps of {step:g} up to lam_max = {lam_max:g}")
+    lam_max = float(wavenumbers(lam_max))
+    top = min(count + 0.5, lam_max)
+    pts = _off_integers(np.array([0.0, *(k + 0.5 for k in range(count) if k + 0.5 < top), top]))
+    below = np.concatenate(([0.0], counter(pts[1:])))  # roots below each point
+    lost = False
+    while True:
+        rises = np.diff(below)
+        failed = ~(rises >= 0.0)  # no root above a count that is NaN or falls can be placed
+        if failed.any():
+            keep = int(np.argmax(failed)) + 1
+            pts, below, rises, lost = pts[:keep], below[:keep], rises[: keep - 1], True
+        split = (rises > 1.0) | ((pts[:-1] == 0.0) & (rises > 0.0))
+        split = np.flatnonzero(split & (below[:-1] < count))
+        if not split.size:
+            break
+        lo, hi = pts[split], pts[split + 1]
+        mids = _off_integers(0.5 * (lo + hi))
+        counts = np.asarray(counter(mids), dtype=float)
+        counts[~((lo < mids) & (mids < hi))] = np.nan  # roots one double apart
+        pts, below = np.insert(pts, split + 1, mids), np.insert(below, split + 1, counts)
 
-    # Exact zeros go straight into ``roots``; a bracket holds the place of
-    # its root until the lockstep bisection below fills it in.
-    roots: list[float] = []
-    brackets: list[tuple[int, float, float, float, float]] = []
-    n_points = max(0, int(round((lam_max - step) / step))) + 1
-    # The first call ends with the chunk holding the lowest grid point >= bounds[0].
-    low = max(0, math.ceil((bounds[0] - step) / step))
-    start, stop = 0, min(n_points, _STACK_ENTRIES, _SCAN_CHUNK * (low // _SCAN_CHUNK + 1))
-    # Each chunk is scanned behind the last point of the one before; ahead of
-    # the grid that point is a zero, so the first grid point is a root only
-    # where f vanishes.
-    lams, vals = np.zeros(1), np.zeros(1)
-    while start < n_points and len(roots) < count:
-        chunk = step + np.arange(start, stop) * step
-        lams = np.concatenate((lams[-1:], chunk))
-        vals = np.concatenate((vals[-1:], np.asarray(f(chunk), dtype=float)))
-        prev, val = vals[:-1], vals[1:]
-        hits = (val == 0.0) | ((prev != 0.0) & ((val > 0.0) != (prev > 0.0)))
-        for k in np.flatnonzero(hits)[: count - len(roots)].tolist():
-            if val[k] != 0.0:
-                brackets.append((len(roots), lams[k], lams[k + 1], prev[k], val[k]))
-            roots.append(float(lams[k + 1]))
-        start, stop = stop, min(n_points, stop + _SCAN_CHUNK)
-
-    if brackets:
-        slots, *ends = zip(*brackets)
-        for slot, root in zip(slots, bisect(f, *ends).tolist()):
-            roots[slot] = root
+    one = np.flatnonzero((rises == 1.0) & (below[:-1] < count))
+    ends = np.union1d(one, one + 1)
+    values = np.asarray(f(pts[ends]), dtype=float)
+    fa, fb = (values[np.searchsorted(ends, k)] for k in (one, one + 1))
+    good = int(np.argmin(np.append(np.sign(fa) * np.sign(fb) <= 0.0, False)))
+    roots = bisect(f, pts[one[:good]], pts[one[:good] + 1], fa[:good], fb[:good]).tolist()
     if len(roots) < count:
-        raise RootCountError(count, roots, lam_max, lost=lams[-1] > bounds[1])
+        # Interlacing puts the count-th root below count + 0.5: a count short of it failed.
+        raise RootCountError(count, roots, lam_max, lost=lost or good < one.size or top < lam_max)
     # The empty list keeps the (roots, diagnostics) shape the benchmark's span hooks unpack.
     return roots, []
-
-
-def first_roots(det, problem, count: int, lam_max: float | None = None):
-    """First ``count`` roots of ``det(problem, lams)``.
-
-    Interlacing with the uncracked beam's integer roots puts the count-th
-    root in [count - m, count] for a problem with m cracks, so the scan
-    ceiling defaults to ``count + 1``.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if lam_max is None:
-        lam_max = count + 1
-    bounds = (count - problem.m, count)
-    return find_roots(lambda lams: det(problem, lams), count, lam_max, bounds=bounds)[0]

@@ -188,9 +188,44 @@ def char_det(problem: BeamProblem, lams):
     )
 
 
+def root_count(problem: BeamProblem, lams):
+    """N(lam), the number of eigenvalues below each wavenumber, in the shape of ``lams``.
+
+    Wittrick and Williams (Q. J. Mech. Appl. Math. 24(3), 1971): floor(lam) roots of the uncracked
+    beam, plus the negative eigenvalues of the symmetric Schur complement of U on its crack rows,
+    each divided by theta_j: S = Theta^-1 (U_DD - U_Ds U_ss^-1 U_sD).  The support block U_ss is
+    singular at the integers, where callers do not count, and where e**(-lam pi) rounds to 1
+    (lam below about 1.8e-17), where N is NaN, as it is where theta lam**2 overflows.
+    """
+    m = problem.m
+
+    def count(block: np.ndarray) -> np.ndarray:
+        mats = _system_stack(problem, block)
+        singular = mats[:, m, m + 3] == 1.0  # e**(-lam pi): the P and Q support rows coincide
+        mats[singular, m:, m:] = np.eye(4)
+        rows = mats[:, :m] / _layout(problem)[1]
+        schur = rows[:, :, :m] - rows[:, :, m:] @ np.linalg.solve(mats[:, m:, m:], mats[:, m:, :m])
+        unknown = singular | ~np.isfinite(schur).all(axis=(1, 2))  # or theta lam**2 overflowed
+        schur[unknown] = 0.0
+        negative = (np.linalg.eigvalsh(schur) < 0.0).sum(axis=-1)
+        return np.where(unknown, np.nan, np.floor(block) + negative)
+
+    return rootfind.blockwise(count, lams, (m + 4) ** 2)
+
+
+def first_roots(det, problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:
+    """First ``count`` roots of ``det(problem, lams)``, isolated by :func:`root_count`, below
+    ``lam_max`` (default count + 1: interlacing puts the count-th root at or below count)."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    ceiling = count + 1 if lam_max is None else lam_max
+    counter = functools.partial(root_count, problem)
+    return rootfind.find_roots(lambda lams: det(problem, lams), count, ceiling, counter)[0]
+
+
 def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:
-    """First ``count`` eigenvalue wavenumbers, by scan plus bisection."""
-    return rootfind.first_roots(char_det, problem, count, lam_max)
+    """First ``count`` eigenvalue wavenumbers: roots of char_det."""
+    return first_roots(char_det, problem, count, lam_max)
 
 
 def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
@@ -262,4 +297,4 @@ def _nullspace_modes(problem: BeamProblem, lams: np.ndarray) -> list[Eigenpair]:
 
 def compute_spectrum(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:
     """First ``count`` normalized modes: roots of char_det, then their nullspaces."""
-    return modes.solve(problem, char_det, _nullspace_modes, count, lam_max)
+    return modes.solve(problem, _nullspace_modes, first_roots(char_det, problem, count, lam_max))

@@ -5,7 +5,8 @@ cyclic shift) and a crack adds t s_2 to s_1, t = theta lam.  The determinant is 
 pi of the plane e_1 ^ e_3 left free by the hinged start, whose six 2x2 minors the chain carries (the
 compound-matrix method, Ng & Reid, J. Comput. Phys. 30, 1979) in a basis where no factor grows, so
 no growing columns cancel.  Modes are the nullvectors of the collocation system in the PiecewiseForm
-coefficients.  Nothing here is shared with the jump-amplitude solver: their agreeing is a real check.
+coefficients.  The two solvers share the count that isolates their roots (shifrin.root_count), but
+not their determinants or their modes: their agreeing is a real check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from . import modes, rootfind
+from . import modes, rootfind, shifrin
 from .beam_model import BeamProblem
 from .modes import Eigenpair, PiecewiseForm, Spectrum
 from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it here
@@ -84,8 +85,8 @@ def boundary_det(problem: BeamProblem, lams):
 
 
 def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:
-    """First ``count`` eigenvalue wavenumbers by scanning boundary_det."""
-    return rootfind.first_roots(boundary_det, problem, count, lam_max)
+    """First ``count`` eigenvalue wavenumbers: roots of boundary_det."""
+    return shifrin.first_roots(boundary_det, problem, count, lam_max)
 
 
 def _collocation(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
@@ -123,4 +124,5 @@ def _modes_from_roots(problem: BeamProblem, lams: np.ndarray) -> list[Eigenpair]
 
 def oracle_eigenpairs(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:
     """Spectrum computed wholly by the transition-matrix route."""
-    return modes.solve(problem, boundary_det, _modes_from_roots, count, lam_max)
+    roots = shifrin.first_roots(boundary_det, problem, count, lam_max)
+    return modes.solve(problem, _modes_from_roots, roots)

@@ -323,6 +323,20 @@ class TestErrorPaths:
         assert [int(row[0]) for row in rows] == list(range(1, 341))
         assert all(k - 1 <= float(row[1]) <= k for k, row in enumerate(rows, start=1))
 
+    def test_flexibility_1e300_reports_a_low_root_or_exits_3(self, capsys, tmp_path):
+        # The count puts one root below 0.5, far below what a double resolves; the scan
+        # this replaced reported 1.668 as the first root.
+        path = tmp_path / "hinge.json"
+        doc = {"nondimensional": True, "cracks": [{"x": 1.0, "theta": 1e300}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for solver in ("shifrin", "transition"):
+            code, out, err = run(capsys, "spectrum", str(path), "--modes", "3", "--solver", solver)
+            if code == 0:
+                assert float(csv_rows(out)[1][0][1]) < 0.5
+            else:
+                assert code == 3
+                assert json.loads(err)["error"]["type"] == "root_shortfall"
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -390,22 +404,32 @@ class TestErrorPaths:
             (
                 ("spectrum", ONE_CRACK, "--lambda-max", "1e308"),
                 None,
-                "--lambda-max spans too many scan steps",
+                "--lambda-max: wavenumber must be at most 1e+100",
             ),
             (
                 ("modes", ONE_CRACK, "--lambda-max", "1e308"),
                 None,
-                "--lambda-max spans too many scan steps",
+                "--lambda-max: wavenumber must be at most 1e+100",
             ),
             (
                 ("frequencies", STEEL, "--lambda-max", "1e308"),
                 None,
-                "--lambda-max spans too many scan steps",
+                "--lambda-max: wavenumber must be at most 1e+100",
             ),
             (
                 ("validate", ONE_CRACK, "--lambda-max", "1e308"),
                 None,
-                "--lambda-max spans too many scan steps",
+                "--lambda-max: wavenumber must be at most 1e+100",
+            ),
+            (
+                ("spectrum", ONE_CRACK, "--lambda-max", "0"),
+                None,
+                "--lambda-max: wavenumber must be positive",
+            ),
+            (
+                ("modes", ONE_CRACK, "--lambda-max", "-1"),
+                None,
+                "--lambda-max: wavenumber must be positive",
             ),
             (
                 ("det-scan", ONE_CRACK, "--lambda-max", "1e308", "--step", "1e-300"),
@@ -485,6 +509,8 @@ class TestErrorPaths:
             "modes-lambda-max-overflow",
             "frequencies-lambda-max-overflow",
             "validate-lambda-max-overflow",
+            "spectrum-lambda-max-zero",
+            "modes-lambda-max-negative",
             "det-scan-lambda-max-overflow",
             "det-scan-too-many-points",
             "det-scan-above-ceiling",

@@ -51,6 +51,20 @@ def test_transfer_roots_meet_the_table(name):
     assert _worst_relative_error(transition.find_eigenvalues, name) <= tolerance
 
 
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_count_certifies_the_table(name):
+    # N(lam) = k half-way between roots k and k + 1 (and below the first); the count is
+    # singular at the integers, so points within 1e-6 of one are skipped.
+    entry = TABLE[name]
+    problem = BeamProblem(tuple(entry["positions"]), tuple(entry["flexibilities"]))
+    roots = np.array([0.0, *(float(r) for r in entry["roots"])])
+    mids = 0.5 * (roots[:-1] + roots[1:])
+    keep = np.abs(mids - np.round(mids)) > 1e-6
+    assert keep.sum() >= 20
+    counts = shifrin.root_count(problem, mids[keep])
+    assert counts.tolist() == np.flatnonzero(keep).astype(float).tolist()
+
+
 @pytest.mark.parametrize(
     "name, k", [("one_crack", 40), ("stiff_close", 23), ("cracks_1e-6_from_supports", 11)]
 )

@@ -1,13 +1,12 @@
-"""Chunked grid scan and lockstep bisection."""
+"""Root isolation by the count, and lockstep bisection."""
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crackedbeam import (
@@ -19,23 +18,13 @@ from crackedbeam import (
     compute_spectrum,
     find_eigenvalues,
     kernel_M,
-    load_problem_file,
     oracle_eigenpairs,
     rootfind,
+    shifrin,
     solve_nullspace,
     transition_matrix,
 )
-from crackedbeam.rootfind import (
-    _PATH_LEVELS,
-    DEFAULT_STEP,
-    RootCountError,
-    bisect,
-    find_roots,
-    first_roots,
-)
-
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
-FIXTURE_NAMES = ("uniform", "one_crack", "two_crack", "node_crack", "steel_beam", "fault_injected")
+from crackedbeam.rootfind import _PATH_LEVELS, RootCountError, bisect, find_roots
 
 # Every function that takes wavenumbers, at one wavenumber of a problem with a crack.
 WAVENUMBER_ENTRY_POINTS = {
@@ -45,6 +34,7 @@ WAVENUMBER_ENTRY_POINTS = {
     "solve_nullspace": solve_nullspace,
     "transition_matrix": lambda p, lam: transition_matrix(p, 1, lam),
     "kernel_M": lambda p, lam: kernel_M(p, 1, 0.5, lam),
+    "root_count": shifrin.root_count,
 }
 
 
@@ -80,26 +70,6 @@ def _scalar_bisect(f, a, b, fa, fb, tol=0.0):
     return 0.5 * (a + b)
 
 
-def _pointwise_roots(f, count, lam_max, step=DEFAULT_STEP):
-    """Point-by-point scan with immediate bisection, one wavenumber per call."""
-    roots = []
-    n_steps = max(0, int(round((lam_max - step) / step)))
-    prev_lam, prev_val = step, f(step)
-    if prev_val == 0.0:
-        roots.append(prev_lam)
-    for k in range(1, n_steps + 1):
-        if len(roots) >= count:
-            break
-        lam = step + k * step
-        val = f(lam)
-        if val == 0.0:
-            roots.append(lam)
-        elif prev_val != 0.0 and (val > 0.0) != (prev_val > 0.0):
-            roots.append(_scalar_bisect(f, prev_lam, lam, prev_val, val))
-        prev_lam, prev_val = lam, val
-    return roots[:count]
-
-
 def _assert_matches_scalar(h, a, b, fa=None, fb=None, tol=0.0):
     """Lockstep bisection of ``h`` on the brackets [a_k, b_k] equals the scalar one.
 
@@ -117,117 +87,118 @@ def _assert_matches_scalar(h, a, b, fa=None, fb=None, tol=0.0):
     assert lockstep.tolist() == [_scalar_bisect(h, *args, tol=tol) for args in zip(a, b, fa, fb)]
 
 
-class TestFindRoots:
-    def test_exact_zero_on_grid_point_is_returned_as_is(self):
-        f = Counted(lambda x: (x - 0.75) * (x - 2.0))
-        roots, _ = find_roots(f, 2, 5.0, step=0.25)
-        assert roots == [0.75, 2.0]
-        # Neither root needed bisection: the scan is the only call.
-        assert len(f.batches) == 1
+def _polynomial(roots, double=()):
+    """(f, counter): a polynomial with simple ``roots`` and ``double`` roots, and the exact
+    number of its roots, double ones once, below each wavenumber."""
+    every = np.array([*roots, *double])
 
-    def test_exact_zero_at_scan_start(self):
-        roots, _ = find_roots(lambda x: x - 0.5, 1, 3.0, step=0.5)
-        assert roots == [0.5]
+    def f(lams):
+        return np.prod(np.subtract.outer(lams, roots), axis=1) * np.prod(
+            np.subtract.outer(lams, double) ** 2, axis=1
+        )
+
+    def counter(lams):
+        return (np.asarray(lams)[:, None] > every).sum(axis=1).astype(float)
+
+    return f, counter
+
+
+class TestFindRoots:
+    def test_count_at_half_integers_then_halving_isolates_close_roots(self):
+        # Two roots share the unit window (0.5, 1.5] and lie 1e-9 apart; a third is alone.
+        f, counter = _polynomial([0.8, 0.8 + 1e-9, 2.2])
+        counted, det = Counted(counter), Counted(f)
+        roots, diagnostics = find_roots(det, 3, 4.0, counted)
+        assert diagnostics == []
+        assert roots == pytest.approx([0.8, 0.8 + 1e-9, 2.2], abs=1e-15)
+        assert counted.batches[0].tolist() == [0.5, 1.5, 2.5, 3.5]
+        # The shared window is halved, all its halves in one call each, about 30 times.
+        assert all(batch.size == 1 for batch in counted.batches[1:])
+        assert 25 <= len(counted.batches) <= 35
+        # The determinant never sees 0 or a window end the count did not certify.
+        assert min(batch.min() for batch in det.batches) > 0.5
+
+    def test_window_at_zero_is_halved_until_its_root_has_a_positive_left_end(self):
+        f, counter = _polynomial([1e-5, 0.3, 1.7])
+        det = Counted(f)
+        roots, _ = find_roots(det, 3, 4.0, counter)
+        assert roots == pytest.approx([1e-5, 0.3, 1.7], abs=1e-15)
+        assert min(batch.min() for batch in det.batches) > 0.0
+
+    def test_windows_are_halved_in_lockstep(self):
+        f, counter = _polynomial([0.6, 0.7, 2.6, 2.7, 4.6, 4.7])
+        counted = Counted(counter)
+        roots, _ = find_roots(f, 6, 7.0, counted)
+        assert roots == pytest.approx([0.6, 0.7, 2.6, 2.7, 4.6, 4.7], abs=1e-15)
+        # Each halving call splits the three shared windows together.
+        assert [batch.size for batch in counted.batches[1:]] == [3] * (len(counted.batches) - 1)
+
+    def test_halving_point_on_an_integer_is_nudged_off_it(self):
+        # The window (1.5, 2.5] holds two roots and halves at 2; so does the ceiling 3.
+        f, counter = _polynomial([2.0 - 1e-3, 2.0 + 1e-3, 2.9])
+        counted = Counted(counter)
+        roots, _ = find_roots(f, 3, 3.0, counted)
+        assert roots == pytest.approx([2.0 - 1e-3, 2.0 + 1e-3, 2.9], abs=1e-15)
+        points = np.concatenate(counted.batches)
+        assert not np.any(points == np.round(points))
+        assert counted.batches[0].tolist()[-1] == pytest.approx(3.0, rel=1e-9)
 
     def test_stops_at_count(self):
-        # The root at 1.105 lies inside the first chunk but after the first
-        # root: a scan that stops at the requested count does not refine its
-        # bracket.
-        f = Counted(lambda x: (x - 0.505) * ((x - 1.0) ** 2 + 1e-12) * (x - 1.105))
-        roots, _ = find_roots(f, 1, 10.0)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(0.505, abs=1e-15)
-        assert len(f.batches) > 1
-        # Every later call holds the one bracket's path, all of it below 1.
-        assert all(batch.size <= _PATH_LEVELS and batch.max() < 1.0 for batch in f.batches[1:])
+        f, counter = _polynomial([0.505, 0.5051, 1.105])
+        det, counted = Counted(f), Counted(counter)
+        roots, _ = find_roots(det, 1, 10.0, counted)
+        assert roots == pytest.approx([0.505], abs=1e-15)
+        # Counted to 1.5 only; the window past the first root is never halved or bisected.
+        assert counted.batches[0].tolist() == [0.5, 1.5]
+        assert max(batch.max() for batch in det.batches) < 0.5051
 
     def test_root_count_error_carries_found_roots(self):
+        def counter(lams):
+            return np.ceil(lams) - 1.0  # the roots 1, 2, 3, ... of sin(pi x) below lams
+
         with pytest.raises(RootCountError) as info:
-            find_roots(lambda x: np.sin(math.pi * x), 5, 3.2)
+            find_roots(lambda x: np.sin(math.pi * x), 5, 3.2, counter)
         err = info.value
         assert err.requested == 5
         assert err.lam_max == 3.2
         assert np.allclose(err.found, [1.0, 2.0, 3.0], atol=1e-12)
         assert str(err).endswith("raise the scan ceiling")
 
-    def test_shortfall_past_the_upper_bound_reports_lost_roots(self):
-        # A double root at 1.505 shows no sign change, though the ceiling is high enough.
-        def f(x):
-            return (x - 0.5) * (x - 1.505) ** 2
-
+    def test_counted_root_without_a_sign_change_is_lost(self):
+        # The double root at 1.2 is counted once, but the determinant keeps its sign about it.
+        f, _ = _polynomial([0.3], double=[1.2])
+        _, counter = _polynomial([0.3, 1.2])
         with pytest.raises(RootCountError) as info:
-            find_roots(f, 2, 3.0, bounds=(0.0, 2.0))
-        assert info.value.found == [0.5]
+            find_roots(f, 2, 3.0, counter)
+        assert info.value.found == pytest.approx([0.3], abs=1e-15)
         assert "lost roots below the ceiling" in str(info.value)
-        # A grid that stops below the bound may have missed the root above its end.
-        with pytest.raises(RootCountError, match="raise the scan ceiling"):
-            find_roots(f, 2, 1.9, bounds=(0.0, 2.0))
 
-    def test_count_reached_on_a_chunks_last_point_scans_one_chunk(self):
-        # Grid indices 126 and 127 are 1.27 and 1.28; 127 ends the first chunk.
-        f = Counted(lambda x: x - 1.2731)
-        roots, _ = find_roots(f, 1, 10.0)
-        assert roots[0] == pytest.approx(1.2731, abs=1e-15)
-        assert f.batches[0].size == 128
-        assert all(batch.size <= _PATH_LEVELS for batch in f.batches[1:])
+    def test_roots_one_double_apart_are_lost(self):
+        # The count rises by 2 at one point: no window can part the two roots.
+        f, counter = _polynomial([0.3, 1.2, 1.2])
+        with pytest.raises(RootCountError, match="lost roots") as info:
+            find_roots(f, 3, 3.0, counter)
+        assert info.value.found == pytest.approx([0.3], abs=1e-15)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        zeros=st.lists(
-            st.tuples(
-                st.sampled_from([0, 1, 126, 127, 128, 129, 254, 255, 256, 257, 300]),
-                st.sampled_from([0.0, 1e-9, 0.5, 1.0 - 1e-9]),
-            ),
-            max_size=5,
-        ),
-        nan_at=st.sampled_from([None, 127, 128, 256]),
-        count=st.integers(1, 5),
-        lam_max=st.sampled_from([1.28, 1.29, 2.56, 2.57, 3.5]),
-    )
-    # Exact zeros at the last point of a chunk and the first of the next.
-    @example(zeros=[(127, 0.0), (128, 0.0)], nan_at=None, count=2, lam_max=3.5)
-    # The count is reached on a chunk's last point.
-    @example(zeros=[(126, 0.5)], nan_at=None, count=1, lam_max=3.5)
-    @example(zeros=[(3, 0.5), (254, 0.5)], nan_at=None, count=2, lam_max=3.5)
-    def test_chunk_boundaries_match_pointwise_scan(self, zeros, nan_at, count, lam_max):
-        # Zeros lie on grid point j (offset 0) or inside the cell after it.
-        step = DEFAULT_STEP
-        roots = [step + j * step + frac * step for j, frac in zeros]
-        nan_lam = None if nan_at is None else step + nan_at * step
+    @pytest.mark.parametrize("fault", [math.nan, -1.0], ids=["nan", "falls"])
+    def test_a_count_that_fails_is_lost(self, fault):
+        f, exact = _polynomial([0.3, 1.2, 2.7])
 
-        def h(x):
-            if x == nan_lam:
-                return math.nan
-            return math.prod(x - r for r in roots)
+        def counter(lams):
+            return np.where(lams == 2.5, fault, exact(lams))
 
-        def f(lams):
-            return np.array([h(x) for x in lams.tolist()])
+        with pytest.raises(RootCountError, match="lost roots") as info:
+            find_roots(f, 3, 4.0, counter)
+        # Roots below the window that failed are kept; those above it are not sought.
+        assert info.value.found == pytest.approx([0.3, 1.2], abs=1e-15)
 
-        reference = _pointwise_roots(h, count, lam_max)
-        if len(reference) < count:
-            with pytest.raises(RootCountError) as info:
-                find_roots(f, count, lam_max)
-            assert info.value.found == reference
-        else:
-            assert find_roots(f, count, lam_max)[0] == reference
-
-    @pytest.mark.parametrize(
-        "problem",
-        [
-            BeamProblem(),
-            BeamProblem(positions=(1.0,), flexibilities=(0.3,)),
-            BeamProblem(positions=(0.4, 1.9, 2.8), flexibilities=(2.0, 0.05, 0.7)),
-        ],
-    )
-    def test_matches_pointwise_scan_bit_for_bit(self, problem):
-        count = 6
-        lam_max = count + problem.m + 5
-        batched, _ = find_roots(lambda lams: char_det(problem, lams), count, lam_max)
-        pointwise = _pointwise_roots(lambda lam: char_det(problem, lam), count, lam_max)
-        assert batched == pointwise
+    def test_shortfall_of_the_count_below_interlacing_is_lost(self):
+        f, counter = _polynomial([0.3])
+        with pytest.raises(RootCountError, match="lost roots"):
+            find_roots(f, 2, 5.0, counter)
 
     def test_bisection_calls_per_solve(self, monkeypatch):
-        # Five brackets need about 46 halvings each; one path per call brings
+        # Five brackets need about 53 halvings each; one path per call brings
         # that to a handful of determinant calls instead of one per halving.
         problem = BeamProblem(positions=(1.0,), flexibilities=(0.3,))
         seen = []
@@ -237,24 +208,23 @@ class TestFindRoots:
             return bisect(seen[-1], *args)
 
         monkeypatch.setattr(rootfind, "bisect", counted_bisect)
-        roots = first_roots(char_det, problem, 5)
+        roots = shifrin.first_roots(char_det, problem, 5)
         assert len(roots) == 5
         assert len(seen) == 1
         assert len(seen[0].batches) <= 8
 
     def test_callable_receives_arrays(self):
-        f = Counted(lambda x: np.cos(x))
-        roots, _ = find_roots(f, 2, 8.0)
-        assert np.allclose(roots, [math.pi / 2, 3 * math.pi / 2], atol=1e-14)
+        f = Counted(lambda x: np.cos(2.0 * x))
+        roots, _ = find_roots(f, 2, 8.0, lambda lams: np.floor(2.0 * lams / math.pi + 0.5))
+        assert np.allclose(roots, [math.pi / 4, 3 * math.pi / 4], atol=1e-14)
         assert all(batch.ndim == 1 for batch in f.batches)
 
-
-    @pytest.mark.parametrize("lam_max", [math.inf, math.nan, 1e308])
-    def test_uncountable_ceiling_raises_value_error(self, one_crack_problem, lam_max):
-        with pytest.raises(ValueError, match="lam_max"):
-            find_roots(np.cos, 1, lam_max)
+    @pytest.mark.parametrize("lam_max", [math.inf, math.nan, 1e308, 0.0, -1.0])
+    def test_ceiling_outside_the_wavenumber_range_raises_value_error(self, one_crack_problem, lam_max):
+        with pytest.raises(ValueError, match="wavenumber"):
+            find_roots(np.cos, 1, lam_max, np.floor)
         for solve in (compute_spectrum, oracle_eigenpairs):
-            with pytest.raises(ValueError, match="lam_max"):
+            with pytest.raises(ValueError, match="wavenumber"):
                 solve(one_crack_problem, 5, lam_max=lam_max)
 
 
@@ -279,56 +249,7 @@ class TestWavenumberRange:
         assert out.tolist() == ends
 
 
-class TestMergedScan:
-    """first_roots evaluates the chunks below count - m in its first call."""
-
-    @staticmethod
-    def _both_scans(det, problem, count):
-        """(roots, batches) of first_roots, then of a chunk-by-chunk scan to the same ceiling."""
-        merged = Counted(lambda lams: det(problem, lams))
-        roots = first_roots(lambda _, lams: merged(lams), problem, count)
-        chunked = Counted(lambda lams: det(problem, lams))
-        reference, _ = find_roots(chunked, count, count + problem.m + 5)
-        return roots, merged.batches, reference, chunked.batches
-
-    @pytest.mark.parametrize("det", [char_det, boundary_det], ids=["char_det", "boundary_det"])
-    @pytest.mark.parametrize("count", [5, 20])
-    @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_fixtures_scan_the_same_points_in_fewer_calls(self, name, count, det):
-        problem, _, _ = load_problem_file(FIXTURES / f"{name}.json")
-        roots, merged, reference, chunked = self._both_scans(det, problem, count)
-        assert roots == reference
-        assert len(merged) < len(chunked)
-        # Interlacing puts the last root at or above count - m, so the scan and bisection
-        # points are the same, in the same order.
-        assert reference[-1] >= count - problem.m
-        assert np.concatenate(merged).tobytes() == np.concatenate(chunked).tobytes()
-
-    @pytest.mark.parametrize("count, merges", [(5, False), (35, True)])
-    def test_thirty_equal_cracks(self, count, merges):
-        # Below count = m + 2 the lower bound count - m lies in the first chunk.
-        positions = tuple(math.pi * j / 31 for j in range(1, 31))
-        problem = BeamProblem(positions=positions, flexibilities=(0.2,) * 30)
-        roots, merged, reference, chunked = self._both_scans(char_det, problem, count)
-        assert roots == reference
-        assert np.concatenate(merged).tobytes() == np.concatenate(chunked).tobytes()
-        if merges:
-            assert merged[0].size == 512
-            assert len(merged) < len(chunked)
-        else:
-            assert [b.size for b in merged] == [b.size for b in chunked]
-
-    @pytest.mark.parametrize(
-        "low, size",
-        # Grid point 1.28 (index 127) ends chunk 0 and 1.29 starts chunk 1; 32.0
-        # (index 3199) ends chunk 24.  The cap holds the first call at 256 chunks.
-        [(1.28, 128), (1.2800001, 256), (-3.0, 128), (32.0, 3200), (32.000001, 3328), (1e6, 32768)],
-    )
-    def test_first_call_ends_at_the_chunk_holding_the_lower_bound(self, low, size):
-        f = Counted(lambda x: x - 400.0)
-        find_roots(f, 1, 401.0, bounds=(low, math.inf))
-        assert f.batches[0].size == size
-
+class TestInterlacing:
     @settings(max_examples=40, deadline=None)
     @given(
         positions=st.lists(
@@ -337,7 +258,7 @@ class TestMergedScan:
         exponents=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
     )
     def test_interlacing_bounds_every_root(self, positions, exponents):
-        # k - m <= lambda_k <= k, which the merged scan and the shortfall message rely on;
+        # k - m <= lambda_k <= k, which follows from 0 <= neg S <= m in the count;
         # equality holds for modes with a node at every crack.
         thetas = tuple(10.0**e for e in exponents[: len(positions)])
         try:

@@ -26,10 +26,11 @@ from crackedbeam import (
     oracle_eigenpairs,
     solve_nullspace,
 )
-from crackedbeam import shifrin, spectral
+from crackedbeam import shifrin, spectral, transition
 from crackedbeam.beam_model import load_problem_file
 from crackedbeam.cli import THRESHOLDS
 from crackedbeam.paper import classical_coefficients
+from crackedbeam.rootfind import RootCountError
 from crackedbeam.transition import find_eigenvalues as transition_eigenvalues
 
 
@@ -403,6 +404,50 @@ class TestFindEigenvalues:
             for t in thetas
         ]
         assert all(b <= a + 1e-12 for a, b in zip(roots, roots[1:]))
+
+
+class TestRootCount:
+    def test_one_crack_counts_every_unit_window(self, one_crack_problem):
+        k = np.arange(1000.0)
+        assert shifrin.root_count(one_crack_problem, k + 0.5).tolist() == k.tolist()
+
+    def test_shape_follows_the_wavenumbers(self, three_cracks):
+        assert isinstance(shifrin.root_count(three_cracks, 2.5), float)
+        assert shifrin.root_count(three_cracks, np.full((2, 3), 2.5)).shape == (2, 3)
+
+    def test_uncracked_beam_counts_the_integers_below(self):
+        lams = np.array([0.5, 0.999, 1.001, 7.3])
+        assert shifrin.root_count(BeamProblem(), lams).tolist() == [0.0, 0.0, 1.0, 7.0]
+
+    def test_singular_support_block_is_not_counted(self, one_crack_problem):
+        # Below lam ~ 1.8e-17, e**(-lam pi) rounds to 1 and the support block has rank 3.
+        counts = shifrin.root_count(one_crack_problem, np.array([1e-18, 1e-17, 1e-16, 0.5]))
+        assert np.isnan(counts[:2]).all()
+        assert counts[2:].tolist() == [0.0, 0.0]
+        for solver in (shifrin, transition):
+            with pytest.raises(RootCountError, match="lost roots") as info:
+                solver.find_eigenvalues(one_crack_problem, 1, lam_max=1e-18)
+            assert info.value.found == []
+
+    def test_count_is_nan_where_theta_lam2_overflows(self):
+        problem = BeamProblem(positions=(1.0,), flexibilities=(1e300,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            counts = shifrin.root_count(problem, np.array([0.5, 1e6 + 0.5]))
+        assert counts[0] == 1.0  # one mechanism root far below 0.5
+        assert np.isnan(counts[1])
+
+    def test_near_hinge_roots_in_one_grid_step(self):
+        # Three near-hinge cracks put three mechanism roots below 0.03, two of them within
+        # one step of 0.01; the count isolates all three.  The values are mpmath's.
+        problem = BeamProblem(positions=(0.5, 1.6, 2.9), flexibilities=(1e8,) * 3)
+        expected = np.array([0.010496430865, 0.021812264600, 0.028719775826])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jump = compute_spectrum(problem, 3).lambdas
+            oracle = oracle_eigenpairs(problem, 3).lambdas
+        assert np.abs(jump - expected) / expected == pytest.approx(0.0, abs=1e-9)
+        assert len(oracle) == 3
+        assert np.all(oracle < 0.03)
 
 
 class TestNullspace:

@@ -63,8 +63,9 @@ TEN_MODE_PROBLEMS = ["one_crack_problem", "stiff_end_crack_problem"]
 def _spectra(problem, solver, factor, count=COUNT):
     """The solver's spectrum, and the one solved from its raw modes times ``factor``."""
     spectrum, det, recover = SOLVERS[solver]
+    roots = shifrin.first_roots(det, problem, count)
     rescaled = modes.solve(
-        problem, det, lambda p, lams: [pair.scaled(factor) for pair in recover(p, lams)], count
+        problem, lambda p, lams: [pair.scaled(factor) for pair in recover(p, lams)], roots
     )
     return spectrum(problem, count), rescaled
 
@@ -173,10 +174,9 @@ _INPUT_CHECKS = {
         lambda: ShifrinForm(1.0, deltas=[], coefficients=[1.0] * 4, positions=()).eval(1.0, 5),
         "order 5 not in 0..4",
     ),
-    "negative_count": (lambda: rootfind.find_roots(np.sin, -1, 5.0), "nonnegative"),
-    "zero_step": (lambda: rootfind.find_roots(np.sin, 1, 5.0, step=0.0), "step must be positive"),
+    "negative_count": (lambda: rootfind.find_roots(np.sin, -1, 5.0, np.floor), "nonnegative"),
     "no_modes": (
-        lambda: rootfind.first_roots(shifrin.char_det, _UNIFORM, 0), "count must be at least 1"
+        lambda: shifrin.first_roots(shifrin.char_det, _UNIFORM, 0), "count must be at least 1"
     ),
     "zero_mode": (
         lambda: normalize_eigenpair(
