@@ -236,11 +236,6 @@ class BeamProblem:
         """Partition points 0 = x_0 < x_1 < ... < x_m < x_{m+1} = pi."""
         return (0.0, *self.positions, math.pi)
 
-    @property
-    def interval_lengths(self) -> tuple[float, ...]:
-        bp = self.breakpoints
-        return tuple(bp[i + 1] - bp[i] for i in range(len(bp) - 1))
-
 
 def _assemble_problem(pairs: list[tuple[float, float]]) -> BeamProblem:
     """Sort, drop negligible springs, and validate a list of (x, theta)."""

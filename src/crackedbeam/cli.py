@@ -19,7 +19,8 @@ import numpy as np
 
 from . import beam_model, shifrin, spectral, transition
 from .beam_model import BeamProblem, ValidationError, finite_real, load_problem_file
-from .modes import normalize_modes
+from .modes import Eigenpair, normalize_eigenpair
+from .quadrature import QuadratureRule
 from .rootfind import MAX_WAVENUMBER, MIN_WAVENUMBER, RootCountError, wavenumbers
 
 EXIT_OK = 0
@@ -223,10 +224,13 @@ def _perturbed_mode(problem: BeamProblem, doc: dict, spectrum):
     if not isinstance(offsets, list) or len(offsets) != problem.m:
         raise ValidationError("debug_perturb_delta offsets must list one value per crack")
     offsets = [finite_real(v, "debug_perturb_delta offset") for v in offsets]
-    k, pairs = int(mode) - 1, list(spectrum.pairs)
-    form = pairs[k].shifrin
-    pairs[k] = shifrin.build_eigenfunction(problem, replace(form, deltas=form.deltas + offsets))
-    pairs[k] = normalize_modes(problem, pairs)[k]  # on the spectrum's one rule
+    k, pairs, lams = int(mode) - 1, list(spectrum.pairs), spectrum.lambdas
+    # A mode is linear in its jump amplitudes: add the mode of the offsets alone.
+    change = shifrin._eigenpairs(problem, lams[k : k + 1], np.array([[*offsets, 0, 0, 0, 0]]))[0]
+    form = pairs[k].piecewise
+    perturbed = Eigenpair(pairs[k].lam, replace(form, coefficients=form.coefficients + change))
+    rule = QuadratureRule.for_problem(problem, lams.max())  # the spectrum's one rule
+    pairs[k] = normalize_eigenpair(perturbed, rule)
     return replace(spectrum, pairs=tuple(pairs))
 
 

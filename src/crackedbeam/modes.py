@@ -10,23 +10,21 @@ state (w, w', w'', w''') and inverts it.  A mode is read through ``eval(x, order
 alone, at a point or an array of points.
 
 The solvers differ only in their characteristic determinant and in how they recover the
-modes at its roots; :func:`solve` does everything else once, for all roots together, and
-normalizes them on the one quadrature rule of the highest root.  :func:`normalize_eigenpair`,
-``solve_nullspace`` and ``build_eigenfunction`` are the one-root slices of that batched code.
+modes at its roots.  A solver's ``recover(problem, lams)`` returns the raw (n, m+1, 4) stack
+of these coefficients, one mode per root at any scale and sign; :func:`solve` normalizes the
+stack once, on the one quadrature rule of the highest root, and only then builds the
+:class:`Eigenpair` objects.  :func:`normalize_eigenpair`, ``solve_nullspace`` and
+``build_eigenfunction`` are the one-root slices of that stacked code.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import QuadratureRule
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .shifrin import ShifrinForm
 
 
 def is_right_side(side: str) -> bool:
@@ -56,6 +54,13 @@ def _local_values(lam, scale, u, h, co: np.ndarray, order: int) -> np.ndarray:
     return scale * (co[:, 0] * d_cos + co[:, 1] * d_sin + co[:, 2] * decaying + co[:, 3] * rising)
 
 
+def _intervals(breakpoints: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """Interval of ``breakpoints`` holding each ``x``; ``side`` picks one at a crack."""
+    mode = "right" if is_right_side(side) else "left"
+    # Counting crack positions alone puts points beyond either support in an end interval.
+    return np.searchsorted(breakpoints[1:-1], x, side=mode)
+
+
 @dataclass(frozen=True)
 class PiecewiseForm:
     """Closed-form mode shape: four bounded-basis coefficients per subinterval.
@@ -82,11 +87,6 @@ class PiecewiseForm:
     def _lengths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
-    def _intervals(self, x: np.ndarray, side: str) -> np.ndarray:
-        mode = "right" if is_right_side(side) else "left"
-        # Counting crack positions alone puts points beyond either support in an end interval.
-        return np.searchsorted(self.breakpoints[1:-1], x, side=mode)
-
     def eval(self, x, order: int = 0, side: str = "R"):
         """Derivative of the mode at ``x``; right-continuous at cracks.
 
@@ -95,29 +95,21 @@ class PiecewiseForm:
         """
         xa = np.asarray(x, dtype=float)
         xf = np.atleast_1d(xa)
-        idx = self._intervals(xf, side)
+        idx = _intervals(self.breakpoints, xf, side)
         u, h = xf - self.breakpoints[idx], self._lengths[idx]
         out = _local_values(self.lam, self.lam**order, u, h, self.coefficients[idx], order)
         return float(out[0]) if xa.ndim == 0 else out
 
-    def scaled(self, factor: float) -> "PiecewiseForm":
-        return replace(self, coefficients=self.coefficients * factor)
-
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """One wavenumber with its mode shape (and the jump-amplitude solver's form)."""
+    """One wavenumber with its mode shape, whichever solver computed it."""
 
     lam: float
     piecewise: PiecewiseForm
-    shifrin: "ShifrinForm | None" = None
 
     def eval(self, x, order: int = 0, side: str = "R"):
         return self.piecewise.eval(x, order=order, side=side)
-
-    def scaled(self, factor: float) -> "Eigenpair":
-        sh = None if self.shifrin is None else self.shifrin.scaled(factor)
-        return replace(self, piecewise=self.piecewise.scaled(factor), shifrin=sh)
 
 
 @dataclass(frozen=True)
@@ -135,37 +127,38 @@ def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
     """Rescale to unit displacement norm with a positive slope at the left end.
 
     When the left slope vanishes (possible only in degenerate constructions)
-    the sign falls back to the third derivative there (one-pair :func:`_normalized`).
+    the sign falls back to the third derivative there (one-mode :func:`_normalized`).
     """
-    return _normalized([pair], rule)[0]
+    form = pair.piecewise
+    rows = _normalized(np.array([pair.lam]), form.coefficients[None], form.breakpoints, rule)
+    return Eigenpair(pair.lam, PiecewiseForm(pair.lam, form.breakpoints, rows[0]))
 
 
-def _normalized(pairs: list[Eigenpair], rule: QuadratureRule) -> list[Eigenpair]:
-    """:func:`normalize_eigenpair` of pairs on one partition, all on the nodes of ``rule``."""
-    first = pairs[0].piecewise
-    bp, lengths = first.breakpoints, first._lengths
-    idx = first._intervals(rule.nodes, "R")
+def _normalized(lams: np.ndarray, rows: np.ndarray, breakpoints, rule) -> np.ndarray:
+    """The (n, m+1, 4) coefficient stack ``rows`` of modes at ``lams`` on ``breakpoints``, each
+    mode scaled by :func:`normalize_eigenpair`'s rule, its norm taken on the nodes of ``rule``."""
+    bp = np.asarray(breakpoints, dtype=float)
+    lengths = np.diff(bp)
+    idx = _intervals(bp, rule.nodes, "R")
     u, h = rule.nodes - bp[idx], lengths[idx]
-    # One mode at a time, as a single pair takes it; a stack of all modes holds modes x nodes.
-    values = (_local_values(p.lam, 1.0, u, h, p.piecewise.coefficients[idx], 0) for p in pairs)
-    norms = [float(np.sqrt(rule.integrate(v * v))) for v in values]
-    if 0.0 in norms:
+    # One mode at a time, as a single mode takes it; a stack of all modes holds modes x nodes.
+    values = (_local_values(lam, 1.0, u, h, co[idx], 0) for lam, co in zip(lams.tolist(), rows))
+    norms = np.array([np.sqrt(rule.integrate(v * v)) for v in values])
+    if (norms == 0.0).any():
         raise ValueError("cannot normalize the zero function")
     # phi'(0+), or phi'''(0+) where it vanishes, on each first interval (x = 0 is its left end),
     # without the scale lam**k: a positive factor never changes a sign.
-    lams = np.array([pair.lam for pair in pairs])
-    rows = np.array([pair.piecewise.coefficients[0] for pair in pairs])
-    slope, third = (_local_values(lams, 1.0, 0.0 - bp[0], lengths[0], rows, k) for k in (1, 3))
-    up = (np.where(slope != 0.0, slope, np.where(third != 0.0, third, 1.0)) > 0.0).tolist()
-    return [pair.scaled((1.0 if u else -1.0) / norm) for pair, u, norm in zip(pairs, up, norms)]
-
-
-def normalize_modes(problem, pairs: list[Eigenpair]) -> list[Eigenpair]:
-    """Every mode of ``problem`` normalized on the one quadrature rule of its top wavenumber."""
-    return _normalized(pairs, QuadratureRule.for_problem(problem, max(pair.lam for pair in pairs)))
+    slope, third = (_local_values(lams, 1.0, 0.0, lengths[0], rows[:, 0], k) for k in (1, 3))
+    up = np.where(slope != 0.0, slope, np.where(third != 0.0, third, 1.0)) > 0.0
+    return rows * (np.where(up, 1.0, -1.0) / norms)[:, None, None]
 
 
 def solve(problem, recover, roots) -> Spectrum:
-    """Eigenpairs of ``problem`` at its ``roots``, recovered by one call of a solver's
-    ``recover(problem, lams)`` (at any scale and sign) and normalized together."""
-    return Spectrum(tuple(normalize_modes(problem, recover(problem, np.array(roots)))))
+    """Eigenpairs of ``problem`` at its ``roots``.  One call of a solver's ``recover(problem,
+    lams)`` gives the raw modes' (n, m+1, 4) coefficient stack, at any scale and sign, which is
+    normalized on the one quadrature rule of the top root before any pair is built."""
+    lams, bp = np.array(roots), problem.breakpoints
+    rule = QuadratureRule.for_problem(problem, lams.max())
+    rows = _normalized(lams, recover(problem, lams), bp, rule)
+    pairs = (Eigenpair(lam, PiecewiseForm(lam, bp, co)) for lam, co in zip(lams.tolist(), rows))
+    return Spectrum(tuple(pairs))

@@ -155,17 +155,17 @@ def wavenumbers(lams) -> np.ndarray:
 def blockwise(fn, lams, entries_per_lam: int):
     """Evaluate ``fn`` on the :func:`wavenumbers` ``lams``, a bounded slice at a time.
 
-    ``fn`` maps a 1-D array of wavenumbers to the 1-D array of its values and
-    builds ``entries_per_lam`` stack entries for each; slices are sized to
-    keep that within ``_STACK_ENTRIES``.  A scalar ``lams`` gives a float,
-    an array gives an array of its shape.
+    ``fn`` maps a 1-D array of wavenumbers to its values, stacked on the first
+    axis, and builds ``entries_per_lam`` stack entries for each; slices keep
+    that within ``_STACK_ENTRIES``.  A scalar ``lams`` gives a float, an array
+    the array of its shape followed by the shape of one value.
     """
     arr = wavenumbers(lams)
     flat = arr.reshape(-1)
     block = max(1, _STACK_ENTRIES // entries_per_lam)
     parts = [fn(flat[i : i + block]) for i in range(0, flat.size, block)] or [np.empty(0)]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)  # one block: no copy
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape + out.shape[1:])
 
 
 def _off_integers(lams: np.ndarray) -> np.ndarray:

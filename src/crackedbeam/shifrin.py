@@ -14,9 +14,10 @@ eigenvalues.  Boundary rows use the combinations (lam^2 phi +- phi'')/(2 lam^2),
 which separate the decaying and oscillatory parts.  Every term is a sine, a
 cosine or a decaying exponential of a distance, so no entry, mode coefficient
 or value grows with the distance between cracks.  A stack of systems over n
-wavenumbers is filled entry-major, (m+4, m+4, n), and read as (n, m+4, m+4).  A solved
-form becomes per-interval bounded-basis coefficients term by term (addition formulas).
-The paper's classical parametrization of the mode lives in :mod:`crackedbeam.paper`.
+wavenumbers is filled entry-major, (m+4, m+4, n), and read as (n, m+4, m+4).  The (n, m+4)
+nullvectors at the roots become (n, m+1, 4) per-interval bounded-basis coefficients term by
+term (addition formulas); :class:`ShifrinForm` holds one of them for the one-root API and
+the paper's classical parametrization of the mode (:mod:`crackedbeam.paper`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -82,9 +83,6 @@ class ShifrinForm:
         for term in self.deltas[:, None] * response:
             values = values + term
         return float(values[0]) if xa.ndim == 0 else values
-
-    def scaled(self, factor: float) -> "ShifrinForm":
-        return replace(self, deltas=self.deltas * factor, coefficients=self.coefficients * factor)
 
 
 @functools.lru_cache(maxsize=64)
@@ -230,11 +228,14 @@ def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = N
 
 def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
     """Unit-norm solution of U(lam) x = 0, of either sign: one-root slice of :func:`_nullspaces`."""
-    return _nullspaces(problem, rootfind.wavenumbers([lam]))[0]
+    lams, m = rootfind.wavenumbers([lam]), problem.m
+    vec = _nullspaces(problem, lams)[0]
+    return ShifrinForm(lams.item(), vec[:m], vec[m:], problem.positions)
 
 
-def _nullspaces(problem: BeamProblem, lams: np.ndarray) -> list[ShifrinForm]:
-    """Unit-norm nullvectors of U(lam), of either sign, at the 1-D ``lams``, by one stacked SVD.
+def _nullspaces(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
+    """(n, m+4) unit-norm nullvectors (Delta_1..Delta_m, A, B, P, Q) of U(lam), of either sign,
+    at the 1-D ``lams``, by one stacked SVD.
 
     Rows and columns are equilibrated first (neither changes the nullspace direction once
     the column scaling is undone); this keeps every component of the nullvector resolvable
@@ -245,23 +246,25 @@ def _nullspaces(problem: BeamProblem, lams: np.ndarray) -> list[ShifrinForm]:
     col_scale = np.max(np.abs(mats), axis=-2, keepdims=True)
     col_scale = np.where(col_scale > 0.0, col_scale, 1.0)
     _, sing, vt = np.linalg.svd(mats / col_scale)
-    forms, m, positions = [], problem.m, problem.positions
-    for lam, s, vec in zip(lams.tolist(), sing, vt[:, -1] / col_scale[:, 0]):
+    vecs = vt[:, -1] / col_scale[:, 0]
+    for lam, s, vec in zip(lams.tolist(), sing, vecs):
         if s[-2] <= DEGENERACY_RATIO * s[0]:
             msg = f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue"
             warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        vec = vec / np.linalg.norm(vec)  # per vector: a norm along a stack axis rounds differently
-        forms.append(ShifrinForm(lam, deltas=vec[:m], coefficients=vec[m:], positions=positions))
-    return forms
+        vec /= np.linalg.norm(vec)  # per vector: a norm along a stack axis rounds differently
+    return vecs
 
 
 def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:
     """Piecewise-coefficient mode of a solved form, same scale; one-form :func:`_eigenpairs`."""
-    return _eigenpairs(problem, [form])[0]
+    vec = np.concatenate((form.deltas, form.coefficients))
+    rows = _eigenpairs(problem, np.array([form.lam]), vec[None])
+    return Eigenpair(form.lam, PiecewiseForm(form.lam, problem.breakpoints, rows[0]))
 
 
-def _eigenpairs(problem: BeamProblem, forms: list[ShifrinForm]) -> list[Eigenpair]:
-    """Piecewise-coefficient modes of all ``forms``, each at its own scale.
+def _eigenpairs(problem: BeamProblem, lams: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(n, m+1, 4) piecewise coefficients of the modes whose jump-amplitude solutions at
+    ``lams`` are the rows (Delta_1..Delta_m, A, B, P, Q) of ``vecs``, each at its own scale.
 
     Interval k, [a, b], takes its coefficients of cos, sin, e**(-lam u) and e**(-lam (b - a - u)),
     u = x - a, term by term from the addition formulas: A cos + B sin gives
@@ -271,28 +274,28 @@ def _eigenpairs(problem: BeamProblem, forms: list[ShifrinForm]) -> list[Eigenpai
     Delta_i / (4 lam) (-sin d, -cos d, 0, -e**(-lam (x_i - b))).  Every crack reaches every
     interval, with no factor above 1, and the cracks are added in order.
     """
-    bp = problem.breakpoints
+    m, bp = problem.m, problem.breakpoints
     left, right = np.array(bp[:-1]), np.array(bp[1:])
-    lams = np.array([form.lam for form in forms])[:, None]
-    a, b, p, q = np.array([form.coefficients for form in forms]).T[:, :, None]
+    lams = lams[:, None]
+    a, b, p, q = vecs[:, m:].T[:, :, None]
     t = lams * left
     sin_a, cos_a = np.sin(t), np.cos(t)
     decaying, rising = p * np.exp(-t), q * np.exp(-lams * (math.pi - right))
     rows = np.stack((a * cos_a + b * sin_a, b * cos_a - a * sin_a, decaying, rising), axis=-1)
     x_i, lams = np.array(problem.positions)[:, None], lams[:, :, None]
-    after, d = left >= x_i, lams * (left - x_i)  # (form, crack, interval)
+    after, d = left >= x_i, lams * (left - x_i)  # (mode, crack, interval)
     sign = np.where(after, 1.0, -1.0)
     reach = -np.exp(lams * np.where(after, x_i - left, right - x_i))
     sin_d, cos_d = sign * np.sin(d), sign * np.cos(d)
     terms = np.stack((sin_d, cos_d, np.where(after, reach, 0), np.where(after, 0, reach)), axis=-1)
-    quarters = np.array([form.deltas for form in forms]) / (4.0 * lams[:, :, 0])
+    quarters = vecs[:, :m] / (4.0 * lams[:, :, 0])
     for i, term in enumerate(terms.swapaxes(0, 1)):
         rows += quarters[:, i, None, None] * term
-    return [Eigenpair(f.lam, PiecewiseForm(f.lam, bp, co), f) for f, co in zip(forms, rows)]
+    return rows
 
 
-def _nullspace_modes(problem: BeamProblem, lams: np.ndarray) -> list[Eigenpair]:
-    return _eigenpairs(problem, _nullspaces(problem, lams))
+def _nullspace_modes(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
+    return _eigenpairs(problem, lams, _nullspaces(problem, lams))
 
 
 def compute_spectrum(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:

@@ -115,11 +115,14 @@ def gram_matrix(pairs, rule: QuadratureRule) -> np.ndarray:
     """Matrix of pairwise displacement inner products; identity for true modes."""
     if len(pairs) < 1:
         raise ValueError("need at least one mode")
-    values = [np.asarray(p.eval(rule.nodes)) for p in pairs]
-    out = np.empty((len(pairs), len(pairs)))
-    for k, vk in enumerate(values):
-        for j in range(k, len(pairs)):
-            out[k, j] = out[j, k] = rule.integrate(vk * values[j])
+    # One (modes, nodes) table, scaled by sqrt(w) in place: no second table of that size.
+    table, norms = np.empty((len(pairs), len(rule.nodes))), np.empty(len(pairs))
+    for k, (row, p) in enumerate(zip(table, pairs)):
+        row[:] = p.eval(rule.nodes)
+        norms[k] = rule.integrate(row * row)  # each norm as normalization sums it
+    table *= np.sqrt(rule.weights)
+    out = table @ table.T
+    np.fill_diagonal(out, norms)
     return out
 
 

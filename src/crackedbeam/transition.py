@@ -17,7 +17,7 @@ import numpy as np
 
 from . import modes, rootfind, shifrin
 from .beam_model import BeamProblem
-from .modes import Eigenpair, PiecewiseForm, Spectrum
+from .modes import Spectrum
 from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it here
 
 _PAIRS = list(itertools.combinations(range(4), 2))  # rows (i, j), i < j, of each minor
@@ -110,16 +110,16 @@ def _collocation(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
     return system.reshape(len(lams), 4 * (m + 1), 4 * (m + 1))
 
 
-def _modes_from_roots(problem: BeamProblem, lams: np.ndarray) -> list[Eigenpair]:
-    """Unnormalized modes at the 1-D roots ``lams``: with a fixed u, (M + u u^T) x = u gives the
-    nullvector of M, also where M is singular to the last bit.  Stacks are sliced as in blockwise."""
+def _modes_from_roots(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
+    """(n, m+1, 4) unnormalized mode coefficients at the 1-D roots ``lams``: with a fixed u,
+    (M + u u^T) x = u gives the nullvector of M, also where M is singular to the last bit."""
     size = 4 * (problem.m + 1)
     border = np.sin(np.arange(1.0, size + 1.0))  # fixed, and free of any layout's symmetry
-    block = max(1, rootfind._STACK_ENTRIES // size**2)
-    parts = (_collocation(problem, lams[k : k + block]) for k in range(0, len(lams), block))
-    coeffs = [np.linalg.solve(part + np.outer(border, border), border[:, None]) for part in parts]
-    rows = zip(lams.tolist(), np.concatenate(coeffs).reshape(len(lams), -1, 4))
-    return [Eigenpair(lam, PiecewiseForm(lam, problem.breakpoints, co)) for lam, co in rows]
+    bordered, rhs = np.outer(border, border), border[:, None]
+    nullvectors = rootfind.blockwise(
+        lambda block: np.linalg.solve(_collocation(problem, block) + bordered, rhs), lams, size**2
+    )
+    return nullvectors.reshape(len(lams), -1, 4)
 
 
 def oracle_eigenpairs(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:

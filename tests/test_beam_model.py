@@ -88,11 +88,10 @@ class TestFlexibilityPolynomials:
 
 
 class TestBeamProblem:
-    def test_breakpoints_and_lengths(self):
+    def test_crack_count_and_breakpoints(self):
         problem = BeamProblem(positions=(1.0, 2.0), flexibilities=(0.1, 0.2))
         assert problem.m == 2
         assert problem.breakpoints == (0.0, 1.0, 2.0, math.pi)
-        assert sum(problem.interval_lengths) == pytest.approx(math.pi)
 
     @pytest.mark.parametrize(
         "positions, flexibilities",

@@ -293,7 +293,11 @@ class TestVerificationFailure:
 
         def flipped(*args, **kwargs):
             spectrum = oracle(*args, **kwargs)
-            return replace(spectrum, pairs=tuple(p.scaled(-1.0) for p in spectrum.pairs))
+            negated = (
+                replace(p, piecewise=replace(p.piecewise, coefficients=-p.piecewise.coefficients))
+                for p in spectrum.pairs
+            )
+            return replace(spectrum, pairs=tuple(negated))
 
         monkeypatch.setattr(cli.transition, "oracle_eigenpairs", flipped)
         code, out, err = run(capsys, "modes", ONE_CRACK, "--modes", "2", "--solver", "both")

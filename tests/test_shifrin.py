@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,16 @@ def three_cracks() -> BeamProblem:
     return BeamProblem(positions=(0.4, 1.9, 2.8), flexibilities=(2.0, 0.05, 0.7))
 
 
+def _scaled_form(problem: BeamProblem, pair):
+    """The jump-amplitude form of a computed mode at the mode's scale and sign: the nullvector
+    at its root times the factor that turns the mode built from it into ``pair``."""
+    form = solve_nullspace(problem, pair.lam)
+    built = build_eigenfunction(problem, form).piecewise.coefficients
+    k = np.argmax(np.abs(built))
+    factor = pair.piecewise.coefficients.flat[k] / built.flat[k]
+    return replace(form, deltas=form.deltas * factor, coefficients=form.coefficients * factor)
+
+
 class TestJumpBasis:
     def test_midpoint_value(self, mid_crack):
         # ((pi/2 - pi)/pi) * (pi/2) = -pi/4
@@ -89,7 +100,7 @@ class TestSideLabels:
         pair = one_crack_spectrum.pairs[0]
         f = {
             "jump_basis": jump_basis(one_crack_problem, 1),
-            "shifrin": pair.shifrin,
+            "shifrin": solve_nullspace(one_crack_problem, pair.lam),
             "piecewise": pair.piecewise,
         }[evaluator]
         with pytest.raises(ValueError, match="side"):
@@ -436,6 +447,26 @@ class TestRootCount:
         assert counts[0] == 1.0  # one mechanism root far below 0.5
         assert np.isnan(counts[1])
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        positions=st.lists(st.floats(0.1, math.pi - 0.1), min_size=1, max_size=5),
+        exponents=st.lists(st.floats(-3.0, 7.0), min_size=5, max_size=5),
+    )
+    def test_count_steps_by_one_at_every_root(self, positions, exponents):
+        # Half-way between roots k and k + 1 the count reads k, and 0 below the first, on
+        # 1-5 cracks at least 1e-3 apart with theta log-uniform in [1e-3, 1e7].  The count
+        # is singular at the integers, so points within 1e-9 of one are skipped.
+        kept = []
+        for x in sorted(positions):
+            if not kept or x - kept[-1] >= 1e-3:
+                kept.append(x)
+        problem = BeamProblem(tuple(kept), tuple(10.0**e for e in exponents[: len(kept)]))
+        roots = np.array([0.0, *find_eigenvalues(problem, problem.m + 3)])
+        mids = 0.5 * (roots[:-1] + roots[1:])
+        keep = np.abs(mids - np.round(mids)) > 1e-9
+        expected = np.flatnonzero(keep).astype(float)
+        assert shifrin.root_count(problem, mids[keep]).tolist() == expected.tolist()
+
     def test_near_hinge_roots_in_one_grid_step(self):
         # Three near-hinge cracks put three mechanism roots below 0.03, two of them within
         # one step of 0.01; the count isolates all three.  The values are mpmath's.
@@ -464,9 +495,9 @@ class TestNullspace:
         reference = form.eval(math.pi / 4) / math.sin(2.0 * math.pi / 4)
         assert np.allclose(form.eval(xs), reference * np.sin(2.0 * xs), atol=1e-10)
 
-    def test_hinged_reduction_kills_cos_and_cosh(self, one_crack_spectrum):
+    def test_hinged_reduction_kills_cos_and_cosh(self, one_crack_problem, one_crack_spectrum):
         for pair in one_crack_spectrum.pairs:
-            form = pair.shifrin
+            form = solve_nullspace(one_crack_problem, pair.lam)
             norm = float(
                 np.linalg.norm(np.concatenate([form.deltas, form.coefficients]))
             )
@@ -493,16 +524,15 @@ class TestNullspace:
 
 
 class TestShifrinForm:
-    def test_fourth_derivative_identity(self, one_crack_spectrum):
+    def test_fourth_derivative_identity(self, one_crack_problem, one_crack_spectrum):
         # Every term of the representation solves u'''' = lam^4 u piecewise.
-        pair = one_crack_spectrum.pairs[2]
-        form = pair.shifrin
+        form = _scaled_form(one_crack_problem, one_crack_spectrum.pairs[2])
         xs = np.linspace(0.05, math.pi - 0.05, 41)
         assert np.allclose(form.eval(xs, 4), form.lam**4 * form.eval(xs, 0), rtol=1e-12, atol=1e-12)
 
-    def test_slope_jump_equals_delta(self, two_crack_spectrum):
+    def test_slope_jump_equals_delta(self, two_crack_problem, two_crack_spectrum):
         for pair in two_crack_spectrum.pairs[:4]:
-            form = pair.shifrin
+            form = _scaled_form(two_crack_problem, pair)
             for delta, x_i in zip(form.deltas, form.positions):
                 jump = float(form.eval(x_i, 1, "R")) - float(form.eval(x_i, 1, "L"))
                 assert jump == pytest.approx(delta, abs=1e-12 * max(1.0, abs(delta)))
@@ -545,10 +575,11 @@ class TestEigenpairs:
         # The coefficient form and the per-interval form describe one
         # function; check values on every subinterval.
         for pair in one_crack_spectrum.pairs[:5]:
+            form = _scaled_form(one_crack_problem, pair)
             bp = one_crack_problem.breakpoints
             for lo, hi in zip(bp[:-1], bp[1:]):
                 xs = np.linspace(lo + 1e-9, hi - 1e-9, 23)
-                assert np.max(np.abs(pair.shifrin.eval(xs) - pair.eval(xs))) <= 1e-9
+                assert np.max(np.abs(form.eval(xs) - pair.eval(xs))) <= 1e-9
 
     def test_boundary_values(self, two_crack_spectrum):
         for pair in two_crack_spectrum.pairs:
@@ -566,8 +597,6 @@ class TestEigenpairs:
         # carries; the fault-injection path in the CLI depends on this.
         lam = find_eigenvalues(one_crack_problem, 1)[0]
         form = solve_nullspace(one_crack_problem, lam)
-        from dataclasses import replace
-
         bumped = replace(form, deltas=form.deltas + 0.01)
         pair = build_eigenfunction(one_crack_problem, bumped)
         x1 = one_crack_problem.positions[0]
@@ -687,8 +716,9 @@ class TestHighModes:
         problem = BeamProblem(positions=(0.015625, 3.0), flexibilities=(10.0, 1.0))
         xs = np.concatenate((np.linspace(0.0, math.pi, 401), problem.positions))
         for pair in compute_spectrum(problem, 5).pairs:
+            form = _scaled_form(problem, pair)
             for order in range(4):
                 for side in ("L", "R"):
-                    expected = pair.shifrin.eval(xs, order, side)
+                    expected = form.eval(xs, order, side)
                     gap = np.abs(pair.eval(xs, order, side) - expected)
                     assert np.max(gap) <= 1e-12 * np.max(np.abs(expected))

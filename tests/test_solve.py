@@ -43,16 +43,20 @@ SOLVERS = {
         transition._modes_from_roots,
     ),
 }
+
+
+def _oracle_mode(problem, lam):
+    rows = transition._modes_from_roots(problem, np.array([lam]))
+    return Eigenpair(lam, PiecewiseForm(lam, problem.breakpoints, rows[0]))
+
+
 # Per solver: its roots and its raw mode at one root, through the per-root API.
 PER_ROOT = {
     "shifrin": (
         shifrin.find_eigenvalues,
         lambda p, lam: shifrin.build_eigenfunction(p, shifrin.solve_nullspace(p, lam)),
     ),
-    "transition": (
-        transition.find_eigenvalues,
-        lambda p, lam: transition._modes_from_roots(p, np.array([lam]))[0],
-    ),
+    "transition": (transition.find_eigenvalues, _oracle_mode),
 }
 PROBLEMS = ["uniform_problem", "one_crack_problem", "two_crack_problem", "thirty_crack_problem"]
 COUNT = 6
@@ -64,18 +68,22 @@ def _spectra(problem, solver, factor, count=COUNT):
     """The solver's spectrum, and the one solved from its raw modes times ``factor``."""
     spectrum, det, recover = SOLVERS[solver]
     roots = shifrin.first_roots(det, problem, count)
-    rescaled = modes.solve(
-        problem, lambda p, lams: [pair.scaled(factor) for pair in recover(p, lams)], roots
-    )
+    rescaled = modes.solve(problem, lambda p, lams: recover(p, lams) * factor, roots)
     return spectrum(problem, count), rescaled
 
 
 def _bytes(pair) -> bytes:
-    """Every stored float of a pair: wavenumber, piecewise and jump-amplitude coefficients."""
-    out = np.float64(pair.lam).tobytes() + pair.piecewise.coefficients.tobytes()
-    if pair.shifrin is not None:
-        out += pair.shifrin.deltas.tobytes() + pair.shifrin.coefficients.tobytes()
-    return out
+    """Every stored float of a pair: its wavenumber and piecewise coefficients."""
+    return np.float64(pair.lam).tobytes() + pair.piecewise.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_recover_returns_one_coefficient_stack(request, name, solver):
+    problem = request.getfixturevalue(name)
+    _, det, recover = SOLVERS[solver]
+    roots = np.array(shifrin.first_roots(det, problem, COUNT))
+    assert recover(problem, roots).shape == (COUNT, problem.m + 1, 4)
 
 
 @pytest.mark.parametrize("count", [1, COUNT])

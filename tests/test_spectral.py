@@ -23,6 +23,7 @@ from crackedbeam import (
     jump_basis,
     load_problem_file,
     residual_report,
+    solve_nullspace,
     v_inner,
 )
 from crackedbeam import cli, spectral, transition
@@ -283,9 +284,11 @@ class TestVerify:
         assert worst["cross_solver_modes"] == 0.0
 
     def test_sign_flipped_oracle_doubles_the_mode(self, one_crack_spectrum):
-        flipped = replace(
-            one_crack_spectrum, pairs=tuple(p.scaled(-1.0) for p in one_crack_spectrum.pairs)
+        negated = (
+            replace(p, piecewise=replace(p.piecewise, coefficients=-p.piecewise.coefficients))
+            for p in one_crack_spectrum.pairs
         )
+        flipped = replace(one_crack_spectrum, pairs=tuple(negated))
         gaps = spectral.cross_solver_gaps(one_crack_spectrum, flipped)
         grid = np.linspace(0.0, math.pi, spectral.CROSS_GRID_POINTS)
         peak = max(float(np.max(np.abs(p.eval(grid)))) for p in one_crack_spectrum.pairs)
@@ -356,10 +359,12 @@ def _looped_report(pair, problem, samples=spectral.ODE_SAMPLES_PER_INTERVAL):
     )
 
 
-def _assert_reports_match_loop(problem, spectrum):
-    # Both mode forms: the piecewise form every solver returns and, for the
-    # jump-amplitude solver, its own form.
-    forms = list(spectrum.pairs) + [p.shifrin for p in spectrum.pairs if p.shifrin is not None]
+def _assert_reports_match_loop(problem, spectrum, jump_forms=False):
+    # Both mode forms: the piecewise form every solver returns and, with ``jump_forms``, the
+    # jump-amplitude solver's own form at each root.
+    forms = list(spectrum.pairs)
+    if jump_forms:
+        forms += [solve_nullspace(problem, pair.lam) for pair in spectrum.pairs]
     for form in forms:
         got, want = residual_report(form, problem), _looped_report(form, problem)
         assert got.to_json_dict() == want.to_json_dict()
@@ -409,12 +414,12 @@ class TestLoopReference:
     @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
     def test_fixture_reports_equal_the_loop(self, path, count):
         problem, _, _ = load_problem_file(str(path))
-        _assert_reports_match_loop(problem, compute_spectrum(problem, count))
+        _assert_reports_match_loop(problem, compute_spectrum(problem, count), jump_forms=True)
         _assert_reports_match_loop(problem, transition.oracle_eigenpairs(problem, count))
 
     def test_thirty_crack_reports_equal_the_loop(self, thirty_crack_problem):
         problem = thirty_crack_problem
-        _assert_reports_match_loop(problem, compute_spectrum(problem, 5))
+        _assert_reports_match_loop(problem, compute_spectrum(problem, 5), jump_forms=True)
         _assert_reports_match_loop(problem, transition.oracle_eigenpairs(problem, 5))
 
     @pytest.mark.parametrize("name", ["two_crack_problem", "thirty_crack_problem"])
