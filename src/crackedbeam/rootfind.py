@@ -1,30 +1,27 @@
-"""Root isolation by an exact count of roots, and lockstep bisection.
+"""Root isolation by an exact count of roots, and lockstep refinement of each root's bracket.
 
 A count N(lam) of the roots below lam puts them in unit windows, and halving a window on the
-count parts roots however close they lie.  Each one-root window is then a bracket that
-bisection refines to floating-point resolution, all brackets in lockstep: each call evaluates,
-per bracket, the midpoints bisection would visit if the root lay where the bracket's secant
-puts it, and the bracket halves through them while that prediction holds.  So the roots are
-those of bracket-by-bracket bisection; the secant only decides which points are evaluated
-ahead of time.  Every function here takes a 1-D array of wavenumbers to the array of values.
+count parts roots however close they lie.  Each one-root window is then a bracket that a
+safeguarded two-sided secant step refines to adjacent doubles, all brackets in lockstep: one
+call of the determinant evaluates a few points of every open bracket.  Wherever the sign of
+the determinant changes exactly once, the root is the one bisection finds.  Every function
+here takes a 1-D array of wavenumbers to the array of values.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# Bisect until the bracket collapses at floating-point resolution: residuals of
-# recovered modes inherit the wavenumber error, so the root should be as tight
-# as doubles allow (well inside the 1e-12 contract).
-BISECT_TOL = 0.0
+# Fallbacks of the secant step.  A bracket wider than _SECANT_SPAN times its wavenumber
+# is not yet where the secant is accurate, and a step that left more than a quarter of its
+# bracket was mispredicted: either bracket gets _GRID evenly spaced points instead.
+_SECANT_SPAN = 0.02
+_GRID = 15
 
-# Most midpoints of each bracket's secant-predicted path per bisection call.
-# A call costs a fixed overhead plus a little per wavenumber, and the
-# prediction mostly holds, so a long path saves calls; a path longer than the
-# prediction holds only wastes wavenumbers.  Between 8 and 16, the length
-# barely moves 1-3 crack solves, while at 30 cracks paths of 14 and 16 were
-# slower than 10 or 12 (the perfbench sweep and dense_cracks workloads).
-_PATH_LEVELS = 10
+# A bracket with at most this many doubles inside has every one of them evaluated.
+_ENUMERATE = 24
 
 # Smallest wavenumber a determinant accepts: below about 1e-154 its square is no
 # normal double, and the paper's kernel M_i and the jump-amplitude nullspace overflow.
@@ -54,44 +51,48 @@ class RootCountError(RuntimeError):
         )
 
 
-def _secant_path(a: float, b: float, fa: float, fb: float, tol: float) -> list[float]:
-    """Midpoints that bisecting [a, b] visits if the root lies where the secant says.
+def _points(a: float, b: float, fa: float, fb: float, c, fc: float, shrunk: bool) -> list[float]:
+    """Points to evaluate inside the bracket [a, b] in one call, in order; none once a and b
+    are adjacent doubles.  ``(c, fc)`` is the point evaluated nearest outside the bracket, None
+    before the first call, and ``shrunk`` whether the last call left at most a quarter of it."""
+    if b - a <= (_ENUMERATE + 1) * math.ulp(max(abs(a), abs(b))):  # no gap exceeds that ulp
+        x, every = math.nextafter(a, b), []
+        while x < b and len(every) < _ENUMERATE:
+            every.append(x)
+            x = math.nextafter(x, b)
+        return every
+    guess, err = a + fa / (fa - fb) * (b - a), math.nan
+    if c is not None:
+        # The root lies about f[c, a, b] (guess - a)(guess - b) / f[a, b] from the secant guess.
+        ratio = (fa - fc) / (fb - fa) * (b - a) / (a - c)  # f[c, a] / f[a, b]
+        err = abs((1.0 - ratio) * (guess - a) * (guess - b) / (b - c))
+    if shrunk and b - a <= _SECANT_SPAN * max(abs(a), abs(b)) and math.isfinite(err):
+        guess = min(max(guess, math.nextafter(a, b)), math.nextafter(b, a))
+        spread = max(4.0 * err, math.ulp(guess))
+        return [x for x in (guess - spread, guess, guess + spread) if a < x < b]
+    step = (b - a) / (_GRID + 1)  # over 1.5 gaps between doubles: distinct points inside
+    return [a + k * step for k in range(1, _GRID + 1)]
 
-    From each midpoint the path moves to the half holding the regula-falsi
-    guess; it ends after ``_PATH_LEVELS`` points or where bisection would
-    close.  The guess only chooses points: a NaN guess gives a valid
-    (leftward) path.
-    """
-    guess = a - fa * (b - a) / (fb - fa)
-    lo, hi, path = a, b, []
-    while len(path) < _PATH_LEVELS:
-        mid = 0.5 * (lo + hi)
-        if not (hi - lo > tol and lo < mid < hi):
-            break
-        path.append(mid)
-        if mid < guess:
-            lo = mid
-        else:
-            hi = mid
-    return path
 
+def bisect(f, a, b, fa, fb):
+    """Refine every sign-change bracket [a_k, b_k] in lockstep to adjacent doubles.
 
-def bisect(f, a, b, fa, fb, tol: float = BISECT_TOL):
-    """Bisect every bracket [a_k, b_k] in lockstep; returns the midpoints at tolerance.
-
-    ``a``, ``b``, ``fa`` and ``fb`` are scalars or equal-length 1-D arrays.
-    A bracket closes when it reaches ``tol``, when its midpoint no longer lies
-    strictly inside, or when ``f`` vanishes there.  Each call of ``f``
-    evaluates the secant-predicted path (:func:`_secant_path`) of every
-    bracket still open, and each bracket halves through those values while
-    its own midpoint is the next point of its path; at the first that is not,
-    it carries over to the next call.  So every bracket visits the same
-    midpoints, and sees the same values there, as it would alone: the secant
-    only decides how many halvings one call covers.
+    ``a``, ``b``, ``fa`` and ``fb`` are scalars or equal-length 1-D arrays.  Each call of ``f``
+    evaluates, for every bracket still open, a safeguarded two-sided secant step: the
+    regula-falsi guess, moved to the adjacent double if it rounds onto an end, and the guess
+    plus and minus four times its error estimated from the divided difference through the
+    nearest point outside the bracket.  A bracket wider than ``_SECANT_SPAN`` of its
+    wavenumber, without an outside point yet, or whose last step left more than a quarter of it,
+    gets a uniform grid of ``_GRID`` points instead, and one with at most ``_ENUMERATE``
+    doubles left has all of them evaluated.  The bracket becomes the first pair of consecutive
+    points across which ``f`` changes sign.  It closes at an exact zero of ``f``, or at
+    0.5 (a + b) once a and b are adjacent doubles: wherever the sign of ``f`` changes exactly
+    once, that is the root plain bisection finds.
     """
     scalar = np.ndim(a) == 0
     a, b, fa, fb = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (a, b, fa, fb))
     out = [0.0] * len(a)
+    c, fc, shrunk = [None] * len(a), [0.0] * len(a), [False] * len(a)
     live = []
     for k in range(len(a)):
         if fa[k] == 0.0:
@@ -103,37 +104,34 @@ def bisect(f, a, b, fa, fb, tol: float = BISECT_TOL):
         else:
             live.append(k)
     while live:
-        todo, paths = [], []
+        todo, points = [], []
         for k in live:
-            path = _secant_path(a[k], b[k], fa[k], fb[k], tol)
-            if path:
+            xs = _points(a[k], b[k], fa[k], fb[k], c[k], fc[k], shrunk[k])
+            if xs:
                 todo.append(k)
-                paths.append(path)
+                points.append(xs)
             else:
                 out[k] = 0.5 * (a[k] + b[k])
         if not todo:
             break
-        points = [x for path in paths for x in path]
-        values = np.asarray(f(np.array(points)), dtype=float).tolist()
+        values = np.asarray(f(np.array([x for xs in points for x in xs])), dtype=float).tolist()
         live, start = [], 0
-        for k, path in zip(todo, paths):
-            fms = values[start : start + len(path)]
-            start += len(path)
-            for point, fm in zip(path, fms):
-                # Past a wrong side the bracket's midpoints leave the path;
-                # where bisection would close, the next path is empty.
-                if 0.5 * (a[k] + b[k]) != point:
-                    live.append(k)
-                    break
-                if fm == 0.0:
-                    out[k] = point
-                    break
-                if (fm > 0.0) == (fa[k] > 0.0):
-                    a[k], fa[k] = point, fm
-                else:
-                    b[k], fb[k] = point, fm
-            else:
-                live.append(k)
+        for k, xs in zip(todo, points):
+            fxs = [fa[k], *values[start : start + len(xs)], fb[k]]
+            start += len(xs)
+            xs, i, positive = [a[k], *xs, b[k]], 1, fa[k] > 0.0
+            while fxs[i] != 0.0 and (fxs[i] > 0.0) == positive:
+                i += 1
+            if fxs[i] == 0.0:
+                out[k] = xs[i]
+                continue
+            lo, hi = xs[i - 1], xs[i]
+            shrunk[k] = hi - lo <= 0.25 * (b[k] - a[k])
+            # The outside point nearest the new bracket, for the next secant error estimate.
+            left = i > 1 and (i + 1 == len(xs) or lo - xs[i - 2] <= xs[i + 1] - hi)
+            j = i - 2 if left else i + 1
+            a[k], b[k], fa[k], fb[k], c[k], fc[k] = lo, hi, fxs[i - 1], fxs[i], xs[j], fxs[j]
+            live.append(k)
     return out[0] if scalar else np.array(out)
 
 

@@ -250,7 +250,7 @@ def _nullspaces(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
     for lam, s, vec in zip(lams.tolist(), sing, vecs):
         if s[-2] <= DEGENERACY_RATIO * s[0]:
             msg = f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue"
-            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+            warnings.warn(msg, RuntimeWarning)  # names shifrin.py whichever path solved
         vec /= np.linalg.norm(vec)  # per vector: a norm along a stack axis rounds differently
     return vecs
 

@@ -80,10 +80,11 @@ def _jumps(f, xs, order: int) -> np.ndarray:
 
 def _energy(u, v, problem: BeamProblem, rule: QuadratureRule, weights) -> float:
     """Curvature pairing plus each crack's slope-jump product divided by its weight."""
-    acc = rule.integrate(
-        np.asarray(u.eval(rule.nodes, order=2)) * np.asarray(v.eval(rule.nodes, order=2))
-    )
-    products = _jumps(u, problem.positions, 1) * _jumps(v, problem.positions, 1)
+    values = [(np.asarray(f.eval(rule.nodes, order=2)), _jumps(f, problem.positions, 1))
+              for f in ((u,) if v is u else (u, v))]  # a(u, u) evaluates u once
+    (curv_u, jumps_u), (curv_v, jumps_v) = values[0], values[-1]
+    acc = rule.integrate(curv_u * curv_v)
+    products = jumps_u * jumps_v
     # One crack at a time, in order: a pairwise sum would round differently.
     for term in (products / np.asarray(weights, dtype=float)).tolist():
         acc += term

@@ -1,4 +1,4 @@
-"""Root isolation by the count, and lockstep bisection."""
+"""Root isolation by the count, and lockstep refinement of the isolating brackets."""
 
 from __future__ import annotations
 
@@ -22,9 +22,10 @@ from crackedbeam import (
     rootfind,
     shifrin,
     solve_nullspace,
+    transition,
     transition_matrix,
 )
-from crackedbeam.rootfind import _PATH_LEVELS, RootCountError, bisect, find_roots
+from crackedbeam.rootfind import RootCountError, bisect, find_roots
 
 # Every function that takes wavenumbers, at one wavenumber of a problem with a crack.
 WAVENUMBER_ENTRY_POINTS = {
@@ -50,13 +51,13 @@ class Counted:
         return self.f(np.asarray(lams, dtype=float))
 
 
-def _scalar_bisect(f, a, b, fa, fb, tol=0.0):
-    """Plain one-bracket bisection, the reference for the lockstep version."""
+def _scalar_bisect(f, a, b, fa, fb):
+    """Plain one-bracket bisection to adjacent doubles, the reference for the refinement."""
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    while b - a > tol:
+    while True:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -70,21 +71,21 @@ def _scalar_bisect(f, a, b, fa, fb, tol=0.0):
     return 0.5 * (a + b)
 
 
-def _assert_matches_scalar(h, a, b, fa=None, fb=None, tol=0.0):
-    """Lockstep bisection of ``h`` on the brackets [a_k, b_k] equals the scalar one.
+def _pointwise(h):
+    """Array function applying the scalar function ``h`` point by point."""
+    return lambda lams: np.array([h(x) for x in np.asarray(lams).tolist()])
 
-    The array function applies ``h`` point by point, so both bisections see
-    the very same value at every point and can differ only in the points
-    they visit.
+
+def _assert_matches_scalar(h, a, b, fa=None, fb=None):
+    """The lockstep refinement of ``h`` on the brackets [a_k, b_k] ends where bisection does.
+
+    Both see the very same value at every point, so they can differ only where ``h`` changes
+    sign more than once in a bracket.
     """
     fa = [h(x) for x in a] if fa is None else fa
     fb = [h(x) for x in b] if fb is None else fb
-
-    def f(lams):
-        return np.array([h(x) for x in lams.tolist()])
-
-    lockstep = bisect(f, np.array(a), np.array(b), np.array(fa), np.array(fb), tol)
-    assert lockstep.tolist() == [_scalar_bisect(h, *args, tol=tol) for args in zip(a, b, fa, fb)]
+    lockstep = bisect(_pointwise(h), np.array(a), np.array(b), np.array(fa), np.array(fb))
+    assert lockstep.tolist() == [_scalar_bisect(h, *args) for args in zip(a, b, fa, fb)]
 
 
 def _polynomial(roots, double=()):
@@ -198,8 +199,8 @@ class TestFindRoots:
             find_roots(f, 2, 5.0, counter)
 
     def test_bisection_calls_per_solve(self, monkeypatch):
-        # Five brackets need about 53 halvings each; one path per call brings
-        # that to a handful of determinant calls instead of one per halving.
+        # Five brackets need about 53 halvings each; a grid, then secant steps that close in
+        # on each root quadratically, take a handful of determinant calls for all five.
         problem = BeamProblem(positions=(1.0,), flexibilities=(0.3,))
         seen = []
 
@@ -211,7 +212,29 @@ class TestFindRoots:
         roots = shifrin.first_roots(char_det, problem, 5)
         assert len(roots) == 5
         assert len(seen) == 1
-        assert len(seen[0].batches) <= 8
+        assert len(seen[0].batches) <= 6
+
+    @pytest.mark.parametrize("solver", [shifrin, transition])
+    @pytest.mark.parametrize(
+        "problem, count",
+        [
+            (BeamProblem(positions=(1.0,), flexibilities=(0.3,)), 5),
+            (BeamProblem(tuple(math.pi * j / 31 for j in range(1, 31)), (0.2,) * 30), 20),
+        ],
+        ids=["one_crack", "thirty_equal_cracks"],
+    )
+    def test_refinement_evaluations_per_root(self, monkeypatch, solver, problem, count):
+        # Wavenumbers, not calls: bisection spent 60-75 per root.
+        seen = []
+
+        def counted_bisect(f, *args):
+            seen.append(Counted(f))
+            return bisect(seen[-1], *args)
+
+        monkeypatch.setattr(rootfind, "bisect", counted_bisect)
+        roots = solver.find_eigenvalues(problem, count)
+        assert len(roots) == count
+        assert sum(batch.size for batch in seen[0].batches) <= 40 * count
 
     def test_callable_receives_arrays(self):
         f = Counted(lambda x: np.cos(2.0 * x))
@@ -276,93 +299,103 @@ class TestBisect:
     def _f(x):
         return np.sin(3.0 * x)
 
-    def test_lockstep_equals_scalar_bisection(self):
-        # Brackets of different widths around different roots k*pi/3.
-        a = np.array([0.9, 2.0, 3.0, 4.0, 5.0, 1.0, 1.04])
-        b = np.array([1.1, 2.5, 3.3, 4.3, 5.5, 1.05, 1.0472])
-        fa, fb = self._f(a), self._f(b)
-        f = Counted(self._f)
-        lockstep = bisect(f, a, b, fa, fb)
-        scalar = [
-            _scalar_bisect(lambda x: float(self._f(x)), *args)
-            for args in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())
-        ]
-        assert lockstep.tolist() == scalar
-        # Every bracket is far wider than _PATH_LEVELS halvings at tol = 0, so
-        # the first call holds a full path for each, starting at its midpoint.
-        sizes = [batch.size for batch in f.batches]
-        assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] == _PATH_LEVELS * len(a)
-        assert f.batches[0][::_PATH_LEVELS].tolist() == (0.5 * (a + b)).tolist()
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["noisy-cubic", "steep-tanh", "sign-noise"]),
+        zeros=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
+        noise=st.sampled_from([1e-14, 1e-9]),
+        steepness=st.floats(3.0, 12.0),
+        ends=st.lists(
+            st.tuples(st.floats(-1.0, 5.0), st.floats(-1.0, 5.0)), min_size=1, max_size=6
+        ),
+    )
+    def test_every_root_closes_on_a_sign_change(self, family, zeros, noise, steepness, ends):
+        # Where the sign of f is noise, the secant steps go wrong; the result must still be
+        # an exact zero or one end of a sign change between adjacent doubles.
+        r1, r2, r3 = zeros
+        h = {
+            "noisy-cubic": lambda x: (x - r1) * (x - r2) * (x - r3) + noise * math.sin(1e13 * x),
+            "steep-tanh": lambda x: math.tanh(10.0**steepness * (x - r1)),
+            "sign-noise": lambda x: (x - r1) + 1e-13 * math.sin(1e15 * x),
+        }[family]
+        brackets = [(min(p, q), max(p, q)) for p, q in ends if h(p) * h(q) < 0.0]
+        assume(brackets)
+        a, b = (np.array(side) for side in zip(*brackets))
+        roots = bisect(_pointwise(h), a, b, np.array([h(x) for x in a]), np.array([h(x) for x in b]))
+        for lo, hi, x in zip(a.tolist(), b.tolist(), roots.tolist()):
+            assert lo <= x <= hi
+            neighbours = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+            assert h(x) == 0.0 or any(
+                lo <= y <= hi and (h(y) > 0.0) != (h(x) > 0.0) for y in neighbours
+            )
 
-    @pytest.mark.parametrize("depth", [5, 6, 7, 8])
-    def test_two_levels_per_call_at_odd_and_even_depths(self, depth):
-        # Unit brackets close after exactly `depth` halvings at this tol, so
-        # each path ends at `depth` points whatever its parity.
-        a = np.array([0.5, 1.75, 3.0])
-        b = a + 1.0
-        fa, fb = self._f(a), self._f(b)
-        tol = 2.0**-depth
-        f = Counted(self._f)
-        lockstep = bisect(f, a, b, fa, fb, tol)
-        scalar = [
-            _scalar_bisect(lambda x: float(self._f(x)), *args, tol=tol)
-            for args in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())
-        ]
-        assert lockstep.tolist() == scalar
-        # The first call holds every bracket's whole path down to tol; a
-        # bracket whose secant mispredicts a side finishes in later calls.
-        assert f.batches[0].size == depth * len(a)
-        assert f.batches[0][::depth].tolist() == (0.5 * (a + b)).tolist()
-        assert len(f.batches) <= depth
+    @settings(max_examples=60, deadline=None)
+    @given(
+        zeros=st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3, unique=True),
+        slope=st.floats(1e-3, 1e3),
+        ends=st.lists(
+            st.tuples(st.floats(-1.0, 5.0), st.floats(-1.0, 5.0)), min_size=1, max_size=6
+        ),
+    )
+    def test_noise_free_sign_gives_the_bisection_root(self, zeros, slope, ends):
+        # A product of exact differences has the exact sign (zeros from 0.1 up keep it from
+        # underflowing), so a bracket around one simple zero holds one sign change, and both
+        # refinements end on it.
+        r1, r2, r3 = zeros
 
-    @pytest.mark.parametrize("root", [1.5, 1.25, 1.75, 1.375])
-    def test_exact_zero_on_first_or_second_level_midpoint(self, root):
-        def g(x):
-            return (x - root) * (x - 3.3)
+        def cubic(x):
+            return (x - r1) * (x - r2) * (x - r3)
 
-        f = Counted(g)
-        # The bracket around 3.3 keeps bisecting after the first hits its zero.
-        a, b = np.array([1.0, 3.0]), np.array([2.0, 3.5])
-        lockstep = bisect(f, a, b, g(a), g(b))
-        scalar = [_scalar_bisect(g, *args) for args in zip(a, b, g(a), g(b))]
-        assert lockstep.tolist() == scalar
-        assert lockstep[0] == root
-        # The path starts at the midpoint; the zero is evaluated once and
-        # closes its bracket, so no later call holds a point of [1, 2].
-        assert f.batches[0][0] == 1.5
-        calls = [n for n, batch in enumerate(f.batches) if root in batch]
-        assert len(calls) == 1
-        assert all(batch.min() > 2.0 for batch in f.batches[calls[0] + 1 :])
-
-    @pytest.mark.parametrize("depth", [5, _PATH_LEVELS, _PATH_LEVELS + 1, 3 * _PATH_LEVELS])
-    def test_linear_f_closes_in_one_call_per_path_length(self, depth):
-        # The secant of a line is exact, so every predicted side holds and
-        # each call advances every bracket by a whole path.
         def line(x):
-            return x - 0.9
+            return slope * (r2 - x)
 
-        a = np.array([0.1, 0.2, 0.3])
-        b = a + 1.0
-        f = Counted(line)
-        tol = 2.0**-depth
-        lockstep = bisect(f, a, b, line(a), line(b), tol)
-        scalar = [_scalar_bisect(line, *args, tol=tol) for args in zip(a, b, line(a), line(b))]
-        assert lockstep.tolist() == scalar
-        assert len(f.batches) == math.ceil(depth / _PATH_LEVELS)
+        for h, roots in ((cubic, zeros), (line, [r2])):
+            brackets = [
+                (min(p, q), max(p, q))
+                for p, q in ends
+                if h(p) * h(q) < 0.0 and sum(min(p, q) < r < max(p, q) for r in roots) == 1
+            ]
+            if brackets:
+                a, b = (list(side) for side in zip(*brackets))
+                _assert_matches_scalar(h, a, b)
+
+    @pytest.mark.parametrize("step", [0.1, 1.0, 1.5, 2.0, 2.71, math.nextafter(1.0, 0.0)])
+    def test_step_closes_through_the_grid_fallback(self, step):
+        # A secant step (at most three points) across a jump halves the bracket at best, so
+        # the next call is the grid of _GRID points, which takes four bits, or evaluates the
+        # last doubles: five bits per two calls.  From a width of 3 to the ulp of a double
+        # above 0.1 is under 58 bits, the last four or so of them one call over the last
+        # _ENUMERATE doubles: at most 24 calls.
+        def h(x):
+            return 1.0 if x > step else -1.0
+
+        f = Counted(_pointwise(h))
+        assert bisect(f, 0.0, 3.0, -1.0, 1.0) == _scalar_bisect(h, 0.0, 3.0, -1.0, 1.0)
+        sizes = [batch.size for batch in f.batches]
+        assert len(sizes) <= 24
+        for before, after in zip(sizes, sizes[1:-1]):
+            assert before > 3 or after > 3
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (math.pi, 4.0),
+            (math.pi, 3.2),
+            (3.0, math.nextafter(math.pi, 4.0)),
+            (2.0, math.nextafter(math.pi, 4.0)),
+        ],
+    )
+    def test_root_on_a_bracket_end_closes_quickly(self, a, b):
+        # pi lies between math.pi and the next double up, so the sign of sin changes at an end
+        # of the bracket: the secant guess rounds onto that end and moves to its neighbour.
+        f = Counted(np.sin)
+        root = bisect(f, a, b, math.sin(a), math.sin(b))
+        assert root == math.pi == _scalar_bisect(math.sin, a, b, math.sin(a), math.sin(b))
+        assert len(f.batches) <= 6
 
     @pytest.mark.parametrize(
         "h, a, b, fa, fb",
         [
-            # Below |x - r| ~ 1e-13 the sign is noise, which the secant cannot
-            # follow.
-            (
-                lambda x: (x - 1.3) + 1e-13 * math.sin(1e15 * x),
-                [1.0, 1.2, 0.3, 1.299999],
-                [1.5, 1.4, 2.9, 1.300001],
-                None,
-                None,
-            ),
             # End values of +-1 put the secant guess far from the step.
             (
                 lambda x: math.tanh(1e8 * (x - 1.1)),
@@ -380,30 +413,10 @@ class TestBisect:
                 [0.7, math.inf, math.inf],
             ),
         ],
-        ids=["sign-noise", "step", "infinite-end"],
+        ids=["step", "infinite-end"],
     )
     def test_mispredicted_paths_match_scalar(self, h, a, b, fa, fb):
         _assert_matches_scalar(h, a, b, fa, fb)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        zeros=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3),
-        noise=st.sampled_from([0.0, 1e-14, 1e-9]),
-        ends=st.lists(
-            st.tuples(st.floats(-1.0, 5.0), st.floats(-1.0, 5.0)), min_size=1, max_size=6
-        ),
-        tol=st.sampled_from([0.0, 1e-9]),
-    )
-    def test_noisy_cubic_brackets_match_scalar(self, zeros, noise, ends, tol):
-        r1, r2, r3 = zeros
-
-        def h(x):
-            return (x - r1) * (x - r2) * (x - r3) + noise * math.sin(1e13 * x)
-
-        brackets = [(min(p, q), max(p, q)) for p, q in ends if h(p) * h(q) < 0.0]
-        assume(brackets)
-        a, b = (list(side) for side in zip(*brackets))
-        _assert_matches_scalar(h, a, b, tol=tol)
 
     def test_scalar_call_returns_float(self):
         root = bisect(self._f, 0.9, 1.1, float(self._f(0.9)), float(self._f(1.1)))

@@ -522,6 +522,19 @@ class TestNullspace:
             for lam in spectrum.lambdas.tolist()
         ]
 
+    def test_degeneracy_warning_names_the_solver_module(self, one_crack_problem, monkeypatch):
+        # Warnings are told apart by the file they name, on the spectrum and one-root paths alike.
+        monkeypatch.setattr(shifrin, "DEGENERACY_RATIO", 1.0)
+        for solve in (
+            lambda: compute_spectrum(one_crack_problem, 2),
+            lambda: solve_nullspace(one_crack_problem, 1.5),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve()
+            assert caught
+            assert all(Path(w.filename).name == "shifrin.py" for w in caught)
+
 
 class TestShifrinForm:
     def test_fourth_derivative_identity(self, one_crack_problem, one_crack_spectrum):
