@@ -71,30 +71,17 @@ def _check(name: str, worst: float) -> None:
         raise VerificationFailure(name, f"worst {worst:.3e} above threshold {THRESHOLDS[name]:g}")
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def _round15(x: float) -> float:
-    return float(_fmt_float(x))
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return _fmt_float(value)
-    return str(value)
+    return float(f"{x:.15g}")
 
 
 def _emit_table(args: argparse.Namespace, columns: list[str], rows: list[list]) -> str:
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
-    body = {
-        "columns": columns,
-        "rows": [[_round15(v) if isinstance(v, float) else v for v in row] for row in rows],
-    }
-    return json.dumps(body, indent=2) + "\n"
+        # One %-string for all rows, from the first row's types; floats carry 15 digits.
+        row_format = ",".join("%.15g" if isinstance(v, float) else "%s" for v in rows[:1][0])
+        return "\n".join([",".join(columns), *(row_format % tuple(row) for row in rows)]) + "\n"
+    rows = [[_round15(v) if isinstance(v, float) else v for v in row] for row in rows]
+    return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -141,28 +128,27 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _mode_rows(problem: BeamProblem, pair, k: int, samples: int) -> list[list]:
+def _mode_rows(problem: BeamProblem, spectrum, samples: int) -> list[list]:
+    """Rows (k, x, side, phi, dphi, d2phi) of every mode at one sorted table of points."""
     crack_set = set(problem.positions)
-    grid = [x for x in np.linspace(0.0, math.pi, samples) if x not in crack_set]
+    grid = [float(x) for x in np.linspace(0.0, math.pi, samples) if x not in crack_set]
     points = [(x, "") for x in grid]
     points.extend((x, "L") for x in problem.positions)
     points.extend((x, "R") for x in problem.positions)
     points.sort(key=lambda p: (p[0], {"L": 0, "": 1, "R": 2}[p[1]]))
     xs = np.array([x for x, _ in points])
     left = np.array([side == "L" for _, side in points])
-    values = [
-        np.where(left, pair.eval(xs, order, "L"), pair.eval(xs, order, "R")).tolist()
-        for order in range(3)
-    ]
-    return [[k, float(x), side, *v] for (x, side), *v in zip(points, *values)]
+    vals = [np.where(left, spectrum.eval(xs, o, "L"), spectrum.eval(xs, o, "R")) for o in range(3)]
+    rows = []
+    for k, mode in enumerate(np.stack(vals, axis=1), start=1):  # (orders, points) per mode
+        rows.extend([k, x, side, *v] for (x, side), *v in zip(points, *mode.tolist()))
+    return rows
 
 
 def cmd_modes(args: argparse.Namespace) -> int:
     problem, _, _ = load_problem_file(args.input)
     spectrum, _ = _solve(problem, args, modes=True)
-    rows = []
-    for k, pair in enumerate(spectrum.pairs, start=1):
-        rows.extend(_mode_rows(problem, pair, k, args.samples))
+    rows = _mode_rows(problem, spectrum, args.samples)
     _write(args, _emit_table(args, ["k", "x", "side", "phi", "dphi", "d2phi"], rows))
     return EXIT_OK
 

@@ -7,7 +7,7 @@ so a value sums no large terms that cancel, and derivatives are exact: the trigo
 reads the one (cos, sin) table :func:`_trig_rows`, and the exponentials only change sign.
 Each solver writes its own coefficients from the addition formulas; nothing evaluates a
 state (w, w', w'', w''') and inverts it.  A mode is read through ``eval(x, order, side)``
-alone, at a point or an array of points.
+alone, at a point or an array of points, or every mode at once through :meth:`Spectrum.eval`.
 
 The solvers differ only in their characteristic determinant and in how they recover the
 modes at its roots.  A solver's ``recover(problem, lams)`` returns the raw (n, m+1, 4) stack
@@ -51,14 +51,38 @@ def _local_values(lam, scale, u, h, co: np.ndarray, order: int) -> np.ndarray:
     d_cos, d_sin = _trig_rows(t, order)
     decaying = -np.exp(-t) if order % 2 else np.exp(-t)
     rising = np.exp(lam * (u - h))
-    return scale * (co[:, 0] * d_cos + co[:, 1] * d_sin + co[:, 2] * decaying + co[:, 3] * rising)
+    terms = co[..., 0] * d_cos + co[..., 1] * d_sin + co[..., 2] * decaying + co[..., 3] * rising
+    return scale * terms
 
 
-def _intervals(breakpoints: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
-    """Interval of ``breakpoints`` holding each ``x``; ``side`` picks one at a crack."""
-    mode = "right" if is_right_side(side) else "left"
+#: Most values in one (modes, points) table of a block of modes; see :func:`_blocks`.
+BLOCK_VALUES = 1 << 14
+
+
+def _blocks(count: int, points: int) -> list[slice]:
+    """Slices covering ``count`` modes in blocks of at most BLOCK_VALUES values at ``points``
+    points each, so a table of many modes at many points is never taken whole."""
+    step = max(1, BLOCK_VALUES // max(1, points))
+    return [slice(a, a + step) for a in range(0, count, step)]
+
+
+def _values(lams, rows, breakpoints, x, order: int, side: str, reduce=None) -> np.ndarray:
+    """(modes, points) table of the order-th derivatives at the points ``x`` of the modes with
+    wavenumbers ``lams`` and (n, m+1, 4) coefficient stack ``rows`` on ``breakpoints``: the one
+    evaluation of every mode, filled block by block.  Each mode is scaled by its own lam**order.
+    With ``reduce``, the (modes,) values of ``reduce`` on each mode's row, so no table is kept."""
+    bp = np.asarray(breakpoints, dtype=float)
     # Counting crack positions alone puts points beyond either support in an end interval.
-    return np.searchsorted(breakpoints[1:-1], x, side=mode)
+    idx = np.searchsorted(bp[1:-1], x, side="right" if is_right_side(side) else "left")
+    u, h = x - bp[idx], (bp[1:] - bp[:-1])[idx]
+    scales = np.array([lam**order for lam in lams.tolist()])
+    out = np.empty((len(lams), len(x)) if reduce is None else len(lams))
+    for b in _blocks(len(lams), len(x)):
+        co = np.take(rows[b], idx, axis=1)  # far faster than rows[b][:, idx]
+        block = _local_values(lams[b, None], scales[b, None], u, h, co, order)
+        del co  # freed before the block's own temporaries, or the heap fragments around it
+        out[b] = block if reduce is None else [reduce(v) for v in block]
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,22 +107,16 @@ class PiecewiseForm:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", co)
 
-    @functools.cached_property
-    def _lengths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
-
     def eval(self, x, order: int = 0, side: str = "R"):
         """Derivative of the mode at ``x``; right-continuous at cracks.
 
         ``side`` only matters at breakpoints, where slope and higher
-        derivatives may jump.
+        derivatives may jump.  The one-mode slice of :meth:`Spectrum.eval`.
         """
         xa = np.asarray(x, dtype=float)
-        xf = np.atleast_1d(xa)
-        idx = _intervals(self.breakpoints, xf, side)
-        u, h = xf - self.breakpoints[idx], self._lengths[idx]
-        out = _local_values(self.lam, self.lam**order, u, h, self.coefficients[idx], order)
-        return float(out[0]) if xa.ndim == 0 else out
+        lam, co = np.array([self.lam]), self.coefficients[None]
+        out = _values(lam, co, self.breakpoints, xa.ravel(), order, side)[0]
+        return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
 @dataclass(frozen=True)
@@ -114,13 +132,22 @@ class Eigenpair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered eigenpairs of one problem."""
+    """Ordered eigenpairs of one problem, so all on one partition."""
 
     pairs: tuple[Eigenpair, ...]
 
     @property
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.pairs])
+
+    @functools.cached_property
+    def _stack(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.lambdas, np.array([p.piecewise.coefficients for p in self.pairs])
+
+    def eval(self, x, order: int = 0, side: str = "R", reduce=None) -> np.ndarray:
+        """(modes, points) table of every mode's ``eval`` at ``x``, or ``reduce`` of each row."""
+        x, bp = np.asarray(x, dtype=float).ravel(), self.pairs[0].piecewise.breakpoints
+        return _values(*self._stack, bp, x, order, side, reduce)
 
 
 def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
@@ -137,18 +164,14 @@ def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
 def _normalized(lams: np.ndarray, rows: np.ndarray, breakpoints, rule) -> np.ndarray:
     """The (n, m+1, 4) coefficient stack ``rows`` of modes at ``lams`` on ``breakpoints``, each
     mode scaled by :func:`normalize_eigenpair`'s rule, its norm taken on the nodes of ``rule``."""
-    bp = np.asarray(breakpoints, dtype=float)
-    lengths = np.diff(bp)
-    idx = _intervals(bp, rule.nodes, "R")
-    u, h = rule.nodes - bp[idx], lengths[idx]
-    # One mode at a time, as a single mode takes it; a stack of all modes holds modes x nodes.
-    values = (_local_values(lam, 1.0, u, h, co[idx], 0) for lam, co in zip(lams.tolist(), rows))
-    norms = np.array([np.sqrt(rule.integrate(v * v)) for v in values])
+    squares = _values(lams, rows, breakpoints, rule.nodes, 0, "R", lambda v: rule.integrate(v * v))
+    norms = np.sqrt(squares)  # one np.dot per mode, as one mode takes it
     if (norms == 0.0).any():
         raise ValueError("cannot normalize the zero function")
     # phi'(0+), or phi'''(0+) where it vanishes, on each first interval (x = 0 is its left end),
     # without the scale lam**k: a positive factor never changes a sign.
-    slope, third = (_local_values(lams, 1.0, 0.0, lengths[0], rows[:, 0], k) for k in (1, 3))
+    h = breakpoints[1] - breakpoints[0]
+    slope, third = (_local_values(lams, 1.0, 0.0, h, rows[:, 0], k) for k in (1, 3))
     up = np.where(slope != 0.0, slope, np.where(third != 0.0, third, 1.0)) > 0.0
     return rows * (np.where(up, 1.0, -1.0) / norms)[:, None, None]
 

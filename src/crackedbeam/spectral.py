@@ -6,10 +6,10 @@ each slope jump by the inverse flexibility, which is what ties the spring
 model to the spectrum: Rayleigh quotients of true modes equal lambda**4.
 
 Everything here consumes objects exposing ``eval(x, order, side)``, which
-takes a point or an array of points; every check reads its one-sided values
-in arrays, one evaluation per derivative order and side.  Both solver
-outputs and the light adapters below qualify.  :func:`verify` gathers every
-check into one report.
+takes a point or an array of points; both solver outputs and the light
+adapters below qualify.  :func:`mode_checks` reads every mode of a spectrum
+in (modes, points) tables, one :meth:`Spectrum.eval` per point set, order and
+side; :func:`verify` is its worst value, and the one-mode forms its slices.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam_model import BeamProblem, ValidationError
+from .modes import Spectrum
 from .quadrature import QuadratureRule
 
 #: Count of interior sample points per subinterval in the residual report.
@@ -60,48 +61,58 @@ class Superposition:
         self._terms = [(float(c), f) for c, f in terms]
 
     def eval(self, x, order: int = 0, side: str = "R"):
-        out = None
-        for c, f in self._terms:
-            val = c * np.asarray(f.eval(x, order=order, side=side), dtype=float)
-            out = val if out is None else out + val
-        return out
+        return sum(c * np.asarray(f.eval(x, order, side), dtype=float) for c, f in self._terms)
+
+
+class _Rows:
+    """Evaluation-protocol objects read as one stack of modes, as :meth:`Spectrum.eval` reads."""
+
+    def __init__(self, *pairs):
+        self.pairs = pairs
+
+    def eval(self, x, order: int = 0, side: str = "R", reduce=None) -> np.ndarray:
+        table = np.empty((len(self.pairs), np.size(x)))  # filled in place: no second table
+        for row, f in zip(table, self.pairs):
+            row[:] = f.eval(x, order, side)
+        return table if reduce is None else np.array([reduce(row) for row in table])
+
+
+def _pairings(u, v, rule: QuadratureRule, order: int) -> np.ndarray:
+    """Per mode k of the stacks ``u`` and ``v``: rule.integrate(u_k * v_k), order-th derivatives."""
+    if v is u:  # then no table of every mode at every node is formed
+        return u.eval(rule.nodes, order, reduce=lambda f: rule.integrate(f * f))
+    pairs = zip(u.eval(rule.nodes, order), v.eval(rule.nodes, order))
+    return np.array([rule.integrate(a * c) for a, c in pairs])
 
 
 def h_inner(u, v, rule: QuadratureRule) -> float:
     """Displacement-space inner product: sum of L2 pairings per subinterval."""
-    return rule.integrate(np.asarray(u.eval(rule.nodes)) * np.asarray(v.eval(rule.nodes)))
+    return float(_pairings(_Rows(u), _Rows(v), rule, 0)[0])
 
 
-def _jumps(f, xs, order: int) -> np.ndarray:
-    """Right minus left limit of the order-th derivative at each point of ``xs``."""
-    xs = np.asarray(xs, dtype=float)
-    return np.asarray(f.eval(xs, order, "R")) - np.asarray(f.eval(xs, order, "L"))
-
-
-def _energy(u, v, problem: BeamProblem, rule: QuadratureRule, weights) -> float:
-    """Curvature pairing plus each crack's slope-jump product divided by its weight."""
-    values = [(np.asarray(f.eval(rule.nodes, order=2)), _jumps(f, problem.positions, 1))
-              for f in ((u,) if v is u else (u, v))]  # a(u, u) evaluates u once
-    (curv_u, jumps_u), (curv_v, jumps_v) = values[0], values[-1]
-    acc = rule.integrate(curv_u * curv_v)
-    products = jumps_u * jumps_v
-    # One crack at a time, in order: a pairwise sum would round differently.
-    for term in (products / np.asarray(weights, dtype=float)).tolist():
+def _energies(u, v, problem: BeamProblem, rule: QuadratureRule, operator: bool) -> np.ndarray:
+    """Per mode of the stacks ``u`` and ``v``: curvature pairing plus each crack's slope-jump
+    product, divided by the crack's theta in the operator form, where theta must be positive."""
+    for i, theta in enumerate(problem.flexibilities if operator else ()):
+        if theta <= 0.0:
+            raise ValidationError(f"theta_{i + 1} = {theta} must be positive in the energy form")
+    weights = np.asarray(problem.flexibilities if operator else 1.0, dtype=float)
+    xs = np.asarray(problem.positions, dtype=float)
+    jumps = [f.eval(xs, 1, "R") - f.eval(xs, 1, "L") for f in ((u,) if v is u else (u, v))]
+    acc = _pairings(u, v, rule, 2)
+    for term in (jumps[0] * jumps[-1] / weights).T:  # one crack at a time: a sum rounds apart
         acc += term
-    return float(acc)
+    return acc
 
 
 def v_inner(u, v, problem: BeamProblem, rule: QuadratureRule) -> float:
     """Energy-space inner product: curvature pairing plus slope-jump products."""
-    return _energy(u, v, problem, rule, 1.0)
+    return float(_energies(_Rows(u), _Rows(v), problem, rule, operator=False)[0])
 
 
 def a_form(u, v, problem: BeamProblem, rule: QuadratureRule) -> float:
     """Operator bilinear form: curvature pairing plus jumps weighted by 1/theta."""
-    for i, theta in enumerate(problem.flexibilities):
-        if theta <= 0.0:
-            raise ValidationError(f"theta_{i + 1} = {theta} must be positive in the energy form")
-    return _energy(u, v, problem, rule, problem.flexibilities)
+    return float(_energies(_Rows(u), _Rows(v), problem, rule, operator=True)[0])
 
 
 def coercivity_probe(u, problem: BeamProblem, rule: QuadratureRule) -> float:
@@ -113,14 +124,14 @@ def coercivity_probe(u, problem: BeamProblem, rule: QuadratureRule) -> float:
 
 
 def gram_matrix(pairs, rule: QuadratureRule) -> np.ndarray:
-    """Matrix of pairwise displacement inner products; identity for true modes."""
-    if len(pairs) < 1:
+    """Matrix of pairwise displacement inner products; identity for true modes.  ``pairs`` may
+    be a whole :class:`Spectrum`, whose modes are then evaluated together."""
+    stack = pairs if isinstance(pairs, Spectrum) else _Rows(*pairs)
+    if len(stack.pairs) < 1:
         raise ValueError("need at least one mode")
     # One (modes, nodes) table, scaled by sqrt(w) in place: no second table of that size.
-    table, norms = np.empty((len(pairs), len(rule.nodes))), np.empty(len(pairs))
-    for k, (row, p) in enumerate(zip(table, pairs)):
-        row[:] = p.eval(rule.nodes)
-        norms[k] = rule.integrate(row * row)  # each norm as normalization sums it
+    table = stack.eval(rule.nodes)
+    norms = [rule.integrate(row * row) for row in table]  # each norm as normalization sums it
     table *= np.sqrt(rule.weights)
     out = table @ table.T
     np.fill_diagonal(out, norms)
@@ -148,12 +159,8 @@ class ResidualReport:
     lam: float
 
     def _by_family(self, per_crack) -> dict:
-        out = {}
-        for name in FAMILIES:
-            value = getattr(self, name)
-            out[name] = per_crack(value) if isinstance(value, tuple) else value
-        out["ode_residual"] = self.ode_residual
-        return out
+        out = {name: getattr(self, name) for name in (*FAMILIES, "ode_residual")}
+        return {k: per_crack(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def to_json_dict(self) -> dict:
         return self._by_family(list)
@@ -163,6 +170,22 @@ class ResidualReport:
         return self._by_family(lambda values: max(values, default=0.0))
 
 
+def _residuals(stack, problem: BeamProblem, lam4: np.ndarray) -> dict[str, np.ndarray]:
+    """:class:`ResidualReport`'s fields but ``lam`` for every mode of ``stack``, whose lambda**4
+    are ``lam4``: (modes, cracks) for the crack families, (modes,) for the others."""
+    bp = np.asarray(problem.breakpoints)
+    left, right = ([stack.eval(bp, order, side) for order in range(4)] for side in "LR")
+    jumps = [r[:, 1:-1] - l[:, 1:-1] for l, r in zip(left, right)]
+    crack_law = jumps[1] - np.asarray(problem.flexibilities, dtype=float) * right[2][:, 1:-1]
+    inner = np.linspace(bp[:-1], bp[1:], ODE_SAMPLES_PER_INTERVAL + 2, axis=1)[:, 1:-1].ravel()
+    phi, d2, phi4 = (stack.eval(inner, order) for order in (0, 2, 4))
+    supports = [right[0][:, 0], left[0][:, -1], right[2][:, 0], left[2][:, -1]]
+    values = map(np.abs, supports + [jumps[0], jumps[2], jumps[3], crack_law])
+    ode = np.max(np.abs(phi4 - lam4[:, None] * phi), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(np.concatenate([d2, left[2], right[2]], axis=1)), axis=1))
+    return {**dict(zip(FAMILIES, values)), "ode_residual": ode, "scale": scale}
+
+
 def residual_report(pair, problem: BeamProblem) -> ResidualReport:
     """Check one mode against every defining condition.
 
@@ -170,26 +193,11 @@ def residual_report(pair, problem: BeamProblem) -> ResidualReport:
     displacement, moment and shear across each crack; the crack law
     J[phi'] = theta * phi''; and the interior equation phi'''' = lambda**4 phi
     sampled on ``ODE_SAMPLES_PER_INTERVAL`` interior points per subinterval.
-    Support and crack values come from one table of left and right limits at
-    the breakpoints, so the mode is evaluated eleven times whatever the
-    number of cracks.
+    The one-mode slice of the residuals :func:`mode_checks` takes of all modes at once.
     """
-    lam = pair.lam
-    bp = np.asarray(problem.breakpoints)
-    left, right = ([np.asarray(pair.eval(bp, order, side)) for order in range(4)] for side in "LR")
-    jumps = [r[1:-1] - l[1:-1] for l, r in zip(left, right)]
-    crack_law = jumps[1] - np.asarray(problem.flexibilities, dtype=float) * right[2][1:-1]
-    inner = np.linspace(bp[:-1], bp[1:], ODE_SAMPLES_PER_INTERVAL + 2, axis=1)[:, 1:-1].ravel()
-    phi, d2, phi4 = (np.asarray(pair.eval(inner, order)) for order in (0, 2, 4))
-    curvature = np.abs(np.concatenate([d2, left[2], right[2]]))
-    supports = np.abs([right[0][0], left[0][-1], right[2][0], left[2][-1]]).tolist()
-    cracks = [tuple(np.abs(j).tolist()) for j in (jumps[0], jumps[2], jumps[3], crack_law)]
-    return ResidualReport(
-        **dict(zip(FAMILIES, supports + cracks)),
-        ode_residual=float(np.max(np.abs(phi4 - lam**4 * phi))),
-        scale=max(1.0, float(np.max(curvature))),
-        lam=lam,
-    )
+    rows = _residuals(_Rows(pair), problem, np.array([pair.lam**4]))
+    one = {k: tuple(v[0].tolist()) if v.ndim == 2 else float(v[0]) for k, v in rows.items()}
+    return ResidualReport(**one, lam=pair.lam)
 
 
 def wavenumber_gaps(lams, other) -> np.ndarray:
@@ -197,37 +205,45 @@ def wavenumber_gaps(lams, other) -> np.ndarray:
     return np.abs(np.subtract(lams, other))
 
 
-def cross_solver_gaps(spectrum, oracle) -> dict[str, float]:
-    """Largest wavenumber gap and largest sampled mode difference of two spectra."""
+def _cross_gaps(spectrum, oracle) -> dict[str, np.ndarray]:
+    """Per-mode wavenumber gap and largest sampled mode difference of two spectra."""
     grid = np.linspace(0.0, math.pi, CROSS_GRID_POINTS)
     return {
-        "cross_solver_lambda": float(np.max(wavenumber_gaps(spectrum.lambdas, oracle.lambdas))),
-        "cross_solver_modes": max(
-            float(np.max(np.abs(ps.eval(grid) - pt.eval(grid))))
-            for ps, pt in zip(spectrum.pairs, oracle.pairs)
-        ),
+        "cross_solver_lambda": wavenumber_gaps(spectrum.lambdas, oracle.lambdas),
+        "cross_solver_modes": np.max(np.abs(spectrum.eval(grid) - oracle.eval(grid)), axis=1),
     }
 
 
-def verify(problem: BeamProblem, spectrum, oracle) -> dict[str, float]:
-    """Worst value over the modes of every check, keyed by check name.
+def cross_solver_gaps(spectrum, oracle) -> dict[str, float]:
+    """Largest wavenumber gap and largest sampled mode difference of two spectra."""
+    return {name: float(np.max(v)) for name, v in _cross_gaps(spectrum, oracle).items()}
 
-    Residual families are relative to each mode's curvature scale and the
-    ODE residual to lambda**4; then come the deviation of h(phi, phi) from 1,
-    of the Gram matrix from the identity and of the Rayleigh quotient
-    a(phi, phi) / h(phi, phi) from lambda**4 (relative), and the gaps to
-    ``oracle``, another solver's spectrum of the same length.
+
+def mode_checks(problem: BeamProblem, spectrum, oracle) -> dict[str, np.ndarray]:
+    """Every check's value for each mode, all modes evaluated together, keyed by check name.
+
+    Residual families are relative to each mode's curvature scale and the ODE residual to
+    lambda**4; then come the deviation of h(phi, phi) from 1, of the Gram matrix from the
+    identity (each entry charged to the higher of its two modes) and of the Rayleigh quotient
+    a(phi, phi) / h(phi, phi) from lambda**4 (relative), and the gaps to ``oracle``, another
+    solver's spectrum of the same length.
     """
-    pairs = spectrum.pairs
+    lam4 = np.array([lam**4 for lam in spectrum.lambdas.tolist()])
     rule = QuadratureRule.for_problem(problem, lam=spectrum.lambdas.max())
-    reports = [residual_report(p, problem) for p in pairs]
-    worst = {family: max(r.worst()[family] / r.scale for r in reports) for family in FAMILIES}
-    worst["ode_residual"] = max(r.ode_residual / r.lam**4 for r in reports)
-    gram = gram_matrix(pairs, rule)
-    norms = np.diag(gram).tolist()  # h(phi, phi) for every mode
-    worst["h_normalization"] = max(abs(h - 1.0) for h in norms)
-    worst["gram_identity"] = float(np.max(np.abs(gram - np.eye(len(pairs)))))
-    worst["rayleigh"] = max(
-        abs(a_form(p, p, problem, rule) / h - p.lam**4) / p.lam**4 for p, h in zip(pairs, norms)
-    )
-    return {**worst, **cross_solver_gaps(spectrum, oracle)}
+    # The Gram table first, the largest: no smaller table before it has grown the heap.
+    gram = gram_matrix(spectrum, rule)
+    norms = np.diag(gram)  # h(phi, phi) for every mode
+    res = _residuals(spectrum, problem, lam4)
+    out = {f: res[f].reshape(lam4.size, -1).max(1, initial=0.0) / res["scale"] for f in FAMILIES}
+    out["ode_residual"] = res["ode_residual"] / lam4
+    out["h_normalization"] = np.abs(norms - 1.0)
+    off = np.abs(gram - np.eye(lam4.size))
+    out["gram_identity"] = np.maximum(np.tril(off).max(axis=1), np.triu(off).max(axis=0))
+    rayleigh = _energies(spectrum, spectrum, problem, rule, operator=True) / norms
+    out["rayleigh"] = np.abs(rayleigh - lam4) / lam4
+    return {**out, **_cross_gaps(spectrum, oracle)}
+
+
+def verify(problem: BeamProblem, spectrum, oracle) -> dict[str, float]:
+    """Worst value over the modes of every check of :func:`mode_checks`, keyed by check name."""
+    return {name: float(np.max(v)) for name, v in mode_checks(problem, spectrum, oracle).items()}
