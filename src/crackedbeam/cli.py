@@ -19,8 +19,7 @@ import numpy as np
 
 from . import beam_model, shifrin, spectral, transition
 from .beam_model import BeamProblem, ValidationError, finite_real, load_problem_file
-from .modes import Eigenpair, normalize_eigenpair
-from .quadrature import QuadratureRule
+from .modes import _normalized
 from .rootfind import MAX_WAVENUMBER, MIN_WAVENUMBER, RootCountError, wavenumbers
 
 EXIT_OK = 0
@@ -204,20 +203,18 @@ def _perturbed_mode(problem: BeamProblem, doc: dict, spectrum):
     if not isinstance(debug, dict) or set(debug) - {"mode", "offsets"}:
         raise ValidationError("debug_perturb_delta needs exactly {mode, offsets}")
     mode = finite_real(debug.get("mode", 1), "debug_perturb_delta mode")
-    if mode not in range(1, len(spectrum.pairs) + 1):
+    if mode not in range(1, len(spectrum.lambdas) + 1):
         raise ValidationError(f"debug_perturb_delta mode {mode:g} out of range")
     offsets = debug.get("offsets", [])
     if not isinstance(offsets, list) or len(offsets) != problem.m:
         raise ValidationError("debug_perturb_delta offsets must list one value per crack")
     offsets = [finite_real(v, "debug_perturb_delta offset") for v in offsets]
-    k, pairs, lams = int(mode) - 1, list(spectrum.pairs), spectrum.lambdas
+    k, rows = int(mode) - 1, spectrum.coefficients.copy()
+    lam = spectrum.lambdas[k : k + 1]
     # A mode is linear in its jump amplitudes: add the mode of the offsets alone.
-    change = shifrin._eigenpairs(problem, lams[k : k + 1], np.array([[*offsets, 0, 0, 0, 0]]))[0]
-    form = pairs[k].piecewise
-    perturbed = Eigenpair(pairs[k].lam, replace(form, coefficients=form.coefficients + change))
-    rule = QuadratureRule.for_problem(problem, lams.max())  # the spectrum's one rule
-    pairs[k] = normalize_eigenpair(perturbed, rule)
-    return replace(spectrum, pairs=tuple(pairs))
+    rows[k] += shifrin._eigenpairs(problem, lam, np.array([[*offsets, 0, 0, 0, 0]]))[0]
+    rows[k] = _normalized(lam, rows[k : k + 1], problem.breakpoints, spectrum.rule)[0]
+    return replace(spectrum, coefficients=rows)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -226,7 +223,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     oracle = transition.oracle_eigenpairs(problem, args.modes, lam_max=args.lambda_max)
     spectrum = _perturbed_mode(problem, doc, spectrum)
 
-    worst = spectral.verify(problem, spectrum, oracle)
+    worst = spectral.verify(spectrum, oracle)
     checks = [
         {
             "name": name,

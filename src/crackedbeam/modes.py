@@ -12,9 +12,9 @@ alone, at a point or an array of points, or every mode at once through :meth:`Sp
 The solvers differ only in their characteristic determinant and in how they recover the
 modes at its roots.  A solver's ``recover(problem, lams)`` returns the raw (n, m+1, 4) stack
 of these coefficients, one mode per root at any scale and sign; :func:`solve` normalizes the
-stack once, on the one quadrature rule of the highest root, and only then builds the
-:class:`Eigenpair` objects.  :func:`normalize_eigenpair`, ``solve_nullspace`` and
-``build_eigenfunction`` are the one-root slices of that stacked code.
+stack once, on the one quadrature rule of the highest root, and the :class:`Spectrum` keeps
+both, building its :class:`Eigenpair` views only if asked.  :func:`normalize_eigenpair`,
+``solve_nullspace`` and ``build_eigenfunction`` are the one-root slices of that stacked code.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beam_model import BeamProblem
 from .quadrature import QuadratureRule
 
 
@@ -132,30 +133,31 @@ class Eigenpair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered eigenpairs of one problem, so all on one partition."""
+    """Modes of one problem: read-only ``lambdas`` (n,) and (n, m+1, 4) ``coefficients``,
+    normalized on ``rule``, the top wavenumber's; ``pairs`` splits them into eigenpairs."""
 
-    pairs: tuple[Eigenpair, ...]
+    problem: BeamProblem
+    lambdas: np.ndarray
+    coefficients: np.ndarray
+    rule: QuadratureRule
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([p.lam for p in self.pairs])
+    def __post_init__(self) -> None:
+        self.lambdas.setflags(write=False)
+        self.coefficients.setflags(write=False)
 
     @functools.cached_property
-    def _stack(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lambdas, np.array([p.piecewise.coefficients for p in self.pairs])
+    def pairs(self) -> tuple[Eigenpair, ...]:
+        bp, rows = self.problem.breakpoints, zip(self.lambdas.tolist(), self.coefficients)
+        return tuple(Eigenpair(lam, PiecewiseForm(lam, bp, co)) for lam, co in rows)
 
     def eval(self, x, order: int = 0, side: str = "R", reduce=None) -> np.ndarray:
         """(modes, points) table of every mode's ``eval`` at ``x``, or ``reduce`` of each row."""
-        x, bp = np.asarray(x, dtype=float).ravel(), self.pairs[0].piecewise.breakpoints
-        return _values(*self._stack, bp, x, order, side, reduce)
+        x, bp = np.asarray(x, dtype=float).ravel(), self.problem.breakpoints
+        return _values(self.lambdas, self.coefficients, bp, x, order, side, reduce)
 
 
 def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
-    """Rescale to unit displacement norm with a positive slope at the left end.
-
-    When the left slope vanishes (possible only in degenerate constructions)
-    the sign falls back to the third derivative there (one-mode :func:`_normalized`).
-    """
+    """One-mode :func:`_normalized`: unit displacement norm on ``rule``, positive left slope."""
     form = pair.piecewise
     rows = _normalized(np.array([pair.lam]), form.coefficients[None], form.breakpoints, rule)
     return Eigenpair(pair.lam, PiecewiseForm(pair.lam, form.breakpoints, rows[0]))
@@ -163,7 +165,8 @@ def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
 
 def _normalized(lams: np.ndarray, rows: np.ndarray, breakpoints, rule) -> np.ndarray:
     """The (n, m+1, 4) coefficient stack ``rows`` of modes at ``lams`` on ``breakpoints``, each
-    mode scaled by :func:`normalize_eigenpair`'s rule, its norm taken on the nodes of ``rule``."""
+    mode rescaled to unit displacement norm on the nodes of ``rule`` and to a positive slope at
+    the left end, or a positive third derivative there where the slope vanishes."""
     squares = _values(lams, rows, breakpoints, rule.nodes, 0, "R", lambda v: rule.integrate(v * v))
     norms = np.sqrt(squares)  # one np.dot per mode, as one mode takes it
     if (norms == 0.0).any():
@@ -177,11 +180,10 @@ def _normalized(lams: np.ndarray, rows: np.ndarray, breakpoints, rule) -> np.nda
 
 
 def solve(problem, recover, roots) -> Spectrum:
-    """Eigenpairs of ``problem`` at its ``roots``.  One call of a solver's ``recover(problem,
+    """Spectrum of ``problem`` at its ``roots``.  One call of a solver's ``recover(problem,
     lams)`` gives the raw modes' (n, m+1, 4) coefficient stack, at any scale and sign, which is
-    normalized on the one quadrature rule of the top root before any pair is built."""
-    lams, bp = np.array(roots), problem.breakpoints
+    normalized on the one quadrature rule of the top root: the spectrum's ``rule``."""
+    lams = np.array(roots)
     rule = QuadratureRule.for_problem(problem, lams.max())
-    rows = _normalized(lams, recover(problem, lams), bp, rule)
-    pairs = (Eigenpair(lam, PiecewiseForm(lam, bp, co)) for lam, co in zip(lams.tolist(), rows))
-    return Spectrum(tuple(pairs))
+    rows = _normalized(lams, recover(problem, lams), problem.breakpoints, rule)
+    return Spectrum(problem, lams, rows, rule)

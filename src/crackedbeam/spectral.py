@@ -127,10 +127,10 @@ def gram_matrix(pairs, rule: QuadratureRule) -> np.ndarray:
     """Matrix of pairwise displacement inner products; identity for true modes.  ``pairs`` may
     be a whole :class:`Spectrum`, whose modes are then evaluated together."""
     stack = pairs if isinstance(pairs, Spectrum) else _Rows(*pairs)
-    if len(stack.pairs) < 1:
-        raise ValueError("need at least one mode")
     # One (modes, nodes) table, scaled by sqrt(w) in place: no second table of that size.
     table = stack.eval(rule.nodes)
+    if len(table) < 1:
+        raise ValueError("need at least one mode")
     norms = [rule.integrate(row * row) for row in table]  # each norm as normalization sums it
     table *= np.sqrt(rule.weights)
     out = table @ table.T
@@ -219,31 +219,30 @@ def cross_solver_gaps(spectrum, oracle) -> dict[str, float]:
     return {name: float(np.max(v)) for name, v in _cross_gaps(spectrum, oracle).items()}
 
 
-def mode_checks(problem: BeamProblem, spectrum, oracle) -> dict[str, np.ndarray]:
+def mode_checks(spectrum, oracle) -> dict[str, np.ndarray]:
     """Every check's value for each mode, all modes evaluated together, keyed by check name.
 
     Residual families are relative to each mode's curvature scale and the ODE residual to
     lambda**4; then come the deviation of h(phi, phi) from 1, of the Gram matrix from the
     identity (each entry charged to the higher of its two modes) and of the Rayleigh quotient
-    a(phi, phi) / h(phi, phi) from lambda**4 (relative), and the gaps to ``oracle``, another
-    solver's spectrum of the same length.
+    a(phi, phi) / h(phi, phi) from lambda**4 (relative), all on the spectrum's own problem and
+    quadrature rule, and the gaps to ``oracle``, another solver's spectrum of the same length.
     """
     lam4 = np.array([lam**4 for lam in spectrum.lambdas.tolist()])
-    rule = QuadratureRule.for_problem(problem, lam=spectrum.lambdas.max())
     # The Gram table first, the largest: no smaller table before it has grown the heap.
-    gram = gram_matrix(spectrum, rule)
+    gram = gram_matrix(spectrum, spectrum.rule)
     norms = np.diag(gram)  # h(phi, phi) for every mode
-    res = _residuals(spectrum, problem, lam4)
+    res = _residuals(spectrum, spectrum.problem, lam4)
     out = {f: res[f].reshape(lam4.size, -1).max(1, initial=0.0) / res["scale"] for f in FAMILIES}
     out["ode_residual"] = res["ode_residual"] / lam4
     out["h_normalization"] = np.abs(norms - 1.0)
     off = np.abs(gram - np.eye(lam4.size))
     out["gram_identity"] = np.maximum(np.tril(off).max(axis=1), np.triu(off).max(axis=0))
-    rayleigh = _energies(spectrum, spectrum, problem, rule, operator=True) / norms
+    rayleigh = _energies(spectrum, spectrum, spectrum.problem, spectrum.rule, operator=True) / norms
     out["rayleigh"] = np.abs(rayleigh - lam4) / lam4
     return {**out, **_cross_gaps(spectrum, oracle)}
 
 
-def verify(problem: BeamProblem, spectrum, oracle) -> dict[str, float]:
+def verify(spectrum, oracle) -> dict[str, float]:
     """Worst value over the modes of every check of :func:`mode_checks`, keyed by check name."""
-    return {name: float(np.max(v)) for name, v in mode_checks(problem, spectrum, oracle).items()}
+    return {name: float(np.max(v)) for name, v in mode_checks(spectrum, oracle).items()}

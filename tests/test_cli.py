@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crackedbeam import cli, compute_spectrum, load_problem_file
+from crackedbeam import cli, compute_spectrum, load_problem_file, modes
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 UNIFORM = str(FIXTURES / "uniform.json")
@@ -222,6 +222,21 @@ class TestValidate:
         assert body["passed"] is False
         assert "crack_law" in body["failed_checks"]
 
+    def test_fault_injection_changes_only_its_mode(self):
+        problem = load_problem_file(TWO_CRACK)[0]
+        spectrum = compute_spectrum(problem, 5)
+        before = spectrum.coefficients.copy()
+        doc = {"debug_perturb_delta": {"mode": 3, "offsets": [1e-3, -2e-3]}}
+        faulted = cli._perturbed_mode(problem, doc, spectrum)
+        assert spectrum.coefficients.tobytes() == before.tobytes()
+        rows = zip(faulted.coefficients, before)
+        assert [k for k, (a, b) in enumerate(rows) if a.tobytes() != b.tobytes()] == [2]
+        assert faulted.lambdas is spectrum.lambdas and faulted.rule is spectrum.rule
+        assert cli.spectral.mode_checks(faulted, spectrum)["h_normalization"][2] <= 1e-12
+        for stack in (spectrum.coefficients, faulted.coefficients, faulted.lambdas):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 0.0
+
 
 class TestSolverChoice:
     @staticmethod
@@ -256,6 +271,24 @@ class TestSolverChoice:
             assert float(row[1]) == pytest.approx(float(ref[1]), abs=1e-8)
         if solver == "both":
             assert out == jump
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("validate", FAULTED), 4),
+        (("modes", TWO_CRACK, "--solver", "both"), 0),
+        (("spectrum", TWO_CRACK, "--solver", "both"), 0),
+        (("frequencies", STEEL, "--solver", "both"), 0),
+    ],
+    ids=["validate", "modes", "spectrum", "frequencies"],
+)
+def test_subcommands_read_the_stack_and_build_no_eigenpair(capsys, monkeypatch, argv, code):
+    def refused(*args):
+        raise AssertionError("an Eigenpair was built")
+
+    monkeypatch.setattr(modes, "Eigenpair", refused)
+    assert run(capsys, *argv)[0] == code
 
 
 class TestVerificationFailure:
@@ -294,11 +327,7 @@ class TestVerificationFailure:
 
         def flipped(*args, **kwargs):
             spectrum = oracle(*args, **kwargs)
-            negated = (
-                replace(p, piecewise=replace(p.piecewise, coefficients=-p.piecewise.coefficients))
-                for p in spectrum.pairs
-            )
-            return replace(spectrum, pairs=tuple(negated))
+            return replace(spectrum, coefficients=-spectrum.coefficients)
 
         monkeypatch.setattr(cli.transition, "oracle_eigenpairs", flipped)
         code, out, err = run(capsys, "modes", ONE_CRACK, "--modes", "2", "--solver", "both")

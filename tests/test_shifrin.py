@@ -705,7 +705,7 @@ class TestHighModes:
     @pytest.mark.parametrize("name", ["one_crack", "two_crack", "node_crack", "steel_beam", "uniform"])
     def test_every_check_passes_at_forty_modes(self, name):
         problem, _, _ = load_problem_file(str(FIXTURES / f"{name}.json"))
-        worst = spectral.verify(problem, compute_spectrum(problem, 40), oracle_eigenpairs(problem, 40))
+        worst = spectral.verify(compute_spectrum(problem, 40), oracle_eigenpairs(problem, 40))
         for check, threshold in THRESHOLDS.items():
             assert worst[check] <= threshold, check
 

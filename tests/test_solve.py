@@ -15,6 +15,7 @@ from crackedbeam import (
     PiecewiseForm,
     QuadratureRule,
     ShifrinForm,
+    cli,
     coercivity_probe,
     gram_matrix,
     h_inner,
@@ -99,10 +100,9 @@ def test_batched_modes_equal_the_per_root_path_bit_for_bit(request, name, solver
     assert [_bytes(p) for p in batched] == [_bytes(p) for p in per_root]
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-@pytest.mark.parametrize("name", PROBLEMS)
-def test_a_solve_builds_one_quadrature_rule(request, monkeypatch, name, solver):
-    problem = request.getfixturevalue(name)
+@pytest.fixture
+def rule_lams(monkeypatch) -> list:
+    """The wavenumber of every quadrature rule built while the test runs."""
     original, lams = QuadratureRule.for_problem.__func__, []
 
     def counted(cls, problem, lam):
@@ -110,8 +110,34 @@ def test_a_solve_builds_one_quadrature_rule(request, monkeypatch, name, solver):
         return original(cls, problem, lam)
 
     monkeypatch.setattr(QuadratureRule, "for_problem", classmethod(counted))
+    return lams
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_a_solve_builds_one_quadrature_rule(request, rule_lams, name, solver):
+    problem = request.getfixturevalue(name)
     spectrum = SOLVERS[solver][0](problem, COUNT)
-    assert lams == [spectrum.lambdas.max()]
+    assert rule_lams == [spectrum.lambdas.max()]
+    top_rule = QuadratureRule.for_problem(problem, rule_lams[0])
+    assert np.array_equal(spectrum.rule.nodes, top_rule.nodes)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_verify_reads_the_spectrum_rule_and_builds_none(request, rule_lams, name):
+    problem = request.getfixturevalue(name)
+    jump, oracle = (SOLVERS[solver][0](problem, COUNT) for solver in SOLVERS)
+    rule_lams.clear()
+    spectral.verify(jump, oracle)
+    assert rule_lams == []
+
+
+@pytest.mark.parametrize("name, code", [("two_crack", 0), ("fault_injected", 4)])
+def test_validate_builds_one_quadrature_rule_per_solver(rule_lams, capsys, name, code):
+    # The fault injection renormalizes its mode on the faulted spectrum's own rule.
+    assert cli.main(["validate", str(FIXTURES / f"{name}.json"), "--modes", "5"]) == code
+    capsys.readouterr()
+    assert len(rule_lams) == 2
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -153,7 +179,7 @@ def test_stored_modes_keep_unit_norm_at_high_modes(name, count):
     spectrum = shifrin.compute_spectrum(problem, count)
     oracle = transition.oracle_eigenpairs(problem, count)
     for pairs, other in ((spectrum, oracle), (oracle, spectrum)):
-        assert spectral.verify(problem, pairs, other)["h_normalization"] <= 1e-12
+        assert spectral.verify(pairs, other)["h_normalization"] <= 1e-12
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -204,3 +230,12 @@ def test_input_check_raises_value_error_naming_its_fault(case):
     call, message = _INPUT_CHECKS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_readme_quick_start_runs(capsys):
+    # The README's library example, run as written, so a changed signature cannot leave it stale.
+    readme = FIXTURES.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(readme), "exec"), {})
+    assert "h_normalization" in capsys.readouterr().out

@@ -181,6 +181,6 @@ class TestOracleEigenpairs:
     def test_modes_at_roots_where_collocation_can_be_exactly_singular(self, problem):
         # At the 4th and 2nd roots of these layouts a collocation matrix can be singular to the
         # last bit, and a plain solve then raises LinAlgError; the bordered solve gives the mode.
-        worst = spectral.verify(problem, compute_spectrum(problem, 5), oracle_eigenpairs(problem, 5))
+        worst = spectral.verify(compute_spectrum(problem, 5), oracle_eigenpairs(problem, 5))
         for check, threshold in THRESHOLDS.items():
             assert worst[check] <= threshold, check
