@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rootfind
 from .beam_model import BeamProblem
 from .quadrature import QuadratureRule
 
@@ -56,29 +57,19 @@ def _local_values(lam, scale, u, h, co: np.ndarray, order: int) -> np.ndarray:
     return scale * terms
 
 
-#: Most values in one (modes, points) table of a block of modes; see :func:`_blocks`.
-BLOCK_VALUES = 1 << 14
-
-
-def _blocks(count: int, points: int) -> list[slice]:
-    """Slices covering ``count`` modes in blocks of at most BLOCK_VALUES values at ``points``
-    points each, so a table of many modes at many points is never taken whole."""
-    step = max(1, BLOCK_VALUES // max(1, points))
-    return [slice(a, a + step) for a in range(0, count, step)]
-
-
 def _values(lams, rows, breakpoints, x, order: int, side: str, reduce=None) -> np.ndarray:
     """(modes, points) table of the order-th derivatives at the points ``x`` of the modes with
     wavenumbers ``lams`` and (n, m+1, 4) coefficient stack ``rows`` on ``breakpoints``: the one
-    evaluation of every mode, filled block by block.  Each mode is scaled by its own lam**order.
-    With ``reduce``, the (modes,) values of ``reduce`` on each mode's row, so no table is kept."""
+    evaluation of every mode, filled in :func:`rootfind._blocks` at one entry per point of a
+    mode.  Each mode is scaled by its own lam**order.  With ``reduce``, the (modes,) values of
+    ``reduce`` on each mode's row, so no table is kept."""
     bp = np.asarray(breakpoints, dtype=float)
     # Counting crack positions alone puts points beyond either support in an end interval.
     idx = np.searchsorted(bp[1:-1], x, side="right" if is_right_side(side) else "left")
     u, h = x - bp[idx], (bp[1:] - bp[:-1])[idx]
     scales = np.array([lam**order for lam in lams.tolist()])
     out = np.empty((len(lams), len(x)) if reduce is None else len(lams))
-    for b in _blocks(len(lams), len(x)):
+    for b in rootfind._blocks(len(lams), len(x)):
         co = np.take(rows[b], idx, axis=1)  # far faster than rows[b][:, idx]
         block = _local_values(lams[b, None], scales[b, None], u, h, co, order)
         del co  # freed before the block's own temporaries, or the heap fragments around it
@@ -86,7 +77,7 @@ def _values(lams, rows, breakpoints, x, order: int, side: str, reduce=None) -> n
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseForm:
     """Closed-form mode shape: four bounded-basis coefficients per subinterval.
 
@@ -120,7 +111,7 @@ class PiecewiseForm:
         return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigenpair:
     """One wavenumber with its mode shape, whichever solver computed it."""
 
@@ -131,7 +122,7 @@ class Eigenpair:
         return self.piecewise.eval(x, order=order, side=side)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Modes of one problem: read-only ``lambdas`` (n,) and (n, m+1, 4) ``coefficients``,
     normalized on ``rule``, the top wavenumber's; ``pairs`` splits them into eigenpairs."""

@@ -26,7 +26,7 @@ def _gauss_nodes() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights of a composite rule on a partitioned interval."""
 

@@ -31,9 +31,9 @@ MIN_WAVENUMBER = 1e-100
 # theta lam**2 and lam * lam), which overflows from about 1.3e154.
 MAX_WAVENUMBER = 1e100
 
-# Matrix entries one batched determinant call may hold in a stack (256 KiB of
-# doubles); with many cracks this caps the wavenumbers per stack, and with it
-# the peak memory of a solve.
+# Entries one stacked call may hold (256 KiB of doubles): a batch's matrix entries, or the
+# values of a (modes, points) table.  With many cracks or points this caps the wavenumbers
+# or modes per stack, and with it the peak memory of a solve.
 _STACK_ENTRIES = 2**15
 
 
@@ -150,18 +150,24 @@ def wavenumbers(lams) -> np.ndarray:
     return arr
 
 
+def _blocks(count: int, entries_each: int) -> list[slice]:
+    """Slices covering ``count`` items of ``entries_each`` stack entries each, at most
+    ``_STACK_ENTRIES`` entries and at least one item per slice: the one bound of a stack."""
+    step = max(1, _STACK_ENTRIES // max(1, entries_each))
+    return [slice(a, a + step) for a in range(0, count, step)]
+
+
 def blockwise(fn, lams, entries_per_lam: int):
     """Evaluate ``fn`` on the :func:`wavenumbers` ``lams``, a bounded slice at a time.
 
     ``fn`` maps a 1-D array of wavenumbers to its values, stacked on the first
-    axis, and builds ``entries_per_lam`` stack entries for each; slices keep
-    that within ``_STACK_ENTRIES``.  A scalar ``lams`` gives a float, an array
-    the array of its shape followed by the shape of one value.
+    axis, and builds ``entries_per_lam`` stack entries for each; :func:`_blocks`
+    slices keep that within ``_STACK_ENTRIES``.  A scalar ``lams`` gives a float,
+    an array the array of its shape followed by the shape of one value.
     """
     arr = wavenumbers(lams)
     flat = arr.reshape(-1)
-    block = max(1, _STACK_ENTRIES // entries_per_lam)
-    parts = [fn(flat[i : i + block]) for i in range(0, flat.size, block)] or [np.empty(0)]
+    parts = [fn(flat[b]) for b in _blocks(flat.size, entries_per_lam)] or [np.empty(0)]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)  # one block: no copy
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape + out.shape[1:])
 
@@ -171,20 +177,22 @@ def _off_integers(lams: np.ndarray) -> np.ndarray:
     return np.where(lams == np.round(lams), lams * (1.0 - 2.0**-30), lams)
 
 
-def find_roots(f, count: int, lam_max: float, counter):
+def find_roots(f, count: int, lam_max: float | None, counter):
     """First ``count`` positive roots of ``f`` below ``lam_max``, isolated by ``counter``.
 
-    ``counter`` gives the number of roots below each wavenumber, NaN where it cannot tell, and
-    the count-th root must lie below count + 0.5, as interlacing puts a hinged beam's.  One
-    call counts at 0.5, 1.5 ... count + 0.5, cut at ``lam_max``; windows holding several
-    roots, or starting at 0, where no determinant can be evaluated, are halved on the count in
-    lockstep, and each one-root window is bisected on ``f``.  :class:`RootCountError` carries
-    the roots below the first window that failed: a count that is NaN or falls, roots one
-    double apart, or ``f`` of one sign across a one-root window.
+    The one rule of a solve's limits: ``count`` must be at least 1, and ``lam_max`` is a
+    :func:`wavenumbers` value, or None for the default ceiling count + 1.  ``counter`` gives
+    the number of roots below each wavenumber, NaN where it cannot tell, and the count-th root
+    must lie below count + 0.5, as interlacing puts a hinged beam's.  One call counts at 0.5,
+    1.5 ... count + 0.5, cut at ``lam_max``; windows holding several roots, or starting at 0,
+    where no determinant can be evaluated, are halved on the count in lockstep, and each
+    one-root window is bisected on ``f``.  :class:`RootCountError` carries the roots below the
+    first window that failed: a count that is NaN or falls, roots one double apart, or ``f``
+    of one sign across a one-root window.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    lam_max = float(wavenumbers(lam_max))
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    lam_max = float(wavenumbers(count + 1 if lam_max is None else lam_max))
     top = min(count + 0.5, lam_max)
     pts = _off_integers(np.array([0.0, *(k + 0.5 for k in range(count) if k + 0.5 < top), top]))
     below = np.concatenate(([0.0], counter(pts[1:])))  # roots below each point

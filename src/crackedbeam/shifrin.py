@@ -40,7 +40,7 @@ from .modes import normalize_eigenpair  # unused; the benchmark's spans wrap it 
 DEGENERACY_RATIO = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShifrinForm:
     """Solution vector of the assembled system.
 
@@ -213,12 +213,10 @@ def root_count(problem: BeamProblem, lams):
 
 def first_roots(det, problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:
     """First ``count`` roots of ``det(problem, lams)``, isolated by :func:`root_count`, below
-    ``lam_max`` (default count + 1: interlacing puts the count-th root at or below count)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    ceiling = count + 1 if lam_max is None else lam_max
+    ``lam_max``; :func:`rootfind.find_roots` checks ``count`` and reads None as its default
+    ceiling, count + 1 (interlacing puts the count-th root at or below count)."""
     counter = functools.partial(root_count, problem)
-    return rootfind.find_roots(lambda lams: det(problem, lams), count, ceiling, counter)[0]
+    return rootfind.find_roots(lambda lams: det(problem, lams), count, lam_max, counter)[0]
 
 
 def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:

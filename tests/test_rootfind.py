@@ -165,6 +165,18 @@ class TestFindRoots:
         assert np.allclose(err.found, [1.0, 2.0, 3.0], atol=1e-12)
         assert str(err).endswith("raise the scan ceiling")
 
+    def test_default_ceiling_is_count_plus_one(self):
+        def counter(lams, gap):
+            return np.ceil(lams / gap) - 1.0  # the roots gap, 2 gap, ... of sin(pi x / gap)
+
+        roots, _ = find_roots(lambda x: np.sin(math.pi * x), 3, None, lambda x: counter(x, 1.0))
+        assert np.allclose(roots, [1.0, 2.0, 3.0], atol=1e-12)
+        # Roots 1.5 apart: the 5th lies past 5.5, where interlacing puts it, below the ceiling 6.
+        with pytest.raises(RootCountError, match="lost roots") as info:
+            find_roots(lambda x: np.sin(math.pi * x / 1.5), 5, None, lambda x: counter(x, 1.5))
+        assert info.value.lam_max == 6.0
+        assert info.value.found == pytest.approx([1.5, 3.0, 4.5], abs=1e-12)
+
     def test_counted_root_without_a_sign_change_is_lost(self):
         # The double root at 1.2 is counted once, but the determinant keeps its sign about it.
         f, _ = _polynomial([0.3], double=[1.2])

@@ -208,7 +208,12 @@ _INPUT_CHECKS = {
         lambda: ShifrinForm(1.0, deltas=[], coefficients=[1.0] * 4, positions=()).eval(1.0, 5),
         "order 5 not in 0..4",
     ),
-    "negative_count": (lambda: rootfind.find_roots(np.sin, -1, 5.0, np.floor), "nonnegative"),
+    "negative_count": (
+        lambda: rootfind.find_roots(np.sin, -1, 5.0, np.floor), "count must be at least 1"
+    ),
+    "zero_count": (
+        lambda: rootfind.find_roots(np.sin, 0, 5.0, np.floor), "count must be at least 1"
+    ),
     "no_modes": (
         lambda: shifrin.first_roots(shifrin.char_det, _UNIFORM, 0), "count must be at least 1"
     ),
@@ -230,6 +235,26 @@ def test_input_check_raises_value_error_naming_its_fault(case):
     call, message = _INPUT_CHECKS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_ONE_CRACK = BeamProblem((1.0,), (0.3,))
+# Each frozen type that holds arrays, built by the public call a user makes.
+_ARRAY_HOLDERS = {
+    "Spectrum": lambda: shifrin.compute_spectrum(_ONE_CRACK, 3),
+    "Eigenpair": lambda: shifrin.compute_spectrum(_ONE_CRACK, 3).pairs[0],
+    "PiecewiseForm": lambda: shifrin.compute_spectrum(_ONE_CRACK, 3).pairs[0].piecewise,
+    "QuadratureRule": lambda: QuadratureRule.for_problem(_ONE_CRACK, 3.0),
+    "ShifrinForm": lambda: shifrin.solve_nullspace(_ONE_CRACK, 1.5),
+}
+
+
+@pytest.mark.parametrize("kind", _ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity_and_hash(kind):
+    # Field-wise equality would compare arrays, whose truth value numpy refuses to give.
+    a, b = _ARRAY_HOLDERS[kind](), _ARRAY_HOLDERS[kind]()
+    assert type(a).__name__ == kind
+    assert a == a and a != b
+    assert len({a, b}) == 2 and a in {a}
 
 
 def test_readme_quick_start_runs(capsys):

@@ -29,6 +29,7 @@ from crackedbeam import (
     modes,
     normalize_eigenpair,
     residual_report,
+    rootfind,
     shifrin,
     spectral,
     transition,
@@ -41,20 +42,29 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _random_spectrum(rng, cracks: int, count: int) -> Spectrum:
+def _random_problem(rng, cracks: int) -> BeamProblem:
     positions = np.sort(rng.uniform(0.05, math.pi - 0.05, cracks))
-    problem = BeamProblem(tuple(positions.tolist()), (1.0,) * cracks)
+    return BeamProblem(tuple(positions.tolist()), (1.0,) * cracks)
+
+
+def _random_spectrum(rng, cracks: int, count: int) -> Spectrum:
+    problem = _random_problem(rng, cracks)
     lams = np.sort(rng.uniform(0.5, 80.0, count))
     rows = rng.standard_normal((count, cracks + 1, 4))
     return Spectrum(problem, lams, rows, QuadratureRule.for_problem(problem, lams.max()))
 
 
+@pytest.fixture(params=[rootfind._STACK_ENTRIES, 64, 1])
+def stack_entries(request, monkeypatch) -> None:
+    """The one stack bound at its default, at a few wavenumbers or modes, and at one."""
+    monkeypatch.setattr(rootfind, "_STACK_ENTRIES", request.param)
+
+
+@pytest.mark.usefixtures("stack_entries")
 class TestStackedEvaluation:
-    @pytest.mark.parametrize("block_values", [modes.BLOCK_VALUES, 64, 1])
     @pytest.mark.parametrize("cracks", [1, 2, 7, 30])
-    def test_rows_equal_each_mode_bit_for_bit(self, monkeypatch, cracks, block_values):
+    def test_rows_equal_each_mode_bit_for_bit(self, cracks):
         # Blocks of every mode, of a few and of one: the blocking never changes a bit.
-        monkeypatch.setattr(modes, "BLOCK_VALUES", block_values)
         rng = np.random.default_rng(cracks)
         spectrum = _random_spectrum(rng, cracks, 9)
         bp = np.array(spectrum.problem.breakpoints)
@@ -66,13 +76,27 @@ class TestStackedEvaluation:
                 for row, pair in zip(table, spectrum.pairs):
                     assert _bits(row) == _bits(pair.eval(xs, order, side))
 
-    def test_reduce_equals_reducing_each_row(self, monkeypatch):
-        monkeypatch.setattr(modes, "BLOCK_VALUES", 100)
-        spectrum = _random_spectrum(np.random.default_rng(3), 4, 12)
+    @pytest.mark.parametrize("cracks", [1, 2, 30])
+    def test_reduce_equals_reducing_each_mode(self, cracks):
+        spectrum = _random_spectrum(np.random.default_rng(3), cracks, 12)
         rule = QuadratureRule.for_problem(BeamProblem(), 80.0)
-        got = spectrum.eval(rule.nodes, 2, reduce=lambda v: rule.integrate(v * v))
-        want = [rule.integrate(v * v) for v in spectrum.eval(rule.nodes, 2)]
+
+        def square(v):
+            return rule.integrate(v * v)
+
+        got = spectrum.eval(rule.nodes, 2, reduce=square)
+        want = [square(pair.eval(rule.nodes, 2)) for pair in spectrum.pairs]
         assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("cracks", [1, 2, 30])
+    def test_wavenumber_stacks_equal_one_wavenumber_at_a_time(self, cracks):
+        # Slices of every wavenumber, of a few and of one: the slicing never changes a bit.
+        rng = np.random.default_rng(cracks)
+        problem, lams = _random_problem(rng, cracks), rng.uniform(0.3, 60.0, 40)
+        for det in (shifrin.char_det, shifrin.root_count, transition.boundary_det):
+            assert _bits(det(problem, lams)) == _bits([det(problem, lam) for lam in lams.tolist()])
+        one_by_one = [transition._modes_from_roots(problem, lams[k : k + 1]) for k in range(40)]
+        assert _bits(transition._modes_from_roots(problem, lams)) == _bits(one_by_one)
 
     def test_one_mode_at_a_point_is_a_float(self):
         pair = _random_spectrum(np.random.default_rng(5), 2, 1).pairs[0]
