@@ -1,11 +1,12 @@
 """Root isolation by an exact count of roots, and lockstep refinement of each root's bracket.
 
 A count N(lam) of the roots below lam puts them in unit windows, and halving a window on the
-count parts roots however close they lie.  Each one-root window is then a bracket that a
-safeguarded two-sided secant step refines to adjacent doubles, all brackets in lockstep: one
-call of the determinant evaluates a few points of every open bracket.  Wherever the sign of
-the determinant changes exactly once, the root is the one bisection finds.  Every function
-here takes a 1-D array of wavenumbers to the array of values.
+count parts roots however close they lie.  Each one-root window is then a bracket that
+safeguarded two-sided secant steps refine to adjacent doubles, all brackets in lockstep: one
+call of the determinant evaluates a few points of every open bracket, the first call every
+window's ends and a coarse grid inside it.  Wherever the sign of the determinant changes
+exactly once, the root is the one bisection finds.  Every function here takes a 1-D array of
+wavenumbers to the array of values.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import math
 
 import numpy as np
 
-# Fallbacks of the secant step.  A bracket wider than _SECANT_SPAN times its wavenumber
-# is not yet where the secant is accurate, and a step that left more than a quarter of its
-# bracket was mispredicted: either bracket gets _GRID evenly spaced points instead.
-_SECANT_SPAN = 0.02
+# A bracket's first call takes _FIRST_GRID evenly spaced points inside it, and its ends if
+# they are not yet evaluated.  A secant step that left more than a quarter of its bracket was
+# mispredicted: the next call takes _GRID evenly spaced points instead.
+_FIRST_GRID = 7
 _GRID = 15
 
 # A bracket with at most this many doubles inside has every one of them evaluated.
@@ -51,6 +52,12 @@ class RootCountError(RuntimeError):
         )
 
 
+def _grid(a: float, b: float, n: int) -> list[float]:
+    """``n`` evenly spaced points inside [a, b]: distinct while every gap spans over 1.5 doubles."""
+    step = (b - a) / (n + 1)
+    return [a + k * step for k in range(1, n + 1)]
+
+
 def _points(a: float, b: float, fa: float, fb: float, c, fc: float, shrunk: bool) -> list[float]:
     """Points to evaluate inside the bracket [a, b] in one call, in order; none once a and b
     are adjacent doubles.  ``(c, fc)`` is the point evaluated nearest outside the bracket, None
@@ -61,65 +68,80 @@ def _points(a: float, b: float, fa: float, fb: float, c, fc: float, shrunk: bool
             every.append(x)
             x = math.nextafter(x, b)
         return every
-    guess, err = a + fa / (fa - fb) * (b - a), math.nan
-    if c is not None:
-        # The root lies about f[c, a, b] (guess - a)(guess - b) / f[a, b] from the secant guess.
-        ratio = (fa - fc) / (fb - fa) * (b - a) / (a - c)  # f[c, a] / f[a, b]
-        err = abs((1.0 - ratio) * (guess - a) * (guess - b) / (b - c))
-    if shrunk and b - a <= _SECANT_SPAN * max(abs(a), abs(b)) and math.isfinite(err):
+    if c is None:  # the first call: no outside point to estimate a secant step's error
+        return _grid(a, b, _FIRST_GRID)
+    # The root lies about f[c, a, b] (guess - a)(guess - b) / f[a, b] from the secant guess.
+    guess = a + fa / (fa - fb) * (b - a)
+    ratio = (fa - fc) / (fb - fa) * (b - a) / (a - c)  # f[c, a] / f[a, b]
+    err = abs((1.0 - ratio) * (guess - a) * (guess - b) / (b - c))
+    if shrunk and math.isfinite(err):
         guess = min(max(guess, math.nextafter(a, b)), math.nextafter(b, a))
         spread = max(4.0 * err, math.ulp(guess))
         return [x for x in (guess - spread, guess, guess + spread) if a < x < b]
-    step = (b - a) / (_GRID + 1)  # over 1.5 gaps between doubles: distinct points inside
-    return [a + k * step for k in range(1, _GRID + 1)]
+    return _grid(a, b, _GRID)
 
 
-def bisect(f, a, b, fa, fb):
+def _closed(a: float, b: float, fa: float, fb: float):
+    """Where the bracket [a, b] closes before any point inside it is read: at an end where
+    ``f`` is zero, or NaN when its ends are of one sign or NaN; None when it needs refining."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    return None if fa < 0.0 < fb or fb < 0.0 < fa else math.nan
+
+
+def bisect(f, a, b, fa=None, fb=None):
     """Refine every sign-change bracket [a_k, b_k] in lockstep to adjacent doubles.
 
-    ``a``, ``b``, ``fa`` and ``fb`` are scalars or equal-length 1-D arrays.  Each call of ``f``
-    evaluates, for every bracket still open, a safeguarded two-sided secant step: the
+    ``a`` and ``b`` are scalars or equal-length 1-D arrays, and so are ``fa`` and ``fb``, the
+    values of ``f`` at them, if the caller has them.  Each call of ``f`` evaluates a few points
+    of every bracket still open.  The first call evaluates a grid of ``_FIRST_GRID`` points
+    inside each bracket, and its ends if not given; an end that a bracket shares with the one
+    before it is evaluated once.  Every later call is a safeguarded two-sided secant step: the
     regula-falsi guess, moved to the adjacent double if it rounds onto an end, and the guess
     plus and minus four times its error estimated from the divided difference through the
-    nearest point outside the bracket.  A bracket wider than ``_SECANT_SPAN`` of its
-    wavenumber, without an outside point yet, or whose last step left more than a quarter of it,
-    gets a uniform grid of ``_GRID`` points instead, and one with at most ``_ENUMERATE``
-    doubles left has all of them evaluated.  The bracket becomes the first pair of consecutive
-    points across which ``f`` changes sign.  It closes at an exact zero of ``f``, or at
-    0.5 (a + b) once a and b are adjacent doubles: wherever the sign of ``f`` changes exactly
-    once, that is the root plain bisection finds.
+    nearest point outside the bracket.  A bracket whose last step left more than a quarter of
+    it gets a grid of ``_GRID`` points instead, and one with at most ``_ENUMERATE`` doubles
+    left has all of them evaluated.  The bracket becomes the first pair of consecutive points
+    across which ``f`` changes sign.  It closes at an exact zero of ``f``, or at 0.5 (a + b)
+    once a and b are adjacent doubles: wherever the sign of ``f`` changes exactly once, that
+    is the root plain bisection finds.  A bracket whose ends are of one sign, or NaN, gives
+    NaN.
     """
     scalar = np.ndim(a) == 0
-    a, b, fa, fb = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (a, b, fa, fb))
-    out = [0.0] * len(a)
+    a, b = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (a, b))
+    if fa is None:
+        fa, fb = [None] * len(a), [None] * len(a)
+    else:
+        fa, fb = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (fa, fb))
+    out = [None if fa[k] is None else _closed(a[k], b[k], fa[k], fb[k]) for k in range(len(a))]
     c, fc, shrunk = [None] * len(a), [0.0] * len(a), [False] * len(a)
-    live = []
-    for k in range(len(a)):
-        if fa[k] == 0.0:
-            out[k] = a[k]
-        elif fb[k] == 0.0:
-            out[k] = b[k]
-        elif (fa[k] > 0.0) == (fb[k] > 0.0):
-            raise ValueError(f"no sign change on [{a[k]}, {b[k]}]")
-        else:
-            live.append(k)
+    live = [k for k in range(len(a)) if out[k] is None]
     while live:
-        todo, points = [], []
+        todo, flat = [], []  # (bracket, its points, where they start in flat)
         for k in live:
             xs = _points(a[k], b[k], fa[k], fb[k], c[k], fc[k], shrunk[k])
-            if xs:
-                todo.append(k)
-                points.append(xs)
-            else:
+            if fa[k] is None:
+                xs = [a[k], *xs, b[k]]
+            elif not xs:
                 out[k] = 0.5 * (a[k] + b[k])
+                continue
+            shared = int(bool(flat) and flat[-1] == xs[0])  # an end the last bracket shares
+            todo.append((k, xs, len(flat) - shared))
+            flat.extend(xs[shared:])
         if not todo:
             break
-        values = np.asarray(f(np.array([x for xs in points for x in xs])), dtype=float).tolist()
-        live, start = [], 0
-        for k, xs in zip(todo, points):
-            fxs = [fa[k], *values[start : start + len(xs)], fb[k]]
-            start += len(xs)
-            xs, i, positive = [a[k], *xs, b[k]], 1, fa[k] > 0.0
+        values = np.asarray(f(np.array(flat)), dtype=float).tolist()
+        live = []
+        for k, xs, start in todo:
+            fxs = values[start : start + len(xs)]
+            if fa[k] is None:
+                fa[k], fb[k] = fxs[0], fxs[-1]
+                out[k] = _closed(a[k], b[k], fa[k], fb[k])
+                if out[k] is not None:
+                    continue
+            else:
+                xs, fxs = [a[k], *xs, b[k]], [fa[k], *fxs, fb[k]]
+            i, positive = 1, fa[k] > 0.0
             while fxs[i] != 0.0 and (fxs[i] > 0.0) == positive:
                 i += 1
             if fxs[i] == 0.0:
@@ -185,10 +207,11 @@ def find_roots(f, count: int, lam_max: float | None, counter):
     the number of roots below each wavenumber, NaN where it cannot tell, and the count-th root
     must lie below count + 0.5, as interlacing puts a hinged beam's.  One call counts at 0.5,
     1.5 ... count + 0.5, cut at ``lam_max``; windows holding several roots, or starting at 0,
-    where no determinant can be evaluated, are halved on the count in lockstep, and each
-    one-root window is bisected on ``f``.  :class:`RootCountError` carries the roots below the
-    first window that failed: a count that is NaN or falls, roots one double apart, or ``f``
-    of one sign across a one-root window.
+    where no determinant can be evaluated, are halved on the count in lockstep, and every
+    one-root window is refined on ``f`` by :func:`bisect`, whose first call evaluates the
+    windows' ends: ``f`` is called nowhere else.  :class:`RootCountError` carries the roots
+    below the first window that failed: a count that is NaN or falls, roots one double apart,
+    or ``f`` of one sign, or NaN, at the ends of a one-root window.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -214,11 +237,9 @@ def find_roots(f, count: int, lam_max: float | None, counter):
         pts, below = np.insert(pts, split + 1, mids), np.insert(below, split + 1, counts)
 
     one = np.flatnonzero((rises == 1.0) & (below[:-1] < count))
-    ends = np.union1d(one, one + 1)
-    values = np.asarray(f(pts[ends]), dtype=float)
-    fa, fb = (values[np.searchsorted(ends, k)] for k in (one, one + 1))
-    good = int(np.argmin(np.append(np.sign(fa) * np.sign(fb) <= 0.0, False)))
-    roots = bisect(f, pts[one[:good]], pts[one[:good] + 1], fa[:good], fb[:good]).tolist()
+    roots = bisect(f, pts[one], pts[one + 1])
+    good = int(np.argmax(np.append(np.isnan(roots), True)))  # below the first window lost
+    roots = roots[:good].tolist()
     if len(roots) < count:
         # Interlacing puts the count-th root below count + 0.5: a count short of it failed.
         raise RootCountError(count, roots, lam_max, lost=lost or good < one.size or top < lam_max)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from crackedbeam import (
     compute_spectrum,
     find_eigenvalues,
     kernel_M,
+    load_problem_file,
     oracle_eigenpairs,
     rootfind,
     shifrin,
@@ -26,6 +29,12 @@ from crackedbeam import (
     transition_matrix,
 )
 from crackedbeam.rootfind import RootCountError, bisect, find_roots
+
+ROOT = Path(__file__).resolve().parents[1]
+# float.hex of every root of each fixture, by solver and mode count.
+FIXTURE_ROOTS = json.loads(
+    (ROOT / "tests" / "data" / "fixture_roots.json").read_text(encoding="utf-8")
+)
 
 # Every function that takes wavenumbers, at one wavenumber of a problem with a crack.
 WAVENUMBER_ENTRY_POINTS = {
@@ -211,8 +220,9 @@ class TestFindRoots:
             find_roots(f, 2, 5.0, counter)
 
     def test_bisection_calls_per_solve(self, monkeypatch):
-        # Five brackets need about 53 halvings each; a grid, then secant steps that close in
-        # on each root quadratically, take a handful of determinant calls for all five.
+        # Five brackets need about 53 halvings each; one call of their ends and a coarse grid,
+        # then secant steps that close in on each root quadratically, take a handful of
+        # determinant calls for all five.
         problem = BeamProblem(positions=(1.0,), flexibilities=(0.3,))
         seen = []
 
@@ -236,17 +246,25 @@ class TestFindRoots:
         ids=["one_crack", "thirty_equal_cracks"],
     )
     def test_refinement_evaluations_per_root(self, monkeypatch, solver, problem, count):
-        # Wavenumbers, not calls: bisection spent 60-75 per root.
-        seen = []
+        # Wavenumbers, not calls: bisection spent 60-75 per root.  The window ends are
+        # evaluated in the refinement's first call, so it makes every determinant call.
+        solves, refinements = [], []
+
+        def counted_find_roots(f, *args):
+            solves.append(Counted(f))
+            return find_roots(solves[-1], *args)
 
         def counted_bisect(f, *args):
-            seen.append(Counted(f))
-            return bisect(seen[-1], *args)
+            refinements.append(Counted(f))
+            return bisect(refinements[-1], *args)
 
+        monkeypatch.setattr(rootfind, "find_roots", counted_find_roots)
         monkeypatch.setattr(rootfind, "bisect", counted_bisect)
         roots = solver.find_eigenvalues(problem, count)
         assert len(roots) == count
-        assert sum(batch.size for batch in seen[0].batches) <= 40 * count
+        assert len(solves) == len(refinements) == 1
+        assert len(solves[0].batches) == len(refinements[0].batches)
+        assert sum(batch.size for batch in refinements[0].batches) <= 32 * count
 
     def test_callable_receives_arrays(self):
         f = Counted(lambda x: np.cos(2.0 * x))
@@ -261,6 +279,46 @@ class TestFindRoots:
         for solve in (compute_spectrum, oracle_eigenpairs):
             with pytest.raises(ValueError, match="wavenumber"):
                 solve(one_crack_problem, 5, lam_max=lam_max)
+
+
+def _near_hinge_layouts(count_per_band: int):
+    """(band, problem) layouts: per band of log10 theta, 2-5 cracks in [0.1, pi - 0.1] at least
+    1e-3 apart, theta_j log-uniform in the band, from one generator seeded 3."""
+    rng, out = np.random.default_rng(3), []
+    for band in ((1.0, 6.0), (6.0, 7.0), (7.0, 8.0)):
+        drawn = 0
+        while drawn < count_per_band:
+            m = int(rng.integers(2, 6))
+            positions = np.sort(rng.uniform(0.1, math.pi - 0.1, m))
+            thetas = 10.0 ** rng.uniform(*band, m)
+            if np.all(np.diff(positions) >= 1e-3):
+                problem = BeamProblem(tuple(positions.tolist()), tuple(thetas.tolist()))
+                out.append((band, problem))
+                drawn += 1
+    return out
+
+
+class TestRefinedRoots:
+    @pytest.mark.parametrize("solver", [shifrin, transition], ids=["shifrin", "transition"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_ROOTS))
+    def test_fixture_roots_keep_every_bit(self, name, solver):
+        # spectrum and frequencies print these roots: any changed bit changes their bytes.
+        problem = load_problem_file(ROOT / "fixtures" / f"{name}.json")[0]
+        recorded = FIXTURE_ROOTS[name][solver.__name__.rsplit(".", 1)[1]]
+        for count, roots in recorded.items():
+            assert [x.hex() for x in solver.find_eigenvalues(problem, int(count))] == roots
+
+    def test_near_hinge_roots_lie_where_the_count_says(self):
+        # Near the mechanism roots of near-hinge cracks the sign of char_det is partly rounding
+        # noise, and the windows the refinement starts from are wide: each jump-amplitude root
+        # must still be certified, the count reading k - 1 just below the k-th and k just above.
+        for band, problem in _near_hinge_layouts(20):
+            roots = np.array(find_eigenvalues(problem, problem.m + 3))
+            k = np.arange(roots.size)
+            below = shifrin.root_count(problem, roots * (1.0 - 1e-7))
+            above = shifrin.root_count(problem, roots * (1.0 + 1e-7))
+            assert below.tolist() == k.tolist(), (band, problem)
+            assert above.tolist() == (k + 1).tolist(), (band, problem)
 
 
 class TestWavenumberRange:
@@ -442,7 +500,26 @@ class TestBisect:
         assert out.tolist() == [1.0, 3.0]
         assert f.batches == []
 
-    def test_same_sign_bracket_rejected(self):
-        with pytest.raises(ValueError, match="no sign change"):
-            a, b = np.array([0.5, 0.1]), np.array([1.5, 0.2])
-            bisect(self._f, a, b, np.array([1.0, 1.0]), np.array([-1.0, 2.0]))
+    def test_first_call_takes_the_ends_and_a_coarse_grid(self):
+        # Three windows sharing ends: 4 ends, each once, and 7 points inside each window.
+        f = Counted(self._f)
+        roots = bisect(f, np.array([0.5, 1.5, 2.5]), np.array([1.5, 2.5, 3.5]))
+        assert roots.tolist() == pytest.approx([math.pi / 3, 2 * math.pi / 3, math.pi], abs=1e-15)
+        first = f.batches[0].tolist()
+        assert len(first) == 4 + 3 * 7 == len(set(first))
+        assert {0.5, 1.5, 2.5, 3.5} <= set(first)
+        # Then secant steps of at most three points per bracket.
+        assert all(batch.size <= 9 for batch in f.batches[1:])
+
+    def test_same_sign_bracket_gives_nan(self):
+        # Given or evaluated, ends of one sign close their bracket at NaN; the other refines.
+        a, b = np.array([0.5, 0.1]), np.array([1.5, 0.2])
+        given = bisect(self._f, a, b, np.array([1.0, 1.0]), np.array([-1.0, 2.0]))
+        f = Counted(self._f)
+        evaluated = bisect(f, a, b)
+        for out in (given, evaluated):
+            assert out[0] == pytest.approx(math.pi / 3, abs=1e-15)
+            assert math.isnan(out[1])
+        # The first call reads both brackets' ends; later calls never return to (0.1, 0.2).
+        assert {0.1, 0.2} <= set(f.batches[0].tolist())
+        assert all(batch.min() > 0.5 for batch in f.batches[1:])
