@@ -32,9 +32,10 @@ MIN_WAVENUMBER = 1e-100
 # theta lam**2 and lam * lam), which overflows from about 1.3e154.
 MAX_WAVENUMBER = 1e100
 
-# Entries one stacked call may hold (256 KiB of doubles): a batch's matrix entries, or the
-# values of a (modes, points) table.  With many cracks or points this caps the wavenumbers
-# or modes per stack, and with it the peak memory of a solve.
+# Entries one stacked call may hold (256 KiB of doubles): a batch's matrix entries, the
+# terms of a block of recovered modes, or the values of a (modes, points) table.  With many
+# cracks or points this caps the wavenumbers or modes per stack, and with it the peak memory
+# of a solve.
 _STACK_ENTRIES = 2**15
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -89,62 +90,97 @@ class ShifrinForm:
 def _layout(problem: BeamProblem) -> tuple[np.ndarray, ...]:
     """(distances, theta, pairs, ones): the wavenumber-free parts of U for one problem.
 
-    The phases are lam times ``distances``: each crack pair x_j - x_i once (i <= j, so the
-    diagonal is distance 0), then pi - x_j, x_j and pi.  ``theta`` is a column,
-    ``pairs[j, i]`` the pair of Delta-block entry (j, i), and ``ones`` the flat indices of
-    the unit entries.  Cached, and read-only since callers share them."""
+    The phases are lam times the column ``distances``: each crack pair x_j - x_i once (i <= j,
+    so the diagonal is distance 0), then pi - x_j, x_j and pi.  ``theta`` is a column,
+    ``pairs[j, i]`` the pair of entry (j, i) of crack row j, the pair (j, j) in the four
+    support columns, and ``ones`` the flat indices of the unit entries.  Cached, and read-only
+    since callers share them."""
     m, size = problem.m, problem.m + 4
     (rows, cols), cracks = np.tril_indices(m), np.arange(m)
     ext = np.array((*problem.positions, math.pi, 0.0))
     ends = np.concatenate((rows, np.full(m, m), cracks, [m]))
     starts = np.concatenate((cols, cracks, np.full(m, m + 1), [m + 1]))
-    pairs = np.zeros((m, m), dtype=np.intp)
+    pairs = np.zeros((m, size), dtype=np.intp)
     pairs[rows, cols] = pairs[cols, rows] = np.arange(len(rows))
+    pairs[:, m:] = pairs[cracks, cracks, None]
     ones = np.ravel_multi_index(([m, m + 1, m + 2], [m + 2, m, m + 3]), (size, size))
-    out = (ext[ends] - ext[starts], np.array(problem.flexibilities)[:, None], pairs, ones)
+    distances = (ext[ends] - ext[starts])[:, None]
+    out = (distances, np.array(problem.flexibilities)[:, None], pairs, ones)
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
+class _Workspace(threading.local):
+    """The calling thread's scratch buffer: see :func:`_scratch`."""
+
+    buffer = np.empty(0)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _scratch(entries: int) -> np.ndarray:
+    """``entries`` doubles of the calling thread's workspace, which grows on demand and is never
+    returned, so later calls reuse its pages.  :func:`_system_stack` keeps its tables there and
+    :func:`_max_abs` the |entries| of a stack, one after the other, so it grows to the largest
+    stack the thread builds: at most ``rootfind._STACK_ENTRIES`` doubles, or one wavenumber's
+    (m+4)**2 where that is more, on the :func:`rootfind._blocks` every solve stage keeps to."""
+    work = _WORKSPACE.buffer
+    if work.size < entries:
+        work = _WORKSPACE.buffer = np.empty(entries)
+    return work[:entries]
+
+
 def _system_stack(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
-    """U(lam) for every wavenumber of the 1-D array ``lams``: shape (n, m+4, m+4).
+    """U(lam) for every wavenumber of the 1-D array ``lams``: a fresh array of shape (n, m+4, m+4).
 
     Crack row j states ``Delta_j = theta_j * phi''(x_j)`` with phi'' expanded into the
     unknowns: g''(u) = -(lam / 4) (sin + exp(-.))(lam |u|) fills the dense Delta block, whose
     diagonal is 1 + theta_j lam / 4.  Hinged supports demand phi = phi'' = 0 at both ends,
     imposed as the +- combinations.  One ``sin`` and one ``exp`` pass cover all phases and
     one ``cos`` pass x_j and pi; lam**2 and e**(-lam pi) use Python pow and ``math.exp``
-    (numpy's round differently), so entries match n = 1 bitwise.
+    (numpy's round differently), so entries match n = 1 bitwise.  The phase table, overwritten
+    by its sines and then by the pair weights, and the exp table live in the calling thread's
+    workspace, (m**2 + 5 m + 2) n doubles, about one stack; the crack rows are gathered and
+    scaled in place in the returned stack, the one array allocated at full size per call.
     """
     m, n, size = problem.m, lams.size, problem.m + 4
     distances, theta, pairs, ones = _layout(problem)
-    k = len(distances) - 2 * m - 1  # crack pairs
-    phase = np.multiply.outer(distances, lams)
-    sin, cos, neg_exp = np.sin(phase), np.cos(phase[k + m :]), np.negative(phase[:-1])
-    np.negative(np.exp(neg_exp, out=neg_exp), out=neg_exp)  # -e**(-lam d)
+    phases = len(distances)
+    k = phases - 2 * m - 1  # crack pairs
+    tables = _scratch(2 * phases * n).reshape(2 * phases, n)
+    sin, neg_exp = tables[:phases], tables[phases:]
+    # ``out`` is positional throughout: numpy parses it faster than the keyword, and at a few
+    # cracks this call is mostly such overhead.
+    np.multiply(distances, lams, sin)  # the phases, until the sin pass
+    cos = np.cos(sin[k + m :])
+    decay_pi = np.fromiter(map(math.exp, np.negative(sin, neg_exp)[-1].tolist()), float, n)
+    np.negative(np.exp(neg_exp, neg_exp), neg_exp)  # -e**(-lam d)
+    np.sin(sin, sin)
     theta_lam2 = theta * np.fromiter(map(pow, lams.tolist(), repeat(2)), float, n)
-    decay_pi = np.fromiter(map(math.exp, (-phase[-1]).tolist()), float, n)
     mat = np.zeros((size, size, n))
     flat = mat.reshape(size * size, n)
     flat[ones] = 1.0
 
     # -theta_j g''(x_j - x_i) for every crack pair, each evaluated once, and the unit diagonal.
-    weight = (sin[:k] - neg_exp[:k]) * (0.25 * lams)
-    np.multiply(weight.take(pairs, axis=0), theta[:, None], out=mat[:m, :m])
+    weight = sin[:k]
+    np.multiply(np.subtract(weight, neg_exp[:k], weight), 0.25 * lams, weight)
+    crack_rows = weight.take(pairs, 0, mat[:m], "clip")  # "raise" would copy the rows first
+    np.multiply(crack_rows, theta[:, None], crack_rows)
     diagonal = flat[: m * (size + 1) : size + 1]
-    np.add(diagonal, 1.0, out=diagonal)
-    np.multiply(theta_lam2, cos[:m], out=mat[:m, m + 0])
-    np.multiply(theta_lam2, sin[k + m : -1], out=mat[:m, m + 1])
-    to_supports = neg_exp[k:].reshape(2, m, n)  # -e**(-lam d) for d = pi - x_j, then x_j
-    np.multiply(theta_lam2, to_supports, out=mat[:m, m + 2 :][:, ::-1].transpose(1, 0, 2))
+    np.add(diagonal, 1.0, diagonal)
+    np.multiply(theta_lam2, cos[:m], mat[:m, m + 0])
+    np.multiply(theta_lam2, sin[k + m : -1], mat[:m, m + 1])
+    to_supports = neg_exp[k:-1].reshape(2, m, n)  # -e**(-lam d) for d = pi - x_j, then x_j
+    np.multiply(theta_lam2, to_supports, mat[:m, m + 2 :][:, ::-1].transpose(1, 0, 2))
 
     # Supports: (lam^2 phi + phi'')/(2 lam^2) kills the oscillatory part and (lam^2 phi -
     # phi'')/(2 lam^2) the decaying part.  Crack i adds -e**(-lam d) / (4 lam) to the first
     # and sin(lam d) / (4 lam) to the second, d = x_i (rows m, m+1) or pi - x_i (m+2, m+3).
     four_lam = 4.0 * lams
-    np.divide(to_supports, four_lam, out=mat[m::2][::-1, :m])
-    np.divide(sin[k:-1].reshape(2, m, n), four_lam, out=mat[m + 1 :: 2][::-1, :m])
+    np.divide(to_supports, four_lam, mat[m::2][::-1, :m])
+    np.divide(sin[k:-1].reshape(2, m, n), four_lam, mat[m + 1 :: 2][::-1, :m])
     mat[m, m + 3] = mat[m + 2, m + 2] = decay_pi
     mat[m + 3, m + 0] = cos[-1]
     mat[m + 3, m + 1] = sin[-1]
@@ -161,14 +197,23 @@ def assemble_system(problem: BeamProblem, lam: float) -> np.ndarray:
     return _system_stack(problem, rootfind.wavenumbers([lam]))[0]
 
 
-def _equilibrated(mat: np.ndarray) -> np.ndarray:
-    """Rows divided by their max-abs entry, for one matrix or a stack of them.
+def _max_abs(entries: np.ndarray, axis: int) -> np.ndarray:
+    """The largest |entry| along ``axis`` of a stack's C-ordered (m+4, m+4, n) ``entries``, kept
+    as a length-1 axis; the |entries| go to the thread's workspace."""
+    return np.abs(entries, _scratch(entries.size).reshape(entries.shape)).max(axis, keepdims=True)
+
+
+def _equilibrated(stack: np.ndarray) -> np.ndarray:
+    """The fresh :func:`_system_stack` result ``stack``, its rows divided in place by their
+    max-abs entry; the caller gives the stack up and keeps the result.
 
     No row can vanish: a crack row's diagonal is 1 + theta_j lam / 4, the next three rows
     hold an exact 1.0, and the last row's largest entry is at least max(|cos lam pi|,
-    |sin lam pi|).  On :func:`_system_stack`'s entry-major layout numpy reduces rows of wavenumbers.
+    |sin lam pi|).  On the stack's entry-major layout numpy reduces rows of wavenumbers.
     """
-    return mat / np.max(np.abs(mat), axis=-1, keepdims=True)
+    entries = stack.transpose(1, 2, 0)
+    np.divide(entries, _max_abs(entries, 1), entries)
+    return stack
 
 
 def char_det(problem: BeamProblem, lams):
@@ -233,23 +278,32 @@ def solve_nullspace(problem: BeamProblem, lam: float) -> ShifrinForm:
 
 def _nullspaces(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
     """(n, m+4) unit-norm nullvectors (Delta_1..Delta_m, A, B, P, Q) of U(lam), of either sign,
-    at the 1-D ``lams``, by one stacked SVD.
+    at the 1-D ``lams``, by stacked SVDs in :func:`rootfind._blocks` of (m+4)**2 entries per root.
 
-    Rows and columns are equilibrated first (neither changes the nullspace direction once
-    the column scaling is undone); this keeps every component of the nullvector resolvable
+    Rows and columns are equilibrated first, in place (neither changes the nullspace direction
+    once the column scaling is undone); this keeps every component of the nullvector resolvable
     even when the exact solution spans many orders of magnitude.  A second near-zero
     singular value is reported as a degenerate eigenvalue at that root, not an error.
     """
-    mats = _equilibrated(_system_stack(problem, lams))
-    col_scale = np.max(np.abs(mats), axis=-2, keepdims=True)
-    col_scale = np.where(col_scale > 0.0, col_scale, 1.0)
-    _, sing, vt = np.linalg.svd(mats / col_scale)
-    vecs = vt[:, -1] / col_scale[:, 0]
-    for lam, s, vec in zip(lams.tolist(), sing, vecs):
-        if s[-2] <= DEGENERACY_RATIO * s[0]:
-            msg = f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue"
-            warnings.warn(msg, RuntimeWarning)  # names shifrin.py whichever path solved
-        vec /= np.linalg.norm(vec)  # per vector: a norm along a stack axis rounds differently
+
+    vecs = np.empty((len(lams), problem.m + 4))
+
+    def nullvectors(block: slice) -> None:
+        mats = _equilibrated(_system_stack(problem, lams[block]))
+        entries = mats.transpose(1, 2, 0)
+        col_scale = _max_abs(entries, 0)
+        col_scale = np.where(col_scale > 0.0, col_scale, 1.0)
+        np.divide(entries, col_scale, entries)
+        _, sing, vt = np.linalg.svd(mats)
+        np.divide(vt[:, -1], col_scale[0].T, out=vecs[block])
+        for lam, s, vec in zip(lams[block].tolist(), sing, vecs[block]):
+            if s[-2] <= DEGENERACY_RATIO * s[0]:
+                msg = f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue"
+                warnings.warn(msg, RuntimeWarning)  # names shifrin.py whichever path solved
+            vec /= np.linalg.norm(vec)  # per vector: a norm along a stack axis rounds differently
+
+    for block in rootfind._blocks(len(lams), (problem.m + 4) ** 2):
+        nullvectors(block)
     return vecs
 
 
@@ -270,7 +324,8 @@ def _eigenpairs(problem: BeamProblem, lams: np.ndarray, vecs: np.ndarray) -> np.
     Q e**(-lam (pi - b)).  With d = lam (a - x_i), a crack x_i <= a gives
     Delta_i / (4 lam) (sin d, cos d, -e**(-d), 0) and a crack x_i >= b gives
     Delta_i / (4 lam) (-sin d, -cos d, 0, -e**(-lam (x_i - b))).  Every crack reaches every
-    interval, with no factor above 1, and the cracks are added in order.
+    interval, with no factor above 1, and the cracks are added in order.  Their (mode, crack,
+    interval, 4) terms are built in :func:`rootfind._blocks` of 4 m (m+1) entries per mode.
     """
     m, bp = problem.m, problem.breakpoints
     left, right = np.array(bp[:-1]), np.array(bp[1:])
@@ -280,15 +335,25 @@ def _eigenpairs(problem: BeamProblem, lams: np.ndarray, vecs: np.ndarray) -> np.
     sin_a, cos_a = np.sin(t), np.cos(t)
     decaying, rising = p * np.exp(-t), q * np.exp(-lams * (math.pi - right))
     rows = np.stack((a * cos_a + b * sin_a, b * cos_a - a * sin_a, decaying, rising), axis=-1)
-    x_i, lams = np.array(problem.positions)[:, None], lams[:, :, None]
-    after, d = left >= x_i, lams * (left - x_i)  # (mode, crack, interval)
-    sign = np.where(after, 1.0, -1.0)
-    reach = -np.exp(lams * np.where(after, x_i - left, right - x_i))
-    sin_d, cos_d = sign * np.sin(d), sign * np.cos(d)
-    terms = np.stack((sin_d, cos_d, np.where(after, reach, 0), np.where(after, 0, reach)), axis=-1)
-    quarters = vecs[:, :m] / (4.0 * lams[:, :, 0])
-    for i, term in enumerate(terms.swapaxes(0, 1)):
-        rows += quarters[:, i, None, None] * term
+    x_i = np.array(problem.positions)[:, None]
+    after = left >= x_i  # (crack, interval)
+    sign, span = np.where(after, 1.0, -1.0), np.where(after, x_i - left, right - x_i)
+    quarters = vecs[:, :m] / (4.0 * lams)
+
+    def add_cracks(block: slice) -> None:
+        lam, out = lams[block, :, None], rows[block]
+        d = lam * (left - x_i)  # (mode, crack, interval)
+        terms = np.zeros((*d.shape, 4))
+        np.multiply(sign, np.sin(d), out=terms[..., 0])
+        np.multiply(sign, np.cos(d, out=d), out=terms[..., 1])
+        reach = np.negative(np.exp(np.multiply(lam, span, out=d), out=d), out=d)
+        np.copyto(terms[..., 2], reach, where=after)
+        np.copyto(terms[..., 3], reach, where=~after)
+        for i, term in enumerate(terms.swapaxes(0, 1)):
+            out += quarters[block, i, None, None] * term
+
+    for block in rootfind._blocks(len(lams), 4 * m * (m + 1)):
+        add_cracks(block)
     return rows
 
 

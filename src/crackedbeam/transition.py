@@ -116,10 +116,13 @@ def _modes_from_roots(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
     size = 4 * (problem.m + 1)
     border = np.sin(np.arange(1.0, size + 1.0))  # fixed, and free of any layout's symmetry
     bordered, rhs = np.outer(border, border), border[:, None]
-    nullvectors = rootfind.blockwise(
-        lambda block: np.linalg.solve(_collocation(problem, block) + bordered, rhs), lams, size**2
-    )
-    return nullvectors.reshape(len(lams), -1, 4)
+
+    def nullvectors(block: np.ndarray) -> np.ndarray:
+        system = _collocation(problem, block)
+        system += bordered  # in place: the collocation stack is fresh
+        return np.linalg.solve(system, rhs)
+
+    return rootfind.blockwise(nullvectors, lams, size**2).reshape(len(lams), -1, 4)
 
 
 def oracle_eigenpairs(problem: BeamProblem, count: int, lam_max: float | None = None) -> Spectrum:

@@ -3,13 +3,18 @@
 ``Spectrum.eval`` evaluates all modes in (modes, points) tables, and ``spectral.mode_checks``
 takes every check per mode from those tables.  The references here are the per-mode loops
 they replaced: one ``PiecewiseForm.eval`` per mode, and ``verify`` as a loop over
-``residual_report``, ``gram_matrix`` and ``a_form``.
+``residual_report``, ``gram_matrix`` and ``a_form``.  The jump-amplitude stacks are built in
+a per-thread workspace: calls that share it, or run in two threads, give the bits of calls
+made alone, and tracemalloc bounds what the stacked stages allocate.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +50,12 @@ def _bits(values) -> bytes:
 def _random_problem(rng, cracks: int) -> BeamProblem:
     positions = np.sort(rng.uniform(0.05, math.pi - 0.05, cracks))
     return BeamProblem(tuple(positions.tolist()), (1.0,) * cracks)
+
+
+def _equal_cracks(cracks: int) -> BeamProblem:
+    """``cracks`` equal cracks, x_j = pi j / (cracks + 1) and theta = 0.2."""
+    positions = tuple(math.pi * j / (cracks + 1) for j in range(1, cracks + 1))
+    return BeamProblem(positions, (0.2,) * cracks)
 
 
 def _random_spectrum(rng, cracks: int, count: int) -> Spectrum:
@@ -98,12 +109,134 @@ class TestStackedEvaluation:
         one_by_one = [transition._modes_from_roots(problem, lams[k : k + 1]) for k in range(40)]
         assert _bits(transition._modes_from_roots(problem, lams)) == _bits(one_by_one)
 
+    @pytest.mark.parametrize("cracks", [1, 2, 30])
+    def test_mode_recovery_blocks_equal_one_unblocked_stack(self, cracks, monkeypatch):
+        # Nullspaces and jump-amplitude modes in blocks of every root, a few and one.
+        problem = _random_problem(np.random.default_rng(cracks), cracks)
+        roots = np.array(shifrin.find_eigenvalues(problem, 12))
+        vecs = shifrin._nullspaces(problem, roots)
+        rows = shifrin._eigenpairs(problem, roots, vecs)
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(rootfind, "_STACK_ENTRIES", 2**62)
+            assert _bits(vecs) == _bits(shifrin._nullspaces(problem, roots))
+            assert _bits(rows) == _bits(shifrin._eigenpairs(problem, roots, vecs))
+
     def test_one_mode_at_a_point_is_a_float(self):
         pair = _random_spectrum(np.random.default_rng(5), 2, 1).pairs[0]
         assert type(pair.eval(1.0)) is float
         grid = np.linspace(0.0, math.pi, 12).reshape(3, 4)
         assert pair.eval(grid, 2).shape == (3, 4)
         assert _bits(pair.eval(grid, 2).ravel()) == _bits(pair.eval(grid.ravel(), 2))
+
+
+def _in_fresh_thread(fn):
+    """``fn()`` run in a thread of its own, so on a workspace no other call has used."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=60.0)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def _stack_calls(problem: BeamProblem, lams: np.ndarray) -> dict[str, bytes]:
+    return {
+        "char_det": _bits(shifrin.char_det(problem, lams)),
+        "root_count": _bits(shifrin.root_count(problem, lams)),
+        "nullspaces": _bits(shifrin._nullspaces(problem, lams)),
+    }
+
+
+class TestWorkspace:
+    """The tables of ``shifrin._system_stack`` and the |entries| that ``_equilibrated`` scales by
+    live in one buffer per thread, reused from call to call."""
+
+    # Two problems of different sizes: the 30-crack calls leave the buffer larger and full of
+    # their own tables, which the 2-crack calls then read only a prefix of.
+    CASES = ((2, np.linspace(0.7, 9.3, 5)), (30, np.linspace(1.05, 9.95, 28)))
+
+    def test_interleaved_calls_equal_calls_made_alone(self):
+        cases = [(_random_problem(np.random.default_rng(m), m), lams) for m, lams in self.CASES]
+        alone = [_in_fresh_thread(lambda c=case: _stack_calls(*c)) for case in cases]
+        for _ in range(3):
+            for case, want in zip(cases, alone):
+                assert _stack_calls(*case) == want
+
+    def test_a_held_stack_never_changes(self):
+        lams = np.linspace(0.5, 6.5, 7)
+        held = shifrin._system_stack(_random_problem(np.random.default_rng(4), 30), lams)
+        before = held.tobytes()
+        for m, other_lams in (*self.CASES, (30, lams[::-1])):
+            other = _random_problem(np.random.default_rng(m), m)
+            _stack_calls(other, other_lams)
+            assert not np.shares_memory(held, shifrin._system_stack(other, other_lams))
+        assert held.tobytes() == before
+
+    def test_two_threads_at_once_give_the_serial_results(self):
+        # Two 30-crack layouts of one full block each: tables of the same size, which a shared
+        # buffer would let the threads overwrite under each other.
+        lams = self.CASES[1][1]
+        cases = [(_random_problem(np.random.default_rng(seed), 30), lams) for seed in (1, 2)]
+        serial = [_bits(shifrin.char_det(*case)) for case in cases]
+        start, results = threading.Barrier(2, timeout=60.0), [[], []]
+
+        def run(k: int) -> None:
+            start.wait()
+            for _ in range(20):
+                results[k].append(_bits(shifrin.char_det(*cases[k])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [[want] * 20 for want in serial]
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes tracemalloc sees ``fn()`` allocate beyond what was live, after one warm-up call
+    (which grows the calling thread's workspace)."""
+    fn()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocation:
+    """Peak allocations of the stacked stages: deterministic for one numpy, unlike page faults."""
+
+    def test_a_full_determinant_block_allocates_about_one_stack(self):
+        # 28 wavenumbers of 30 cracks fill one block: its 253 KiB stack, equilibrated in place.
+        problem, lams = _equal_cracks(30), np.linspace(1.05, 9.95, 28)
+        assert _peak_bytes(lambda: shifrin.char_det(problem, lams)) <= 384 * 1024
+
+    def test_oracle_modes_add_the_border_in_place(self):
+        problem = _equal_cracks(30)
+        roots = np.array(transition.find_eigenvalues(problem, 5))
+        assert _peak_bytes(lambda: transition._modes_from_roots(problem, roots)) < 607 * 1024
+
+    def test_jump_amplitude_modes_are_built_a_block_at_a_time(self):
+        # One (mode, crack, interval, 4) table of all 20 modes would take 6.2 MiB.
+        problem, lams = _equal_cracks(100), np.linspace(1.1, 19.9, 20)
+        vecs = np.random.default_rng(0).standard_normal((20, 104))
+        assert _peak_bytes(lambda: shifrin._eigenpairs(problem, lams, vecs)) <= 1.5 * 2**20
+
+    def test_a_thousand_modes_normalize_within_a_few_tables(self, one_crack_problem):
+        lams = np.sort(np.random.default_rng(1).uniform(0.5, 1000.0, 1000))
+        rows = np.random.default_rng(2).standard_normal((1000, 2, 4))
+        rule = QuadratureRule.for_problem(one_crack_problem, lams.max())
+        bp = one_crack_problem.breakpoints
+        assert _peak_bytes(lambda: modes._normalized(lams, rows, bp, rule)) <= 4 * 2**20
 
 
 def _looped_normalized(lams, rows, breakpoints, rule) -> np.ndarray:
