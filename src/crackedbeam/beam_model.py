@@ -180,6 +180,8 @@ class CrackSpec:
             raise ValidationError(f"crack flexibility {self.theta} must be nonnegative")
         if self.depth_ratio is not None and self.sided not in ("single", "double"):
             raise ValidationError("depth_ratio requires sided = 'single' or 'double'")
+        if self.depth_ratio is None and self.sided is not None:
+            raise ValidationError("sided requires depth_ratio")
 
     def resolve_theta(self, beam: PhysicalBeam | None) -> float:
         """Physical flexibility of this crack, using the beam section if needed."""
@@ -338,15 +340,19 @@ def load_problem(doc: dict) -> tuple[BeamProblem, PhysicalBeam | None]:
         unknown = set(raw) - {"x", "xi", "theta", "mu", "sided"}
         if unknown:
             raise ValidationError(f"crack {i + 1}: unknown keys {', '.join(sorted(unknown))}")
-        theta = raw.get("theta")
+        theta, law = raw.get("theta"), raw  # law: the object that holds mu and sided
         if isinstance(theta, dict):
             unknown = set(theta) - {"mu", "sided"}
             if unknown:
                 raise ValidationError(f"crack {i + 1}: unknown theta keys {', '.join(sorted(unknown))}")
-            depth, sided = theta.get("mu"), theta.get("sided", "double")
-            theta = None
-        else:
-            depth, sided = raw.get("mu"), raw.get("sided", "double")
+            if {"mu", "sided"} & set(raw):
+                raise ValidationError(
+                    f"crack {i + 1}: give mu and sided inside theta or beside it, not both"
+                )
+            theta, law = None, theta
+        depth, sided = law.get("mu"), law.get("sided", "double")
+        if depth is None and "sided" in law:
+            raise ValidationError(f"crack {i + 1}: sided needs mu")
         cracks.append(
             CrackSpec(
                 x=_optional_real(raw.get("x"), f"crack {i + 1}: x"),

@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-# A bracket's first call takes _FIRST_GRID evenly spaced points inside it, and its ends if
-# they are not yet evaluated.  A secant step that left more than a quarter of its bracket was
-# mispredicted: the next call takes _GRID evenly spaced points instead.
+# A bracket's first call takes its ends and _FIRST_GRID evenly spaced points inside it.  A
+# secant step that left more than a quarter of its bracket was mispredicted: the next call
+# takes _GRID evenly spaced points instead.
 _FIRST_GRID = 7
 _GRID = 15
 
@@ -90,13 +90,12 @@ def _closed(a: float, b: float, fa: float, fb: float):
     return None if fa < 0.0 < fb or fb < 0.0 < fa else math.nan
 
 
-def bisect(f, a, b, fa=None, fb=None):
+def bisect(f, a, b):
     """Refine every sign-change bracket [a_k, b_k] in lockstep to adjacent doubles.
 
-    ``a`` and ``b`` are scalars or equal-length 1-D arrays, and so are ``fa`` and ``fb``, the
-    values of ``f`` at them, if the caller has them.  Each call of ``f`` evaluates a few points
-    of every bracket still open.  The first call evaluates a grid of ``_FIRST_GRID`` points
-    inside each bracket, and its ends if not given; an end that a bracket shares with the one
+    ``a`` and ``b`` are equal-length 1-D arrays of bracket ends.  Each call of ``f`` evaluates
+    a few points of every bracket still open.  The first call evaluates each bracket's ends
+    and a grid of ``_FIRST_GRID`` points inside it; an end that a bracket shares with the one
     before it is evaluated once.  Every later call is a safeguarded two-sided secant step: the
     regula-falsi guess, moved to the adjacent double if it rounds onto an end, and the guess
     plus and minus four times its error estimated from the divided difference through the
@@ -104,38 +103,28 @@ def bisect(f, a, b, fa=None, fb=None):
     it gets a grid of ``_GRID`` points instead, and one with at most ``_ENUMERATE`` doubles
     left has all of them evaluated.  The bracket becomes the first pair of consecutive points
     across which ``f`` changes sign.  It closes at an exact zero of ``f``, or at 0.5 (a + b)
-    once a and b are adjacent doubles: wherever the sign of ``f`` changes exactly once, that
-    is the root plain bisection finds.  A bracket whose ends are of one sign, or NaN, gives
-    NaN.
+    once a and b are adjacent doubles, after the first call at the latest: wherever the sign
+    of ``f`` changes exactly once, that is the root plain bisection finds.  A bracket whose
+    ends are of one sign, or NaN, gives NaN.
     """
-    scalar = np.ndim(a) == 0
-    a, b = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (a, b))
-    if fa is None:
-        fa, fb = [None] * len(a), [None] * len(a)
-    else:
-        fa, fb = (np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in (fa, fb))
-    out = [None if fa[k] is None else _closed(a[k], b[k], fa[k], fb[k]) for k in range(len(a))]
+    a, b = (np.asarray(v, dtype=float).tolist() for v in (a, b))
+    fa, fb, out = [0.0] * len(a), [0.0] * len(a), [None] * len(a)
     c, fc, shrunk = [None] * len(a), [0.0] * len(a), [False] * len(a)
-    live = [k for k in range(len(a)) if out[k] is None]
+    live = list(range(len(a)))
     while live:
         todo, flat = [], []  # (bracket, its points, where they start in flat)
         for k in live:
             xs = _points(a[k], b[k], fa[k], fb[k], c[k], fc[k], shrunk[k])
-            if fa[k] is None:
+            if c[k] is None:
                 xs = [a[k], *xs, b[k]]
-            elif not xs:
-                out[k] = 0.5 * (a[k] + b[k])
-                continue
             shared = int(bool(flat) and flat[-1] == xs[0])  # an end the last bracket shares
             todo.append((k, xs, len(flat) - shared))
             flat.extend(xs[shared:])
-        if not todo:
-            break
         values = np.asarray(f(np.array(flat)), dtype=float).tolist()
         live = []
         for k, xs, start in todo:
             fxs = values[start : start + len(xs)]
-            if fa[k] is None:
+            if c[k] is None:
                 fa[k], fb[k] = fxs[0], fxs[-1]
                 out[k] = _closed(a[k], b[k], fa[k], fb[k])
                 if out[k] is not None:
@@ -149,13 +138,16 @@ def bisect(f, a, b, fa=None, fb=None):
                 out[k] = xs[i]
                 continue
             lo, hi = xs[i - 1], xs[i]
+            if math.nextafter(lo, hi) == hi:  # adjacent doubles: no point left inside
+                out[k] = 0.5 * (lo + hi)
+                continue
             shrunk[k] = hi - lo <= 0.25 * (b[k] - a[k])
             # The outside point nearest the new bracket, for the next secant error estimate.
             left = i > 1 and (i + 1 == len(xs) or lo - xs[i - 2] <= xs[i + 1] - hi)
             j = i - 2 if left else i + 1
             a[k], b[k], fa[k], fb[k], c[k], fc[k] = lo, hi, fxs[i - 1], fxs[i], xs[j], fxs[j]
             live.append(k)
-    return out[0] if scalar else np.array(out)
+    return np.array(out)
 
 
 def wavenumbers(lams) -> np.ndarray:
@@ -210,9 +202,10 @@ def find_roots(f, count: int, lam_max: float | None, counter):
     1.5 ... count + 0.5, cut at ``lam_max``; windows holding several roots, or starting at 0,
     where no determinant can be evaluated, are halved on the count in lockstep, and every
     one-root window is refined on ``f`` by :func:`bisect`, whose first call evaluates the
-    windows' ends: ``f`` is called nowhere else.  :class:`RootCountError` carries the roots
-    below the first window that failed: a count that is NaN or falls, roots one double apart,
-    or ``f`` of one sign, or NaN, at the ends of a one-root window.
+    windows' ends, and which closes a window of two adjacent doubles at its midpoint: ``f``
+    is called nowhere else.  :class:`RootCountError` carries the roots below the first window
+    that failed: a count that is NaN or falls, roots that no halving point between doubles
+    can part, or ``f`` of one sign, or NaN, at the ends of a one-root window.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

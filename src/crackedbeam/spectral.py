@@ -70,16 +70,16 @@ class _Rows:
     def __init__(self, *pairs):
         self.pairs = pairs
 
-    def eval(self, x, order: int = 0, side: str = "R", reduce=None) -> np.ndarray:
+    def eval(self, x, order: int = 0, side: str = "R") -> np.ndarray:
         table = np.empty((len(self.pairs), np.size(x)))  # filled in place: no second table
         for row, f in zip(table, self.pairs):
             row[:] = f.eval(x, order, side)
-        return table if reduce is None else np.array([reduce(row) for row in table])
+        return table
 
 
 def _pairings(u, v, rule: QuadratureRule, order: int) -> np.ndarray:
     """Per mode k of the stacks ``u`` and ``v``: rule.integrate(u_k * v_k), order-th derivatives."""
-    if v is u:  # then no table of every mode at every node is formed
+    if v is u:  # one Spectrum: no table of every mode at every node is formed
         return u.eval(rule.nodes, order, reduce=lambda f: rule.integrate(f * f))
     pairs = zip(u.eval(rule.nodes, order), v.eval(rule.nodes, order))
     return np.array([rule.integrate(a * c) for a, c in pairs])

@@ -209,6 +209,10 @@ class TestCrackSpec:
         assert double.resolve_theta(beam) == pytest.approx(flexibility_double_sided(0.2, 0.25))
         assert single.resolve_theta(beam) == pytest.approx(flexibility_single_sided(0.2, 0.5))
 
+    def test_sided_needs_depth_ratio(self):
+        with pytest.raises(ValidationError, match="sided requires depth_ratio"):
+            CrackSpec(x=1.0, theta=0.1, sided="single")
+
 
 PHYSICAL = {"L": 2.0, "E": 1.0, "rho": 1.0, "A": 1.0, "I": 1.0, "H": 0.5}
 
@@ -270,6 +274,28 @@ class TestLoadProblem:
     def test_each_input_check_names_its_fault(self, doc, message):
         with pytest.raises(ValidationError, match=message):
             load_problem(doc)
+
+    @pytest.mark.parametrize(
+        "crack, message",
+        [
+            # Each of these was read without a word, one of its keys dropped.
+            ({"sided": "single", "theta": {"mu": 0.2}}, "inside theta or beside it"),
+            ({"mu": 0.5, "theta": {"mu": 0.2, "sided": "single"}}, "inside theta or beside it"),
+            ({"theta": 0.3, "sided": "single"}, "sided needs mu"),
+            ({"theta": {"sided": "single"}}, "sided needs mu"),
+        ],
+    )
+    def test_depth_keys_at_two_levels_are_rejected(self, crack, message):
+        doc = {"beam": PHYSICAL, "cracks": [{"xi": 0.5, "theta": 0.1}, {"xi": 1.0, **crack}]}
+        with pytest.raises(ValidationError, match=f"crack 2: .*{message}"):
+            load_problem(doc)
+
+    def test_depth_keys_at_either_level_give_one_flexibility(self):
+        beside = {"xi": 1.0, "mu": 0.2, "sided": "single"}
+        inside = {"xi": 1.0, "theta": {"mu": 0.2, "sided": "single"}}
+        problems = [load_problem({"beam": PHYSICAL, "cracks": [c]})[0] for c in (beside, inside)]
+        assert problems[0].flexibilities == problems[1].flexibilities
+        assert problems[0].flexibilities[0] == flexibility_single_sided(0.2, 0.5) * math.pi / 2.0
 
     def test_zero_wavenumber_has_no_frequency(self):
         beam = PhysicalBeam(length=2.0, young_modulus=1.0, density=1.0, area=1.0, inertia=1.0)
