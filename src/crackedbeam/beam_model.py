@@ -199,14 +199,17 @@ class BeamProblem:
     """Cracked hinged beam on the reference interval ``(0, pi)``.
 
     ``positions`` are strictly increasing crack locations in ``(0, pi)`` and
-    ``flexibilities`` the matching positive, finite spring flexibilities.  An empty
-    problem is the uniform beam.
+    ``flexibilities`` the matching positive, finite spring flexibilities, each kept as a
+    tuple of floats whatever sequence it is given as.  An empty problem is the uniform beam.
     """
 
     positions: tuple[float, ...] = ()
     flexibilities: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # Tuples of floats keep the problem hashable: the solvers cache per problem.
+        object.__setattr__(self, "positions", tuple(map(float, self.positions)))
+        object.__setattr__(self, "flexibilities", tuple(map(float, self.flexibilities)))
         if len(self.positions) != len(self.flexibilities):
             raise ValidationError(
                 f"{len(self.positions)} positions but {len(self.flexibilities)} flexibilities"
@@ -216,10 +219,10 @@ class BeamProblem:
             if not POSITION_TOL < x < math.pi - POSITION_TOL:
                 bad.append(f"x_{i + 1} = {x} not interior to (0, pi)")
         for i in range(1, len(self.positions)):
-            if self.positions[i] - self.positions[i - 1] < POSITION_TOL:
-                bad.append(
-                    f"x_{i} = {self.positions[i - 1]} and x_{i + 1} = {self.positions[i]} coincide"
-                )
+            gap = self.positions[i] - self.positions[i - 1]
+            if gap < POSITION_TOL:
+                pair = f"x_{i} = {self.positions[i - 1]} and x_{i + 1} = {self.positions[i]}"
+                bad.append(f"{pair} {'are out of order' if gap < 0.0 else 'coincide'}")
         for i, theta in enumerate(self.flexibilities):
             if not 0.0 < theta < math.inf:
                 bad.append(
@@ -277,7 +280,11 @@ def nondimensionalize(beam: PhysicalBeam, cracks: list[CrackSpec]) -> BeamProble
             )
         if not 0.0 < crack.xi < beam.length:
             raise ValidationError(f"crack {i + 1}: xi = {crack.xi} outside (0, {beam.length})")
-        pairs.append((scale * crack.xi, scale * crack.resolve_theta(beam)))
+        try:
+            theta = crack.resolve_theta(beam)
+        except ValidationError as exc:
+            raise ValidationError(f"crack {i + 1}: {exc}") from None
+        pairs.append((scale * crack.xi, scale * theta))
     return _assemble_problem(pairs)
 
 
@@ -353,15 +360,18 @@ def load_problem(doc: dict) -> tuple[BeamProblem, PhysicalBeam | None]:
         depth, sided = law.get("mu"), law.get("sided", "double")
         if depth is None and "sided" in law:
             raise ValidationError(f"crack {i + 1}: sided needs mu")
-        cracks.append(
-            CrackSpec(
-                x=_optional_real(raw.get("x"), f"crack {i + 1}: x"),
-                xi=_optional_real(raw.get("xi"), f"crack {i + 1}: xi"),
-                theta=_optional_real(theta, f"crack {i + 1}: theta"),
-                depth_ratio=_optional_real(depth, f"crack {i + 1}: mu"),
-                sided=None if depth is None else sided,
+        try:
+            cracks.append(
+                CrackSpec(
+                    x=_optional_real(raw.get("x"), "x"),
+                    xi=_optional_real(raw.get("xi"), "xi"),
+                    theta=_optional_real(theta, "theta"),
+                    depth_ratio=_optional_real(depth, "mu"),
+                    sided=None if depth is None else sided,
+                )
             )
-        )
+        except ValidationError as exc:
+            raise ValidationError(f"crack {i + 1}: {exc}") from None
 
     if nondim:
         if beam is not None:

@@ -82,14 +82,6 @@ def _points(a: float, b: float, fa: float, fb: float, c, fc: float, shrunk: bool
     return _grid(a, b, _GRID)
 
 
-def _closed(a: float, b: float, fa: float, fb: float):
-    """Where the bracket [a, b] closes before any point inside it is read: at an end where
-    ``f`` is zero, or NaN when its ends are of one sign or NaN; None when it needs refining."""
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    return None if fa < 0.0 < fb or fb < 0.0 < fa else math.nan
-
-
 def bisect(f, a, b):
     """Refine every sign-change bracket [a_k, b_k] in lockstep to adjacent doubles.
 
@@ -102,10 +94,11 @@ def bisect(f, a, b):
     nearest point outside the bracket.  A bracket whose last step left more than a quarter of
     it gets a grid of ``_GRID`` points instead, and one with at most ``_ENUMERATE`` doubles
     left has all of them evaluated.  The bracket becomes the first pair of consecutive points
-    across which ``f`` changes sign.  It closes at an exact zero of ``f``, or at 0.5 (a + b)
-    once a and b are adjacent doubles, after the first call at the latest: wherever the sign
-    of ``f`` changes exactly once, that is the root plain bisection finds.  A bracket whose
-    ends are of one sign, or NaN, gives NaN.
+    across which ``f > 0`` flips: a zero counts with the non-positive side.  It closes only
+    at 0.5 (a + b) once a and b are adjacent doubles, after the first call at the latest:
+    wherever the sign of ``f`` changes exactly once, that is the root plain bisection finds,
+    and an exact zero inside the bracket comes back within one ulp.  A bracket whose ends are
+    not of strictly opposite signs (one sign, a zero or NaN) gives NaN.
     """
     a, b = (np.asarray(v, dtype=float).tolist() for v in (a, b))
     fa, fb, out = [0.0] * len(a), [0.0] * len(a), [None] * len(a)
@@ -126,17 +119,14 @@ def bisect(f, a, b):
             fxs = values[start : start + len(xs)]
             if c[k] is None:
                 fa[k], fb[k] = fxs[0], fxs[-1]
-                out[k] = _closed(a[k], b[k], fa[k], fb[k])
-                if out[k] is not None:
+                if not (fa[k] < 0.0 < fb[k] or fb[k] < 0.0 < fa[k]):
+                    out[k] = math.nan
                     continue
             else:
                 xs, fxs = [a[k], *xs, b[k]], [fa[k], *fxs, fb[k]]
             i, positive = 1, fa[k] > 0.0
-            while fxs[i] != 0.0 and (fxs[i] > 0.0) == positive:
+            while (fxs[i] > 0.0) == positive:
                 i += 1
-            if fxs[i] == 0.0:
-                out[k] = xs[i]
-                continue
             lo, hi = xs[i - 1], xs[i]
             if math.nextafter(lo, hi) == hi:  # adjacent doubles: no point left inside
                 out[k] = 0.5 * (lo + hi)
@@ -202,10 +192,11 @@ def find_roots(f, count: int, lam_max: float | None, counter):
     1.5 ... count + 0.5, cut at ``lam_max``; windows holding several roots, or starting at 0,
     where no determinant can be evaluated, are halved on the count in lockstep, and every
     one-root window is refined on ``f`` by :func:`bisect`, whose first call evaluates the
-    windows' ends, and which closes a window of two adjacent doubles at its midpoint: ``f``
-    is called nowhere else.  :class:`RootCountError` carries the roots below the first window
-    that failed: a count that is NaN or falls, roots that no halving point between doubles
-    can part, or ``f`` of one sign, or NaN, at the ends of a one-root window.
+    windows' ends, and which closes only on a sign change of ``f``, at the midpoint of two
+    adjacent doubles: ``f`` is called nowhere else.  :class:`RootCountError` carries the roots
+    below the first window that failed: a count that is NaN or falls, roots that no halving
+    point between doubles can part, or ends of a one-root window where ``f`` is not of
+    strictly opposite signs, such as an end where it underflows to exactly 0.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

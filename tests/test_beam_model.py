@@ -15,6 +15,7 @@ from crackedbeam import (
     CrackSpec,
     PhysicalBeam,
     ValidationError,
+    compute_spectrum,
     flexibility_double_sided,
     flexibility_single_sided,
     load_problem,
@@ -111,6 +112,28 @@ class TestBeamProblem:
     def test_invalid_geometry_rejected(self, positions, flexibilities):
         with pytest.raises(ValidationError):
             BeamProblem(positions=positions, flexibilities=flexibilities)
+
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_any_sequence_is_kept_as_a_tuple_of_floats(self, kind):
+        problem = BeamProblem(kind([1.0, 2.0]), kind([0.3, 0.2]))
+        assert problem == BeamProblem((1.0, 2.0), (0.3, 0.2))
+        assert all(type(v) is float for v in (*problem.positions, *problem.flexibilities))
+        # The solvers cache per problem, so it must hash.
+        spectrum = compute_spectrum(BeamProblem(kind([1.0]), kind([0.3])), 2)
+        expected = compute_spectrum(BeamProblem((1.0,), (0.3,)), 2)
+        assert spectrum.lambdas.tolist() == expected.lambdas.tolist()
+
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            ((2.0, 1.0), "x_1 = 2.0 and x_2 = 1.0 are out of order"),
+            ((1.0, 1.0), "x_1 = 1.0 and x_2 = 1.0 coincide"),
+            ((1.0, 1.0 + 1e-10), "coincide"),
+        ],
+    )
+    def test_positions_out_of_order_or_coincident_are_named(self, positions, message):
+        with pytest.raises(ValidationError, match=message):
+            BeamProblem(positions, (0.1, 0.1))
 
     def test_nan_flexibility_is_rejected_not_elided(self):
         with pytest.raises(ValidationError):
@@ -289,6 +312,28 @@ class TestLoadProblem:
         doc = {"beam": PHYSICAL, "cracks": [{"xi": 0.5, "theta": 0.1}, {"xi": 1.0, **crack}]}
         with pytest.raises(ValidationError, match=f"crack 2: .*{message}"):
             load_problem(doc)
+
+    @pytest.mark.parametrize(
+        "beam, crack, message",
+        [
+            (None, {"x": 2.0}, "exactly one of theta or depth_ratio"),
+            (None, {"x": 2.0, "xi": 1.0, "theta": 0.2}, r"exactly one of x \(reference\) or xi"),
+            (None, {"x": 1.0, "theta": -0.3}, "flexibility -0.3 must be nonnegative"),
+            (None, {"x": "1.0", "theta": 0.3}, "x must be a finite number, not '1.0'"),
+            ("no H", {"xi": 0.5, "mu": 0.2}, "need a beam with a section height"),
+            (PHYSICAL, {"xi": 1.0, "mu": 0.995}, r"depth 0.995 outside \[0, 0.99\]"),
+            (PHYSICAL, {"xi": 1.0, "mu": 0.2, "sided": "triple"}, "requires sided = 'single'"),
+        ],
+    )
+    def test_every_crack_error_names_its_crack_once(self, beam, crack, message):
+        if beam == "no H":
+            beam = {k: v for k, v in PHYSICAL.items() if k != "H"}
+        doc = {"cracks": [{"x": 0.5, "theta": 0.1}, crack]}
+        if beam is not None:
+            doc = {"beam": beam, "cracks": [{"xi": 0.5, "theta": 0.1}, crack]}
+        with pytest.raises(ValidationError, match=f"^crack 2: .*{message}") as info:
+            load_problem(doc)
+        assert str(info.value).count("crack 2:") == 1
 
     def test_depth_keys_at_either_level_give_one_flexibility(self):
         beside = {"xi": 1.0, "mu": 0.2, "sided": "single"}

@@ -61,18 +61,15 @@ class Counted:
 
 
 def _scalar_bisect(f, a, b, fa, fb):
-    """Plain one-bracket bisection to adjacent doubles, the reference for the refinement."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
+    """Plain one-bracket bisection to adjacent doubles, the reference for the refinement: a
+    zero counts with the non-positive side, and ends not of strictly opposite signs give NaN."""
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        return math.nan
     while True:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
         fm = f(mid)
-        if fm == 0.0:
-            return mid
         if (fm > 0.0) == (fa > 0.0):
             a, fa = mid, fm
         else:
@@ -192,6 +189,18 @@ class TestFindRoots:
             find_roots(f, 2, 3.0, counter)
         assert info.value.found == pytest.approx([0.3], abs=1e-15)
         assert "lost roots below the ceiling" in str(info.value)
+
+    def test_determinant_that_underflows_to_zero_loses_the_roots_above(self):
+        # f is exactly 0 from 2.8 upward, as a determinant that underflows: the window end 3.5
+        # reads 0, so neither window past 2.5 holds a sign change, and no end is a root.
+        f, counter = _polynomial([1.2, 2.3, 3.1, 4.4])
+
+        def underflowing(lams):
+            return np.where(lams < 2.8, f(lams), 0.0)
+
+        with pytest.raises(RootCountError, match="lost roots") as info:
+            find_roots(underflowing, 4, None, counter)
+        assert info.value.found == pytest.approx([1.2, 2.3], abs=1e-15)
 
     def test_roots_one_ulp_apart_give_roots_or_a_root_count_error(self):
         # Sign changes between r1 and the double after it, r2, and between r2 and the next:
@@ -403,7 +412,7 @@ class TestBisect:
     )
     def test_every_root_closes_on_a_sign_change(self, family, zeros, noise, steepness, ends):
         # Where the sign of f is noise, the secant steps go wrong; the result must still be
-        # an exact zero or one end of a sign change between adjacent doubles.
+        # one end of a sign change between adjacent doubles.
         r1, r2, r3 = zeros
         h = {
             "noisy-cubic": lambda x: (x - r1) * (x - r2) * (x - r3) + noise * math.sin(1e13 * x),
@@ -417,9 +426,7 @@ class TestBisect:
         for lo, hi, x in zip(a.tolist(), b.tolist(), roots.tolist()):
             assert lo <= x <= hi
             neighbours = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
-            assert h(x) == 0.0 or any(
-                lo <= y <= hi and (h(y) > 0.0) != (h(x) > 0.0) for y in neighbours
-            )
+            assert any(lo <= y <= hi and (h(y) > 0.0) != (h(x) > 0.0) for y in neighbours)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -509,14 +516,27 @@ class TestBisect:
     def test_mispredicted_paths_match_scalar(self, h, a, b):
         _assert_matches_scalar(h, a, b)
 
-    def test_zero_end_closes_after_the_first_call(self):
-        # The first call reads every end: a bracket with a zero end closes there and is never
-        # evaluated again, while the one beside them refines.
+    def test_zero_end_gives_nan_after_the_first_call(self):
+        # The first call reads every end: a bracket with a zero end holds no sign change, so
+        # it gives NaN and is never evaluated again, while the one beside them refines, to
+        # within one ulp of the exact zero at 4.
         f = Counted(lambda x: (x - 1.0) * (x - 3.0) * (x - 4.0))
         out = bisect(f, np.array([1.0, 2.0, 3.3]), np.array([2.0, 3.0, 4.6]))
-        assert out.tolist() == [1.0, 3.0, 4.0]
+        assert math.isnan(out[0]) and math.isnan(out[1])
+        assert out[2] in (4.0, math.nextafter(4.0, 5.0))
         assert f.batches[0].size == 5 + 3 * 7
         assert all(batch.min() > 3.3 for batch in f.batches[1:])
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    @pytest.mark.parametrize("zero", [1.0, 1.3, math.pi, 2.75])
+    def test_exact_zero_inside_a_bracket_comes_back_within_one_ulp(self, zero, slope):
+        # A zero counts with the non-positive side, so the sign change closes next to it.
+        def h(x):
+            return slope * (x - zero)
+
+        root = bisect(_pointwise(h), np.array([0.5]), np.array([3.5]))[0]
+        assert math.nextafter(zero, 0.0) <= root <= math.nextafter(zero, 4.0)
+        assert root == _scalar_bisect(h, 0.5, 3.5, h(0.5), h(3.5))
 
     def test_first_call_takes_the_ends_and_a_coarse_grid(self):
         # Three windows sharing ends: 4 ends, each once, and 7 points inside each window.
