@@ -1,11 +1,11 @@
 """Root isolation by an exact count of roots, and lockstep refinement of each root's bracket.
 
 A count N(lam) of the roots below lam puts them in unit windows, and halving a window on the
-count parts roots however close they lie.  Each one-root window is then a bracket that
-safeguarded two-sided secant steps refine to adjacent doubles, all brackets in lockstep: one
-call of the determinant evaluates a few points of every open bracket, the first call every
-window's ends and a coarse grid inside it.  Wherever the sign of the determinant changes
-exactly once, the root is the one bisection finds.  Every function here takes a 1-D array of
+count parts roots however close they lie.  The windows depend on the problem, not on its
+determinant, so :func:`isolate` finds them once for both solvers.  :func:`find_roots` refines
+every one-root window to adjacent doubles by safeguarded two-sided secant steps in lockstep:
+one call of the determinant evaluates a few points of every open bracket, the first call every
+window's ends and a coarse grid inside it.  Every function here takes a 1-D array of
 wavenumbers to the array of values.
 """
 
@@ -182,21 +182,19 @@ def _off_integers(lams: np.ndarray) -> np.ndarray:
     return np.where(lams == np.round(lams), lams * (1.0 - 2.0**-30), lams)
 
 
-def find_roots(f, count: int, lam_max: float | None, counter):
-    """First ``count`` positive roots of ``f`` below ``lam_max``, isolated by ``counter``.
+def isolate(count: int, lam_max: float | None, counter) -> tuple:
+    """(lo, hi, count, lam_max, lost): the one-root windows [lo[k], hi[k]], in order, of the
+    first ``count`` positive roots below ``lam_max``, by ``counter``; ``lost``: a window missing
+    from them lost its roots, which a higher ceiling would not find.
 
     The one rule of a solve's limits: ``count`` must be at least 1, and ``lam_max`` is a
     :func:`wavenumbers` value, or None for the default ceiling count + 1.  ``counter`` gives
     the number of roots below each wavenumber, NaN where it cannot tell, and the count-th root
     must lie below count + 0.5, as interlacing puts a hinged beam's.  One call counts at 0.5,
     1.5 ... count + 0.5, cut at ``lam_max``; windows holding several roots, or starting at 0,
-    where no determinant can be evaluated, are halved on the count in lockstep, and every
-    one-root window is refined on ``f`` by :func:`bisect`, whose first call evaluates the
-    windows' ends, and which closes only on a sign change of ``f``, at the midpoint of two
-    adjacent doubles: ``f`` is called nowhere else.  :class:`RootCountError` carries the roots
-    below the first window that failed: a count that is NaN or falls, roots that no halving
-    point between doubles can part, or ends of a one-root window where ``f`` is not of
-    strictly opposite signs, such as an end where it underflows to exactly 0.
+    where no determinant can be evaluated, are halved on the count in lockstep.  They end below
+    the first that failed (a count NaN or falling, or roots no halving point parts); a count
+    that fails at a ceiling where e**(-lam pi) rounds to 1 asks for a higher ceiling instead.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -204,13 +202,14 @@ def find_roots(f, count: int, lam_max: float | None, counter):
     top = min(count + 0.5, lam_max)
     pts = _off_integers(np.array([0.0, *(k + 0.5 for k in range(count) if k + 0.5 < top), top]))
     below = np.concatenate(([0.0], counter(pts[1:])))  # roots below each point
-    lost = False
+    lost = top < lam_max  # interlacing puts the count-th root below count + 0.5
     while True:
         rises = np.diff(below)
         failed = ~(rises >= 0.0)  # no root above a count that is NaN or falls can be placed
         if failed.any():
             keep = int(np.argmax(failed)) + 1
-            pts, below, rises, lost = pts[:keep], below[:keep], rises[: keep - 1], True
+            pts, below, rises = pts[:keep], below[:keep], rises[: keep - 1]
+            lost = lost or math.exp(-top * math.pi) < 1.0  # the count's floor: only top is at fault
         split = (rises > 1.0) | ((pts[:-1] == 0.0) & (rises > 0.0))
         split = np.flatnonzero(split & (below[:-1] < count))
         if not split.size:
@@ -222,11 +221,17 @@ def find_roots(f, count: int, lam_max: float | None, counter):
         pts, below = np.insert(pts, split + 1, mids), np.insert(below, split + 1, counts)
 
     one = np.flatnonzero((rises == 1.0) & (below[:-1] < count))
-    roots = bisect(f, pts[one], pts[one + 1])
+    return tuple(pts[one].tolist()), tuple(pts[one + 1].tolist()), count, lam_max, lost
+
+
+def find_roots(f, windows: tuple):
+    """The root of ``f`` in each of the :func:`isolate` ``windows``, by :func:`bisect`, which
+    makes every call of ``f``.  Short of the count, :class:`RootCountError` carries the roots
+    below the first window whose ends ``f`` does not give strictly opposite signs, or all."""
+    lo, hi, count, lam_max, lost = windows
+    roots = bisect(f, lo, hi)
     good = int(np.argmax(np.append(np.isnan(roots), True)))  # below the first window lost
-    roots = roots[:good].tolist()
-    if len(roots) < count:
-        # Interlacing puts the count-th root below count + 0.5: a count short of it failed.
-        raise RootCountError(count, roots, lam_max, lost=lost or good < one.size or top < lam_max)
+    if good < count:
+        raise RootCountError(count, roots[:good].tolist(), lam_max, lost or good < roots.size)
     # The empty list keeps the (roots, diagnostics) shape the benchmark's span hooks unpack.
-    return roots, []
+    return roots.tolist(), []

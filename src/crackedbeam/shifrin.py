@@ -256,12 +256,17 @@ def root_count(problem: BeamProblem, lams):
     return rootfind.blockwise(count, lams, (m + 4) ** 2)
 
 
+@functools.lru_cache(maxsize=1)
+def _isolated(problem: BeamProblem, count: int, lam_max: float | None) -> tuple:
+    """The :func:`rootfind.isolate` windows by :func:`root_count`, kept for the last problem."""
+    return rootfind.isolate(count, lam_max, functools.partial(root_count, problem))
+
+
 def first_roots(det, problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:
-    """First ``count`` roots of ``det(problem, lams)``, isolated by :func:`root_count`, below
-    ``lam_max``; :func:`rootfind.find_roots` checks ``count`` and reads None as its default
-    ceiling, count + 1 (interlacing puts the count-th root at or below count)."""
-    counter = functools.partial(root_count, problem)
-    return rootfind.find_roots(lambda lams: det(problem, lams), count, lam_max, counter)[0]
+    """First ``count`` roots of ``det(problem, lams)`` below ``lam_max`` (None: count + 1), in
+    the windows of :func:`_isolated`: a second solver of the problem counts nothing."""
+    windows = _isolated(problem, count, lam_max if lam_max is None else float(lam_max))
+    return rootfind.find_roots(lambda lams: det(problem, lams), windows)[0]
 
 
 def find_eigenvalues(problem: BeamProblem, count: int, lam_max: float | None = None) -> list[float]:

@@ -5,8 +5,8 @@ cyclic shift) and a crack adds t s_2 to s_1, t = theta lam.  The determinant is 
 pi of the plane e_1 ^ e_3 left free by the hinged start, whose six 2x2 minors the chain carries (the
 compound-matrix method, Ng & Reid, J. Comput. Phys. 30, 1979) in a basis where no factor grows, so
 no growing columns cancel.  Modes are the nullvectors of the collocation system in the PiecewiseForm
-coefficients.  The two solvers share the count that isolates their roots (shifrin.root_count), but
-not their determinants or their modes: their agreeing is a real check.
+coefficients.  The solvers share the windows shifrin.root_count isolates, once per problem, but not
+their determinants or their modes: their agreeing is a real check.
 """
 
 from __future__ import annotations

@@ -12,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from crackedbeam import BeamProblem, compute_spectrum
+from crackedbeam import BeamProblem, compute_spectrum, shifrin
+
+
+@pytest.fixture(autouse=True)
+def fresh_isolation():
+    """No test starts with the windows another test's solve isolated: a test that patches the
+    count or the stack bound sees its own isolation."""
+    shifrin._isolated.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from crackedbeam import (
     transition,
     transition_matrix,
 )
-from crackedbeam.rootfind import RootCountError, bisect, find_roots
+from crackedbeam.rootfind import RootCountError, bisect, find_roots, isolate
 
 ROOT = Path(__file__).resolve().parents[1]
 # float.hex of every root of each fixture, by solver and mode count.
@@ -113,7 +113,7 @@ class TestFindRoots:
         # Two roots share the unit window (0.5, 1.5] and lie 1e-9 apart; a third is alone.
         f, counter = _polynomial([0.8, 0.8 + 1e-9, 2.2])
         counted, det = Counted(counter), Counted(f)
-        roots, diagnostics = find_roots(det, 3, 4.0, counted)
+        roots, diagnostics = find_roots(det, isolate(3, 4.0, counted))
         assert diagnostics == []
         assert roots == pytest.approx([0.8, 0.8 + 1e-9, 2.2], abs=1e-15)
         assert counted.batches[0].tolist() == [0.5, 1.5, 2.5, 3.5]
@@ -126,14 +126,14 @@ class TestFindRoots:
     def test_window_at_zero_is_halved_until_its_root_has_a_positive_left_end(self):
         f, counter = _polynomial([1e-5, 0.3, 1.7])
         det = Counted(f)
-        roots, _ = find_roots(det, 3, 4.0, counter)
+        roots, _ = find_roots(det, isolate(3, 4.0, counter))
         assert roots == pytest.approx([1e-5, 0.3, 1.7], abs=1e-15)
         assert min(batch.min() for batch in det.batches) > 0.0
 
     def test_windows_are_halved_in_lockstep(self):
         f, counter = _polynomial([0.6, 0.7, 2.6, 2.7, 4.6, 4.7])
         counted = Counted(counter)
-        roots, _ = find_roots(f, 6, 7.0, counted)
+        roots, _ = find_roots(f, isolate(6, 7.0, counted))
         assert roots == pytest.approx([0.6, 0.7, 2.6, 2.7, 4.6, 4.7], abs=1e-15)
         # Each halving call splits the three shared windows together.
         assert [batch.size for batch in counted.batches[1:]] == [3] * (len(counted.batches) - 1)
@@ -142,7 +142,7 @@ class TestFindRoots:
         # The window (1.5, 2.5] holds two roots and halves at 2; so does the ceiling 3.
         f, counter = _polynomial([2.0 - 1e-3, 2.0 + 1e-3, 2.9])
         counted = Counted(counter)
-        roots, _ = find_roots(f, 3, 3.0, counted)
+        roots, _ = find_roots(f, isolate(3, 3.0, counted))
         assert roots == pytest.approx([2.0 - 1e-3, 2.0 + 1e-3, 2.9], abs=1e-15)
         points = np.concatenate(counted.batches)
         assert not np.any(points == np.round(points))
@@ -151,7 +151,7 @@ class TestFindRoots:
     def test_stops_at_count(self):
         f, counter = _polynomial([0.505, 0.5051, 1.105])
         det, counted = Counted(f), Counted(counter)
-        roots, _ = find_roots(det, 1, 10.0, counted)
+        roots, _ = find_roots(det, isolate(1, 10.0, counted))
         assert roots == pytest.approx([0.505], abs=1e-15)
         # Counted to 1.5 only; the window past the first root is never halved or bisected.
         assert counted.batches[0].tolist() == [0.5, 1.5]
@@ -162,7 +162,7 @@ class TestFindRoots:
             return np.ceil(lams) - 1.0  # the roots 1, 2, 3, ... of sin(pi x) below lams
 
         with pytest.raises(RootCountError) as info:
-            find_roots(lambda x: np.sin(math.pi * x), 5, 3.2, counter)
+            find_roots(lambda x: np.sin(math.pi * x), isolate(5, 3.2, counter))
         err = info.value
         assert err.requested == 5
         assert err.lam_max == 3.2
@@ -173,11 +173,13 @@ class TestFindRoots:
         def counter(lams, gap):
             return np.ceil(lams / gap) - 1.0  # the roots gap, 2 gap, ... of sin(pi x / gap)
 
-        roots, _ = find_roots(lambda x: np.sin(math.pi * x), 3, None, lambda x: counter(x, 1.0))
+        windows = isolate(3, None, lambda x: counter(x, 1.0))
+        roots, _ = find_roots(lambda x: np.sin(math.pi * x), windows)
         assert np.allclose(roots, [1.0, 2.0, 3.0], atol=1e-12)
         # Roots 1.5 apart: the 5th lies past 5.5, where interlacing puts it, below the ceiling 6.
         with pytest.raises(RootCountError, match="lost roots") as info:
-            find_roots(lambda x: np.sin(math.pi * x / 1.5), 5, None, lambda x: counter(x, 1.5))
+            windows = isolate(5, None, lambda x: counter(x, 1.5))
+            find_roots(lambda x: np.sin(math.pi * x / 1.5), windows)
         assert info.value.lam_max == 6.0
         assert info.value.found == pytest.approx([1.5, 3.0, 4.5], abs=1e-12)
 
@@ -186,7 +188,7 @@ class TestFindRoots:
         f, _ = _polynomial([0.3], double=[1.2])
         _, counter = _polynomial([0.3, 1.2])
         with pytest.raises(RootCountError) as info:
-            find_roots(f, 2, 3.0, counter)
+            find_roots(f, isolate(2, 3.0, counter))
         assert info.value.found == pytest.approx([0.3], abs=1e-15)
         assert "lost roots below the ceiling" in str(info.value)
 
@@ -199,7 +201,7 @@ class TestFindRoots:
             return np.where(lams < 2.8, f(lams), 0.0)
 
         with pytest.raises(RootCountError, match="lost roots") as info:
-            find_roots(underflowing, 4, None, counter)
+            find_roots(underflowing, isolate(4, None, counter))
         assert info.value.found == pytest.approx([1.2, 2.3], abs=1e-15)
 
     def test_roots_one_ulp_apart_give_roots_or_a_root_count_error(self):
@@ -218,7 +220,7 @@ class TestFindRoots:
                 return (lams > r1).astype(float) + (lams > r2)
 
             try:
-                roots, _ = find_roots(f, 2, None, counter)
+                roots, _ = find_roots(f, isolate(2, None, counter))
             except RootCountError as exc:
                 assert "lost roots" in str(exc)
                 continue
@@ -230,7 +232,7 @@ class TestFindRoots:
         # The count rises by 2 at one point: no window can part the two roots.
         f, counter = _polynomial([0.3, 1.2, 1.2])
         with pytest.raises(RootCountError, match="lost roots") as info:
-            find_roots(f, 3, 3.0, counter)
+            find_roots(f, isolate(3, 3.0, counter))
         assert info.value.found == pytest.approx([0.3], abs=1e-15)
 
     @pytest.mark.parametrize("fault", [math.nan, -1.0], ids=["nan", "falls"])
@@ -241,14 +243,14 @@ class TestFindRoots:
             return np.where(lams == 2.5, fault, exact(lams))
 
         with pytest.raises(RootCountError, match="lost roots") as info:
-            find_roots(f, 3, 4.0, counter)
+            find_roots(f, isolate(3, 4.0, counter))
         # Roots below the window that failed are kept; those above it are not sought.
         assert info.value.found == pytest.approx([0.3, 1.2], abs=1e-15)
 
     def test_shortfall_of_the_count_below_interlacing_is_lost(self):
         f, counter = _polynomial([0.3])
         with pytest.raises(RootCountError, match="lost roots"):
-            find_roots(f, 2, 5.0, counter)
+            find_roots(f, isolate(2, 5.0, counter))
 
     def test_bisection_calls_per_solve(self, monkeypatch):
         # Five brackets need about 53 halvings each; one call of their ends and a coarse grid,
@@ -299,17 +301,127 @@ class TestFindRoots:
 
     def test_callable_receives_arrays(self):
         f = Counted(lambda x: np.cos(2.0 * x))
-        roots, _ = find_roots(f, 2, 8.0, lambda lams: np.floor(2.0 * lams / math.pi + 0.5))
+        windows = isolate(2, 8.0, lambda lams: np.floor(2.0 * lams / math.pi + 0.5))
+        roots, _ = find_roots(f, windows)
         assert np.allclose(roots, [math.pi / 4, 3 * math.pi / 4], atol=1e-14)
         assert all(batch.ndim == 1 for batch in f.batches)
 
     @pytest.mark.parametrize("lam_max", [math.inf, math.nan, 1e308, 0.0, -1.0])
     def test_ceiling_outside_the_wavenumber_range_raises_value_error(self, one_crack_problem, lam_max):
         with pytest.raises(ValueError, match="wavenumber"):
-            find_roots(np.cos, 1, lam_max, np.floor)
+            find_roots(np.cos, isolate(1, lam_max, np.floor))
         for solve in (compute_spectrum, oracle_eigenpairs):
             with pytest.raises(ValueError, match="wavenumber"):
                 solve(one_crack_problem, 5, lam_max=lam_max)
+
+
+def _counted_root_count(monkeypatch) -> list[int]:
+    """The number of wavenumbers of every ``shifrin.root_count`` call from here on."""
+    calls, count = [], shifrin.root_count
+
+    def counted(problem, lams):
+        calls.append(np.size(lams))
+        return count(problem, lams)
+
+    monkeypatch.setattr(shifrin, "root_count", counted)
+    return calls
+
+
+def _roots_cold(solve, problem, count):
+    shifrin._isolated.cache_clear()
+    return solve(problem, count)
+
+
+def _jump_roots(problem, count):
+    return compute_spectrum(problem, count).lambdas.tolist()
+
+
+def _oracle_roots(problem, count):
+    return oracle_eigenpairs(problem, count).lambdas.tolist()
+
+
+class TestSharedIsolation:
+    """The count's windows depend on the problem, not on the solver: the solve that comes second
+    refines the windows the first one isolated, and counts nothing."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (_jump_roots, (_oracle_roots, transition.find_eigenvalues)),
+            (_oracle_roots, (_jump_roots, shifrin.find_eigenvalues)),
+        ],
+        ids=["oracle_second", "jump_amplitude_second"],
+    )
+    @pytest.mark.parametrize("cracks", [2, 30])
+    def test_second_solve_counts_nothing_and_keeps_every_bit(
+        self, monkeypatch, first, second, cracks
+    ):
+        positions = [math.pi * j / (cracks + 1) for j in range(1, cracks + 1)]
+        thetas = [0.01 * 200.0 ** (j / max(1, cracks - 1)) for j in range(cracks)]
+        cold = [_roots_cold(solve, BeamProblem(positions, thetas), 12) for solve in second]
+        first(BeamProblem(tuple(positions), tuple(thetas)), 12)
+        calls = _counted_root_count(monkeypatch)
+        equal = BeamProblem(list(positions), list(thetas))  # built apart, equal by value
+        warm = [solve(equal, 12) for solve in second]
+        assert calls == []
+        assert [[x.hex() for x in roots] for roots in warm] == [
+            [x.hex() for x in roots] for roots in cold
+        ]
+
+    def test_another_problem_count_or_ceiling_counts_again(self, monkeypatch, one_crack_problem):
+        compute_spectrum(one_crack_problem, 5)
+        calls = _counted_root_count(monkeypatch)
+        for problem, count, lam_max in [
+            (BeamProblem((1.0,), (0.31,)), 5, None),
+            (one_crack_problem, 6, None),
+            (one_crack_problem, 5, 6.0),
+        ]:
+            before = len(calls)
+            oracle_eigenpairs(problem, count, lam_max)
+            assert len(calls) > before, (problem, count, lam_max)
+            assert shifrin._isolated.cache_info().currsize == 1
+        assert shifrin._isolated.cache_info().maxsize == 1
+
+    def test_a_ceiling_is_keyed_by_its_value(self, monkeypatch, one_crack_problem):
+        # An array or numpy scalar ceiling neither fails to hash nor misses a float's windows.
+        compute_spectrum(one_crack_problem, 5, lam_max=np.array(6.0))
+        calls = _counted_root_count(monkeypatch)
+        oracle_eigenpairs(one_crack_problem, 5, lam_max=np.float64(6.0))
+        transition.find_eigenvalues(one_crack_problem, 5, 6)
+        assert calls == []
+
+    def test_a_lost_window_stays_with_the_solver_that_lost_it(self):
+        # The jump-amplitude determinant underflows to exactly 0 from about lambda = 8.5 on 300
+        # equal cracks, so it loses the windows of roots 19 and 20; the oracle's does not, and
+        # refines all 20.  Neither outcome depends on which solver isolated the windows.
+        problem = BeamProblem(tuple(math.pi * j / 301 for j in range(1, 301)), (0.2,) * 300)
+
+        def jump_lost():
+            with pytest.raises(RootCountError, match="lost roots") as info:
+                shifrin.find_eigenvalues(problem, 20)
+            return info.value.found
+
+        jump_cold = jump_lost()  # no windows kept yet: see tests/conftest.py
+        oracle_warm = transition.find_eigenvalues(problem, 20)
+        oracle_cold = _roots_cold(transition.find_eigenvalues, problem, 20)
+        jump_warm = jump_lost()
+        assert len(jump_cold) == 18 and jump_warm == jump_cold
+        assert len(oracle_cold) == 20 and oracle_warm == oracle_cold
+
+
+class TestFreshIsolation:
+    """Every test starts with no windows kept (tests/conftest.py), so one that patches the count
+    or the stack bound sees an isolation of its own."""
+
+    def test_a_solve_keeps_its_windows(self, one_crack_problem):
+        compute_spectrum(one_crack_problem, 5)
+        assert shifrin._isolated.cache_info().currsize == 1
+
+    def test_a_patched_count_is_called(self, monkeypatch, one_crack_problem):
+        calls = _counted_root_count(monkeypatch)
+        monkeypatch.setattr(rootfind, "_STACK_ENTRIES", 64)
+        compute_spectrum(one_crack_problem, 5)
+        assert calls == [6]  # one call at 0.5 ... 4.5 and 5.5: one crack parts no roots
 
 
 def _near_hinge_layouts(count_per_band: int):

@@ -435,8 +435,9 @@ class TestRootCount:
         counts = shifrin.root_count(one_crack_problem, np.array([1e-18, 1e-17, 1e-16, 0.5]))
         assert np.isnan(counts[:2]).all()
         assert counts[2:].tolist() == [0.0, 0.0]
+        # No root was lost below such a ceiling: it is too low for the count to be read.
         for solver in (shifrin, transition):
-            with pytest.raises(RootCountError, match="lost roots") as info:
+            with pytest.raises(RootCountError, match="raise the scan ceiling") as info:
                 solver.find_eigenvalues(one_crack_problem, 1, lam_max=1e-18)
             assert info.value.found == []
 

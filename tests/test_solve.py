@@ -209,10 +209,12 @@ _INPUT_CHECKS = {
         "order 5 not in 0..4",
     ),
     "negative_count": (
-        lambda: rootfind.find_roots(np.sin, -1, 5.0, np.floor), "count must be at least 1"
+        lambda: rootfind.find_roots(np.sin, rootfind.isolate(-1, 5.0, np.floor)),
+        "count must be at least 1",
     ),
     "zero_count": (
-        lambda: rootfind.find_roots(np.sin, 0, 5.0, np.floor), "count must be at least 1"
+        lambda: rootfind.find_roots(np.sin, rootfind.isolate(0, 5.0, np.floor)),
+        "count must be at least 1",
     ),
     "no_modes": (
         lambda: shifrin.first_roots(shifrin.char_det, _UNIFORM, 0), "count must be at least 1"
