@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -76,9 +77,10 @@ def _round15(x: float) -> float:
 
 def _emit_table(args: argparse.Namespace, columns: list[str], rows: list[list]) -> str:
     if args.format == "csv":
-        # One %-string for all rows, from the first row's types; floats carry 15 digits.
+        # One %-string for the table, row format from the first row's types; floats carry 15 digits.
         row_format = ",".join("%.15g" if isinstance(v, float) else "%s" for v in rows[:1][0])
-        return "\n".join([",".join(columns), *(row_format % tuple(row) for row in rows)]) + "\n"
+        body = "\n".join([row_format] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+        return f"{','.join(columns)}\n{body}\n"
     rows = [[_round15(v) if isinstance(v, float) else v for v in row] for row in rows]
     return json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n"
 
@@ -127,7 +129,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _mode_rows(problem: BeamProblem, spectrum, samples: int) -> list[list]:
+def _mode_rows(problem: BeamProblem, spectrum, samples: int) -> list[tuple]:
     """Rows (k, x, side, phi, dphi, d2phi) of every mode at one sorted table of points."""
     crack_set = set(problem.positions)
     grid = [float(x) for x in np.linspace(0.0, math.pi, samples) if x not in crack_set]
@@ -135,13 +137,11 @@ def _mode_rows(problem: BeamProblem, spectrum, samples: int) -> list[list]:
     points.extend((x, "L") for x in problem.positions)
     points.extend((x, "R") for x in problem.positions)
     points.sort(key=lambda p: (p[0], {"L": 0, "": 1, "R": 2}[p[1]]))
-    xs = np.array([x for x, _ in points])
-    left = np.array([side == "L" for _, side in points])
+    xs, sides = zip(*points)
+    left, count = np.array([side == "L" for side in sides]), len(spectrum.lambdas)
     vals = [np.where(left, spectrum.eval(xs, o, "L"), spectrum.eval(xs, o, "R")) for o in range(3)]
-    rows = []
-    for k, mode in enumerate(np.stack(vals, axis=1), start=1):  # (orders, points) per mode
-        rows.extend([k, x, side, *v] for (x, side), *v in zip(points, *mode.tolist()))
-    return rows
+    ks = np.repeat(np.arange(1, count + 1), len(points)).tolist()  # mode-major, as the rows
+    return list(zip(ks, xs * count, sides * count, *(v.ravel().tolist() for v in vals)))
 
 
 def cmd_modes(args: argparse.Namespace) -> int:
@@ -163,6 +163,13 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sign_changes(dets: np.ndarray) -> list[int]:
+    """1 where a determinant's sign is opposite to the last nonzero sign before it, else 0."""
+    sign = np.where(dets != 0.0, np.copysign(1.0, dets), 0.0)
+    last = sign[np.maximum.accumulate(np.where(sign != 0.0, np.arange(sign.size), 0))]
+    return [0, *(sign[1:] * last[:-1] < 0.0).astype(int).tolist()]
+
+
 def cmd_det_scan(args: argparse.Namespace) -> int:
     problem, _, _ = load_problem_file(args.input)
     if args.lambda_min <= 0.0:
@@ -181,15 +188,8 @@ def cmd_det_scan(args: argparse.Namespace) -> int:
     if max(args.lambda_max, last) > MAX_WAVENUMBER:
         raise ValidationError(f"scan must end at a wavenumber of at most {MAX_WAVENUMBER:g}")
     grid = args.lambda_min + np.arange(n_points) * args.step
-    dets_s = shifrin.char_det(problem, grid).tolist()
-    dets_t = transition.boundary_det(problem, grid).tolist()
-    rows = []
-    prev_sign = 0.0
-    for lam, det_s, det_t in zip(grid.tolist(), dets_s, dets_t):
-        sign = math.copysign(1.0, det_s) if det_s != 0.0 else 0.0
-        changed = int(prev_sign != 0.0 and sign != 0.0 and sign != prev_sign)
-        rows.append([lam, det_s, det_t, changed])
-        prev_sign = sign if sign != 0.0 else prev_sign
+    dets_s, dets_t = shifrin.char_det(problem, grid), transition.boundary_det(problem, grid)
+    rows = list(zip(grid.tolist(), dets_s.tolist(), dets_t.tolist(), _sign_changes(dets_s)))
     columns = ["lambda", "det_shifrin", "det_transition", "sign_change"]
     _write(args, _emit_table(args, columns, rows))
     return EXIT_OK
@@ -213,7 +213,7 @@ def _perturbed_mode(problem: BeamProblem, doc: dict, spectrum):
     lam = spectrum.lambdas[k : k + 1]
     # A mode is linear in its jump amplitudes: add the mode of the offsets alone.
     rows[k] += shifrin._eigenpairs(problem, lam, np.array([[*offsets, 0, 0, 0, 0]]))[0]
-    rows[k] = _normalized(lam, rows[k : k + 1], problem.breakpoints, spectrum.rule)[0]
+    rows[k] = _normalized(lam, rows[k : k + 1], problem.breakpoints)[0]
     return replace(spectrum, coefficients=rows)
 
 

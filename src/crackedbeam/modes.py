@@ -12,9 +12,10 @@ alone, at a point or an array of points, or every mode at once through :meth:`Sp
 The solvers differ only in their characteristic determinant and in how they recover the
 modes at its roots.  A solver's ``recover(problem, lams)`` returns the raw (n, m+1, 4) stack
 of these coefficients, one mode per root at any scale and sign; :func:`solve` normalizes the
-stack once, on the one quadrature rule of the highest root, and the :class:`Spectrum` keeps
-both, building its :class:`Eigenpair` views only if asked.  :func:`normalize_eigenpair`,
-``solve_nullspace`` and ``build_eigenfunction`` are the one-root slices of that stacked code.
+stack once, one (mode, interval) cell at a time in O(modes x intervals) with no quadrature rule
+over the beam, and the :class:`Spectrum` keeps it, building its :class:`Eigenpair` views only if
+asked.  :func:`normalize_eigenpair`, ``solve_nullspace`` and ``build_eigenfunction`` are the
+one-root slices of that stacked code.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rootfind
+from . import quadrature, rootfind
 from .beam_model import BeamProblem
-from .quadrature import QuadratureRule
 
 
 def is_right_side(side: str) -> bool:
@@ -46,9 +46,8 @@ def _trig_rows(t, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _local_values(lam, scale, u, h, co: np.ndarray, order: int) -> np.ndarray:
-    """Order-th derivative of the rows ``co`` at local coordinate ``u`` on intervals of length
-    ``h``; ``scale`` is lam**order.  Each row holds (A, B, P, Q) of cos(lam u), sin(lam u),
-    e**(-lam u) and e**(-lam (h - u))."""
+    """Order-th derivative of the (A, B, P, Q) rows ``co`` at local coordinate ``u`` on intervals
+    of length ``h``; ``scale`` is lam**order."""
     t = lam * u
     d_cos, d_sin = _trig_rows(t, order)
     decaying = -np.exp(-t) if order % 2 else np.exp(-t)
@@ -79,12 +78,8 @@ def _values(lams, rows, breakpoints, x, order: int, side: str, reduce=None) -> n
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseForm:
-    """Closed-form mode shape: four bounded-basis coefficients per subinterval.
-
-    ``breakpoints`` has length m+2 (supports plus crack positions) and
-    ``coefficients`` is (m+1, 4).  Row i holds (A, B, P, Q) of cos(lam u),
-    sin(lam u), e**(-lam u) and e**(-lam (h - u)) on interval i, where
-    ``u = x - breakpoints[i]`` and h is the interval's length.
+    """Closed-form mode shape: ``breakpoints`` has length m+2 (supports plus crack positions)
+    and ``coefficients`` is (m+1, 4), row i the (A, B, P, Q) of the bounded basis on interval i.
     """
 
     lam: float
@@ -124,13 +119,12 @@ class Eigenpair:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Modes of one problem: read-only ``lambdas`` (n,) and (n, m+1, 4) ``coefficients``,
-    normalized on ``rule``, the top wavenumber's; ``pairs`` splits them into eigenpairs."""
+    """Modes of one problem: read-only ``lambdas`` (n,) and (n, m+1, 4) ``coefficients``, each
+    mode of unit displacement norm; ``pairs`` splits them into eigenpairs."""
 
     problem: BeamProblem
     lambdas: np.ndarray
     coefficients: np.ndarray
-    rule: QuadratureRule
 
     def __post_init__(self) -> None:
         self.lambdas.setflags(write=False)
@@ -147,34 +141,64 @@ class Spectrum:
         return _values(self.lambdas, self.coefficients, bp, x, order, side, reduce)
 
 
-def normalize_eigenpair(pair: Eigenpair, rule) -> Eigenpair:
-    """One-mode :func:`_normalized`: unit displacement norm on ``rule``, positive left slope."""
+def normalize_eigenpair(pair: Eigenpair) -> Eigenpair:
+    """One-mode :func:`_normalized`: unit displacement norm, positive left slope."""
     form = pair.piecewise
-    rows = _normalized(np.array([pair.lam]), form.coefficients[None], form.breakpoints, rule)
+    rows = _normalized(np.array([pair.lam]), form.coefficients[None], form.breakpoints)
     return Eigenpair(pair.lam, PiecewiseForm(pair.lam, form.breakpoints, rows[0]))
 
 
-def _normalized(lams: np.ndarray, rows: np.ndarray, breakpoints, rule) -> np.ndarray:
+# The ten products of (A, B, P, Q) in phi**2, in the order of _cells' integrals, with weights.
+_LEFT, _RIGHT = np.array([0, 1, 2, 3, 0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+_WEIGHTS = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])[:, None, None]
+
+
+def _cells(lam: np.ndarray, h: np.ndarray, co: np.ndarray) -> np.ndarray:
+    """Integral of phi**2 over each (mode, interval) cell: wavenumber ``lam`` (a column), length
+    ``h``, (A, B, P, Q) on the last axis of ``co``.  In closed form, ``pair`` holds 2 lam times the
+    integrals of the basis products C C, S S, E E, F F, C S, C E, C F, S E and S F, and lam times
+    that of E F, for (C, S, E, F) = (cos lam u, sin lam u, e**(-lam u), e**(-lam (h - u))).  A cell
+    of phase lam h at most ``quadrature.MAX_PHASE_PER_PANEL`` takes one 16-point Gauss panel: at
+    mechanism roots (lam pi << 1) coefficients of 40-100 cancel in the closed form, 1e-11 off."""
+    t = lam * h
+    cos, sin, decay = np.cos(t), np.sin(t), np.exp(-t)
+    sc, e_sin, e_cos, e2 = sin * cos, decay * sin, decay * cos, -np.expm1(-2.0 * t)
+    pair = np.array([t + sc, t - sc, e2, e2, sin * sin, 1.0 + (e_sin - e_cos), sin + cos - decay,
+                     1.0 - (e_sin + e_cos), sin - cos + decay, t * decay])
+    pair *= _WEIGHTS
+    ends = np.moveaxis(co, -1, 0)
+    pair *= ends[_LEFT]
+    pair *= ends[_RIGHT]
+    scaled = pair.sum(axis=0)  # lam times each cell's integral
+    short = np.nonzero(t <= quadrature.MAX_PHASE_PER_PANEL)
+    if short[0].size:
+        # The cell mapped onto [0, 1], u = h x: lam times its integral is t times that over x.
+        (nodes, weights), phase = quadrature._gauss_nodes(), t[short]
+        v = _local_values(phase[:, None], 1.0, 0.5 * nodes + 0.5, 1.0, co[short][:, None], 0)
+        scaled[short] = phase * (v * v * (0.5 * weights)).sum(axis=1)  # BLAS would round by count
+    return scaled / lam
+
+
+def _normalized(lams: np.ndarray, rows: np.ndarray, breakpoints) -> np.ndarray:
     """The (n, m+1, 4) coefficient stack ``rows`` of modes at ``lams`` on ``breakpoints``, each
-    mode rescaled to unit displacement norm on the nodes of ``rule`` and to a positive slope at
-    the left end, or a positive third derivative there where the slope vanishes."""
-    squares = _values(lams, rows, breakpoints, rule.nodes, 0, "R", lambda v: rule.integrate(v * v))
-    norms = np.sqrt(squares)  # one np.dot per mode, as one mode takes it
-    if (norms == 0.0).any():
+    mode rescaled to unit norm, the sum of its :func:`_cells` (in :func:`rootfind._blocks` of
+    modes), and to a positive slope at the left end, or third derivative where that vanishes."""
+    h, squares = np.diff(np.asarray(breakpoints, dtype=float)), np.empty(len(lams))
+    for b in rootfind._blocks(len(lams), quadrature.ORDER * len(h)):
+        squares[b] = _cells(lams[b, None], h, rows[b]).sum(axis=1)
+    if not squares.all():
         raise ValueError("cannot normalize the zero function")
-    # phi'(0+), or phi'''(0+) where it vanishes, on each first interval (x = 0 is its left end),
-    # without the scale lam**k: a positive factor never changes a sign.
-    h = breakpoints[1] - breakpoints[0]
-    slope, third = (_local_values(lams, 1.0, 0.0, h, rows[:, 0], k) for k in (1, 3))
-    up = np.where(slope != 0.0, slope, np.where(third != 0.0, third, 1.0)) > 0.0
-    return rows * (np.where(up, 1.0, -1.0) / norms)[:, None, None]
+    # phi'(0+) / lam, or phi'''(0+) / lam**3 where that vanishes (both zero: up), on the first
+    # interval, whose left end is x = 0: B - P + Q e**(-lam h) and -B - P + Q e**(-lam h).
+    _, b, p, q = rows[:, 0].T
+    rising = q * np.exp(-lams * h[0])
+    slope, third = b - p + rising, -b - p + rising
+    up = np.where(slope != 0.0, slope, third) >= 0.0
+    return rows * (np.where(up, 1.0, -1.0) / np.sqrt(squares))[:, None, None]
 
 
 def solve(problem, recover, roots) -> Spectrum:
-    """Spectrum of ``problem`` at its ``roots``.  One call of a solver's ``recover(problem,
-    lams)`` gives the raw modes' (n, m+1, 4) coefficient stack, at any scale and sign, which is
-    normalized on the one quadrature rule of the top root: the spectrum's ``rule``."""
+    """Spectrum of ``problem`` at its ``roots``: :func:`_normalized` of the raw (n, m+1, 4) stack,
+    at any scale and sign, that one call of a solver's ``recover(problem, lams)`` gives."""
     lams = np.array(roots)
-    rule = QuadratureRule.for_problem(problem, lams.max())
-    rows = _normalized(lams, recover(problem, lams), problem.breakpoints, rule)
-    return Spectrum(problem, lams, rows, rule)
+    return Spectrum(problem, lams, _normalized(lams, recover(problem, lams), problem.breakpoints))

@@ -291,25 +291,20 @@ def _nullspaces(problem: BeamProblem, lams: np.ndarray) -> np.ndarray:
     singular value is reported as a degenerate eigenvalue at that root, not an error.
     """
 
-    vecs = np.empty((len(lams), problem.m + 4))
-
-    def nullvectors(block: slice) -> None:
-        mats = _equilibrated(_system_stack(problem, lams[block]))
+    def nullvectors(block: np.ndarray) -> np.ndarray:
+        mats = _equilibrated(_system_stack(problem, block))
         entries = mats.transpose(1, 2, 0)
         col_scale = _max_abs(entries, 0)
         col_scale = np.where(col_scale > 0.0, col_scale, 1.0)
         np.divide(entries, col_scale, entries)
         _, sing, vt = np.linalg.svd(mats)
-        np.divide(vt[:, -1], col_scale[0].T, out=vecs[block])
-        for lam, s, vec in zip(lams[block].tolist(), sing, vecs[block]):
-            if s[-2] <= DEGENERACY_RATIO * s[0]:
-                msg = f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue"
-                warnings.warn(msg, RuntimeWarning)  # names shifrin.py whichever path solved
-            vec /= np.linalg.norm(vec)  # per vector: a norm along a stack axis rounds differently
+        for lam in block[sing[:, -2] <= DEGENERACY_RATIO * sing[:, 0]].tolist():
+            msg = f"nullspace dimension exceeds 1 at lambda = {lam}: degenerate eigenvalue"
+            warnings.warn(msg, RuntimeWarning)  # names shifrin.py whichever path solved
+        vecs = vt[:, -1] / col_scale[0].T
+        return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
-    for block in rootfind._blocks(len(lams), (problem.m + 4) ** 2):
-        nullvectors(block)
-    return vecs
+    return rootfind.blockwise(nullvectors, lams, (problem.m + 4) ** 2)
 
 
 def build_eigenfunction(problem: BeamProblem, form: ShifrinForm) -> Eigenpair:

@@ -131,7 +131,7 @@ def gram_matrix(pairs, rule: QuadratureRule) -> np.ndarray:
     table = stack.eval(rule.nodes)
     if len(table) < 1:
         raise ValueError("need at least one mode")
-    norms = [rule.integrate(row * row) for row in table]  # each norm as normalization sums it
+    norms = [rule.integrate(row * row) for row in table]  # each norm as h_inner takes it
     table *= np.sqrt(rule.weights)
     out = table @ table.T
     np.fill_diagonal(out, norms)
@@ -225,12 +225,13 @@ def mode_checks(spectrum, oracle) -> dict[str, np.ndarray]:
     Residual families are relative to each mode's curvature scale and the ODE residual to
     lambda**4; then come the deviation of h(phi, phi) from 1, of the Gram matrix from the
     identity (each entry charged to the higher of its two modes) and of the Rayleigh quotient
-    a(phi, phi) / h(phi, phi) from lambda**4 (relative), all on the spectrum's own problem and
-    quadrature rule, and the gaps to ``oracle``, another solver's spectrum of the same length.
+    a(phi, phi) / h(phi, phi) from lambda**4 (relative), on the one quadrature rule built here,
+    the top wavenumber's, and the gaps to ``oracle``, another solver's spectrum of the same length.
     """
     lam4 = np.array([lam**4 for lam in spectrum.lambdas.tolist()])
+    rule = QuadratureRule.for_problem(spectrum.problem, spectrum.lambdas.max())
     # The Gram table first, the largest: no smaller table before it has grown the heap.
-    gram = gram_matrix(spectrum, spectrum.rule)
+    gram = gram_matrix(spectrum, rule)
     norms = np.diag(gram)  # h(phi, phi) for every mode
     res = _residuals(spectrum, spectrum.problem, lam4)
     out = {f: res[f].reshape(lam4.size, -1).max(1, initial=0.0) / res["scale"] for f in FAMILIES}
@@ -238,7 +239,7 @@ def mode_checks(spectrum, oracle) -> dict[str, np.ndarray]:
     out["h_normalization"] = np.abs(norms - 1.0)
     off = np.abs(gram - np.eye(lam4.size))
     out["gram_identity"] = np.maximum(np.tril(off).max(axis=1), np.triu(off).max(axis=0))
-    rayleigh = _energies(spectrum, spectrum, spectrum.problem, spectrum.rule, operator=True) / norms
+    rayleigh = _energies(spectrum, spectrum, spectrum.problem, rule, operator=True) / norms
     out["rayleigh"] = np.abs(rayleigh - lam4) / lam4
     return {**out, **_cross_gaps(spectrum, oracle)}
 

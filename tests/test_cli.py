@@ -118,7 +118,7 @@ class TestModes:
             [k, x, side, *(float(spectrum.pairs[k - 1].eval(x, o, side or "R")) for o in range(3))]
             for k, x, side, *_ in rows
         ]
-        assert rows == looped
+        assert [list(row) for row in rows] == looped  # rows are tuples, built by columns
 
 
 class TestFrequencies:
@@ -194,6 +194,26 @@ class TestDetScan:
         assert len(rows) == 1
         assert rows[0][3] == "0"
 
+    @staticmethod
+    def _looped_sign_changes(dets) -> list[int]:
+        """The per-point loop the array form replaced."""
+        out, prev_sign = [], 0.0
+        for det in dets:
+            sign = math.copysign(1.0, det) if det != 0.0 else 0.0
+            out.append(int(prev_sign != 0.0 and sign != 0.0 and sign != prev_sign))
+            prev_sign = sign if sign != 0.0 else prev_sign
+        return out
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sign_changes_equal_the_per_point_loop(self, seed):
+        # Runs of exact zeros, signed zeros and NaNs of either sign between the signs.
+        rng = np.random.default_rng(seed)
+        values = np.array([-2.0, -0.0, 0.0, 3.0, math.nan, -math.nan, 5e-324, -math.inf])
+        dets = rng.choice(values, 40)
+        got = cli._sign_changes(dets)
+        assert got == self._looped_sign_changes(dets.tolist())
+        assert all(type(v) is int for v in got)
+
 
 class TestValidate:
     @pytest.mark.parametrize(
@@ -231,7 +251,7 @@ class TestValidate:
         assert spectrum.coefficients.tobytes() == before.tobytes()
         rows = zip(faulted.coefficients, before)
         assert [k for k, (a, b) in enumerate(rows) if a.tobytes() != b.tobytes()] == [2]
-        assert faulted.lambdas is spectrum.lambdas and faulted.rule is spectrum.rule
+        assert faulted.lambdas is spectrum.lambdas and faulted.problem is spectrum.problem
         assert cli.spectral.mode_checks(faulted, spectrum)["h_normalization"][2] <= 1e-12
         for stack in (spectrum.coefficients, faulted.coefficients, faulted.lambdas):
             with pytest.raises(ValueError, match="read-only"):

@@ -62,7 +62,7 @@ def _random_spectrum(rng, cracks: int, count: int) -> Spectrum:
     problem = _random_problem(rng, cracks)
     lams = np.sort(rng.uniform(0.5, 80.0, count))
     rows = rng.standard_normal((count, cracks + 1, 4))
-    return Spectrum(problem, lams, rows, QuadratureRule.for_problem(problem, lams.max()))
+    return Spectrum(problem, lams, rows)
 
 
 @pytest.fixture(params=[rootfind._STACK_ENTRIES, 64, 1])
@@ -231,19 +231,24 @@ class TestAllocation:
         vecs = np.random.default_rng(0).standard_normal((20, 104))
         assert _peak_bytes(lambda: shifrin._eigenpairs(problem, lams, vecs)) <= 1.5 * 2**20
 
-    def test_a_thousand_modes_normalize_within_a_few_tables(self, one_crack_problem):
-        lams = np.sort(np.random.default_rng(1).uniform(0.5, 1000.0, 1000))
+    @pytest.mark.parametrize("top, limit", [(1000.0, 768 * 1024), (3.0, 2.5 * 2**20)])
+    def test_a_thousand_modes_normalize_within_a_few_tables(self, one_crack_problem, top, limit):
+        # O(modes x intervals): two (cells, 10) tables of the ten basis products, 160 KiB each
+        # here, where the quadrature norm's (modes, nodes) blocks were bounded at 4 MiB.  Below
+        # lam = 3 every cell takes its Gauss panel, in (cells, 16) tables of the one stack bound.
+        lams = np.sort(np.random.default_rng(1).uniform(0.5 * top / 1000.0, top, 1000))
         rows = np.random.default_rng(2).standard_normal((1000, 2, 4))
-        rule = QuadratureRule.for_problem(one_crack_problem, lams.max())
         bp = one_crack_problem.breakpoints
-        assert _peak_bytes(lambda: modes._normalized(lams, rows, bp, rule)) <= 4 * 2**20
+        assert _peak_bytes(lambda: modes._normalized(lams, rows, bp)) <= limit
 
 
-def _looped_normalized(lams, rows, breakpoints, rule) -> np.ndarray:
-    """Each mode's norm taken alone, then the sign rule of ``modes._normalized``."""
+def _looped_normalized(lams, rows, breakpoints) -> np.ndarray:
+    """Each mode normalized alone on a composite rule of its own wavenumber, with the sign of
+    its slope, or third derivative, at the left end read through ``PiecewiseForm.eval``."""
     out = []
+    problem = BeamProblem(tuple(breakpoints[1:-1]), (1.0,) * (len(breakpoints) - 2))
     for lam, co in zip(lams.tolist(), rows):
-        form = PiecewiseForm(lam, breakpoints, co)
+        form, rule = PiecewiseForm(lam, breakpoints, co), QuadratureRule.for_problem(problem, lam)
         values = form.eval(rule.nodes)
         norm = np.sqrt(rule.integrate(values * values))
         slope, third = form.eval(0.0, 1, "R"), form.eval(0.0, 3, "R")
@@ -259,16 +264,19 @@ class TestStackedNormalization:
         problem = load_problem_file(path)[0]
         roots = np.array(shifrin.find_eigenvalues(problem, count))
         raw = transition._modes_from_roots(problem, roots)
-        rule = QuadratureRule.for_problem(problem, roots.max())
         bp = problem.breakpoints
-        stacked = modes._normalized(roots, raw, bp, rule)
+        stacked = modes._normalized(roots, raw, bp)
         one_by_one = [
-            normalize_eigenpair(Eigenpair(lam, PiecewiseForm(lam, bp, co)), rule)
+            normalize_eigenpair(Eigenpair(lam, PiecewiseForm(lam, bp, co)))
             for lam, co in zip(roots.tolist(), raw)
         ]
         assert _bits(stacked) == _bits([p.piecewise.coefficients for p in one_by_one])
-        # The loop reads the sign off phi'(0+) times lam, a positive factor: the same signs.
-        assert _bits(stacked) == _bits(_looped_normalized(roots, raw, bp, rule))
+        # The loop reads the sign off phi'(0+) times lam, a positive factor: the same signs,
+        # and its quadrature norm agrees with the cell norms to rounding.
+        looped = _looped_normalized(roots, raw, bp)
+        assert np.array_equal(np.sign(stacked), np.sign(looped))
+        top = np.abs(looped).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(stacked - looped) <= 1e-13 * top)
 
 
 def _looped_checks(problem, spectrum, oracle) -> dict[str, list[float]]:
